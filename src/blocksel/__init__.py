@@ -9,6 +9,7 @@ from .model import (
     BlockStructure,
     BudgetExceededError,
     Instance,
+    InvariantError,
     RatMatrix,
     ReducedProblem,
     Solution,
@@ -32,6 +33,7 @@ __all__ = [
     "BlockStructure",
     "BudgetExceededError",
     "Instance",
+    "InvariantError",
     "RatMatrix",
     "ReducedProblem",
     "Solution",

@@ -103,16 +103,24 @@ def _read_source(path: str) -> str:
 
 
 def _budget(flag_value: Optional[int], env_name: str, default: int) -> int:
-    """Flag wins over the environment override, which wins over the default."""
+    """Flag wins over the environment override, which wins over the default.
+
+    A negative budget is an input error, whichever way it was given.
+    """
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_name)
-    if env is None:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
+        flag = "--" + env_name.removeprefix("BLOCKSEL_").lower().replace("_", "-")
+        source, value = flag, flag_value
+    else:
+        env = os.environ.get(env_name)
+        if env is None:
+            return default
+        try:
+            source, value = env_name, int(env)
+        except ValueError:
+            raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
+    if value < 0:
+        raise ValueError(f"{source} must be non-negative, got {value}")
+    return value
 
 
 # --- reports -----------------------------------------------------------------

@@ -28,6 +28,14 @@ class BudgetExceededError(Exception):
     """
 
 
+class InvariantError(RuntimeError):
+    """Raised when an internal consistency check of the solver fails.
+
+    It signals a defect in the program, never bad input.  Unlike an assert
+    it still fires under python -O.
+    """
+
+
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse a rational from an int, a Fraction, or a string.
 

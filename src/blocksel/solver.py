@@ -8,21 +8,29 @@ hinges on which support wins each (block, cardinality) slot as lambda
 moves.  Those comparisons are quadratic in lambda; the solver covers all
 their sign regions with rational witness points, reads off the winning
 supports at each witness, and forms candidate supports as unions over
-cardinality allocations.  finish() then minimizes each candidate's
-residual form over lambda in closed form and keeps the best.
+the cardinality allocations that fit the budget sigma'.  finish() then
+minimizes each candidate's residual form over lambda in closed form and
+keeps the best.
 
 Two candidate generators coexist.  The cover path (up to two parameters)
-uses the witness generators from the cover module.  The extended path
-lifts the comparisons to linear hyperplanes over the coordinates
-(lambda, pairwise products of lambda) and enumerates arrangement cells
-exactly; it has no parameter-count limit and doubles as a cross-check.
+uses the witness generators from the cover module; its allocation work is
+bounded by MAX_PROFILE_UNIONS.  The extended path lifts the comparisons to
+linear hyperplanes over the coordinates (lambda, pairwise products of
+lambda) and enumerates arrangement cells exactly; it has no
+parameter-count limit and doubles as a cross-check.
+
+Everything that does not depend on sigma' (residual forms, argmin
+profiles, rankings, planes, candidate values) lives in one context per
+subproblem, held in a cache of MAX_CONTEXTS entries so that a sigma sweep
+over the same data reuses it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -38,7 +46,6 @@ from .cover import conic_cover_points, line_cover_points
 from .linalg import (
     LinearFunctional,
     QuadraticForm,
-    eval_form,
     extended_dim,
     least_squares,
     linearize,
@@ -48,6 +55,7 @@ from .linalg import (
 from .model import (
     BudgetExceededError,
     Instance,
+    InvariantError,
     ReducedProblem,
     Solution,
     make_solution,
@@ -56,7 +64,12 @@ from .model import (
 from .separable import ValTable, build_d, chain_solve
 
 DEFAULT_MAX_CELLS = 200000
+# Bounds the cover path's pool work: in-budget allocations times distinct
+# argmin profiles.
 MAX_PROFILE_UNIONS = 1000000
+# Subproblem contexts kept for reuse across solves; the least recently used
+# is dropped first.
+MAX_CONTEXTS = 64
 
 CandidateSet = set[tuple[int, ...]]
 
@@ -114,11 +127,13 @@ def reduce(instance: Instance) -> list[ReducedProblem]:
     return problems
 
 
-# --- cached per-subproblem geometry ----------------------------------------
+# --- per-subproblem context -------------------------------------------------
 #
 # Everything below is keyed on the subproblem with its budget stripped, so a
-# sigma sweep over the same data reuses witnesses, argmin tables, and
-# candidate values.
+# sigma sweep over the same data reuses witnesses, argmin profiles, and
+# candidate values.  One bounded cache holds a context per subproblem; each
+# lookup hashes the subproblem once, and every helper then works on the
+# context's own tables.
 
 
 def _strip_budget(rp: ReducedProblem) -> ReducedProblem:
@@ -132,7 +147,6 @@ def _col_offsets(blocks: Sequence) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-@lru_cache(maxsize=None)
 def _row_pieces(base: ReducedProblem):
     """Per block: (piece of b, pieces of each lambda column)."""
     pieces = []
@@ -146,10 +160,8 @@ def _row_pieces(base: ReducedProblem):
     return tuple(pieces)
 
 
-@lru_cache(maxsize=None)
-def _support_forms(base: ReducedProblem):
+def _support_forms(base: ReducedProblem, pieces):
     """All residual forms: entry [i][j] lists (support, form) for block i, size j."""
-    pieces = _row_pieces(base)
     out = []
     for i, blk in enumerate(base.blocks):
         b_piece, lam_pieces = pieces[i]
@@ -164,19 +176,41 @@ def _support_forms(base: ReducedProblem):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _form_lookup(base: ReducedProblem) -> tuple[dict, ...]:
-    """Per block, a dict from local support tuple to its residual form."""
-    return tuple(
-        {sup: form for row in rows for sup, form in row}
-        for rows in _support_forms(base)
-    )
+@dataclass
+class _Context:
+    """Sigma-independent data of one subproblem, shared by every budget.
+
+    The residual forms, their lookup table and the column offsets are built
+    up front; the cover profiles, diagonal rankings and support planes are
+    filled in by the first path that needs them, and candidate values as
+    candidates get scored.
+    """
+
+    base: ReducedProblem
+    pieces: tuple
+    forms: tuple
+    lookup: tuple[dict, ...]
+    offsets: tuple[int, ...]
+    values: dict = field(default_factory=dict)
+    witness_count: int = 0
+    profiles: tuple | None = None
+    rankings: dict = field(default_factory=dict)
+    planes: tuple[Hyperplane, ...] | None = None
 
 
-def _difference_forms(base: ReducedProblem) -> list[QuadraticForm]:
+@lru_cache(maxsize=MAX_CONTEXTS)
+def _context(base: ReducedProblem) -> _Context:
+    """The context of a budget-stripped subproblem, built on first use."""
+    pieces = _row_pieces(base)
+    forms = _support_forms(base, pieces)
+    lookup = tuple({sup: form for row in rows for sup, form in row} for rows in forms)
+    return _Context(base, pieces, forms, lookup, _col_offsets(base.blocks))
+
+
+def _difference_forms(forms) -> list[QuadraticForm]:
     """Nonzero residual differences of same-cardinality supports per block."""
     out = []
-    for rows in _support_forms(base):
+    for rows in forms:
         for row in rows:
             for (_, f1), (_, f2) in itertools.combinations(row, 2):
                 diff = f1.sub(f2)
@@ -185,13 +219,11 @@ def _difference_forms(base: ReducedProblem) -> list[QuadraticForm]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cover_witnesses(base: ReducedProblem) -> tuple[tuple[Fraction, ...], ...]:
+def _cover_witnesses(forms, k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rational lambda points hitting every sign region of the differences."""
-    k = base.k_prime
     if k == 0:
         return ((),)
-    diffs = _difference_forms(base)
+    diffs = _difference_forms(forms)
     if k == 1:
         _, samples = sweep_1d(diffs)
         return tuple((s,) for s in samples)
@@ -200,27 +232,70 @@ def _cover_witnesses(base: ReducedProblem) -> tuple[tuple[Fraction, ...], ...]:
     raise ValueError("witness covers require at most two free parameters")
 
 
-def _argmins_at(base: ReducedProblem, witness: Sequence[Fraction]) -> tuple:
-    """Winning support per (block, cardinality) at a lambda point.
+def _integer_rows(forms) -> tuple:
+    """The forms of _support_forms as integer coefficient lists.
 
-    The witness never lies on a nonzero difference surface, so ties happen
-    only between supports with identical forms; those break to the
-    lexicographically smallest support.
+    Each form's coefficients on 1, lam_i and lam_i lam_j (i <= j), as
+    linearize orders them, are scaled by one positive common denominator,
+    so comparing scaled values orders supports exactly as comparing the
+    forms does.  Entry [i][j] lists (coefficients, support) for block i,
+    size j.
     """
-    table = []
-    for rows in _support_forms(base):
-        per_size = tuple(
-            min(row, key=lambda sf: (eval_form(sf[1], witness), sf[0]))[0]
+    linear = tuple(
+        tuple(tuple((linearize(form), sup) for sup, form in row) for row in rows)
+        for rows in forms
+    )
+    scale = 1
+    for rows in linear:
+        for row in rows:
+            for func, _ in row:
+                for v in (func.const, *func.coeffs):
+                    scale = math.lcm(scale, v.denominator)
+    return tuple(
+        tuple(
+            tuple(
+                ([int(v * scale) for v in (func.const, *func.coeffs)], sup)
+                for func, sup in row
+            )
             for row in rows
         )
-        table.append(per_size)
-    return tuple(table)
+        for rows in linear
+    )
 
 
-def _argmins_extended(base: ReducedProblem, point: Sequence[Fraction]) -> tuple:
-    """Same as _argmins_at but evaluated at an extended-space point."""
+def _argmins_at(int_rows, witness: Sequence[Fraction]) -> tuple:
+    """Winning support per (block, cardinality) at a lambda point.
+
+    With den the witness's common denominator and c = den * witness, each
+    form's value times den^2 (and the common scale of int_rows) is the dot
+    product of its integer coefficients with the monomials den^2, den c_i
+    and c_i c_j.  The witness never lies on a nonzero difference surface,
+    so ties happen only between supports with identical forms; those break
+    to the lexicographically smallest support.
+    """
+    den = 1
+    for x in witness:
+        den = math.lcm(den, x.denominator)
+    coords = [x.numerator * (den // x.denominator) for x in witness]
+    monomials = [den * den, *(den * c for c in coords)]
+    for i, ci in enumerate(coords):
+        monomials.extend(ci * cj for cj in coords[i:])
+    return tuple(
+        tuple(
+            min(
+                (sum(map(operator.mul, coeffs, monomials)), sup)
+                for coeffs, sup in row
+            )[1]
+            for row in rows
+        )
+        for rows in int_rows
+    )
+
+
+def _argmins_extended(forms, point: Sequence[Fraction]) -> tuple:
+    """Winning support per (block, cardinality) at an extended-space point."""
     table = []
-    for rows in _support_forms(base):
+    for rows in forms:
         per_size = tuple(
             min(row, key=lambda sf: (linearize(sf[1]).eval(point), sf[0]))[0]
             for row in rows
@@ -229,47 +304,75 @@ def _argmins_extended(base: ReducedProblem, point: Sequence[Fraction]) -> tuple:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _cover_pool(base: ReducedProblem) -> tuple[tuple[int, ...], ...]:
-    """Union supports of every argmin profile at every cover witness.
+def _cover_profiles(ctx: _Context) -> tuple:
+    """Distinct argmin profiles over the cover witnesses, computed once."""
+    if ctx.profiles is None:
+        witnesses = _cover_witnesses(ctx.forms, ctx.base.k_prime)
+        int_rows = _integer_rows(ctx.forms)
+        ctx.profiles = tuple({_argmins_at(int_rows, w) for w in witnesses})
+        ctx.witness_count = len(witnesses)
+    return ctx.profiles
 
-    For each witness the per-block tables are fixed; every cardinality
-    allocation contributes the union of its blocks' winning supports.  The
-    pool is budget-free: callers filter by their own sigma'.
+
+def _allocation_count(widths: Sequence[int], limit: int) -> int:
+    """Cardinality allocations (j_i <= widths[i]) with sum at most limit."""
+    counts = [1] + [0] * limit  # counts[s]: partial allocations summing to s
+    for width in widths:
+        counts = [
+            sum(counts[s - j] for j in range(min(width, s) + 1))
+            for s in range(limit + 1)
+        ]
+    return sum(counts)
+
+
+def _cover_pool(ctx: _Context, limit: int) -> CandidateSet:
+    """Union supports of every in-budget allocation under every argmin profile.
+
+    For each profile the per-block winners are fixed; every cardinality
+    allocation with at most limit columns in total contributes the union of
+    its blocks' winning supports.  Allocations are built by choosing the
+    blocks with a nonzero cardinality in increasing order, so each one is
+    visited once and the union comes out sorted.
     """
-    profiles = {_argmins_at(base, w) for w in _cover_witnesses(base)}
-    offsets = _col_offsets(base.blocks)
-    per_witness = math.prod(blk.cols + 1 for blk in base.blocks)
-    if per_witness * max(len(profiles), 1) > MAX_PROFILE_UNIONS:
+    profiles = _cover_profiles(ctx)
+    allocations = _allocation_count([blk.cols for blk in ctx.base.blocks], limit)
+    if allocations * max(len(profiles), 1) > MAX_PROFILE_UNIONS:
         raise BudgetExceededError(
-            f"profile union enumeration needs {per_witness} allocations for "
-            f"each of {len(profiles)} argmin tables"
+            f"profile union enumeration needs {allocations} allocations of at "
+            f"most {limit} columns for each of {len(profiles)} argmin tables"
         )
-    pool: set[tuple[int, ...]] = set()
+    pool: CandidateSet = set()
+    h = len(ctx.base.blocks)
     for table in profiles:
-        ranges = [range(len(per_size)) for per_size in table]
-        for alloc in itertools.product(*ranges):
-            chi: list[int] = []
-            for i, j in enumerate(alloc):
-                chi.extend(offsets[i] + c for c in table[i][j])
-            pool.add(tuple(sorted(chi)))
-    return tuple(sorted(pool))
+        shifted = [
+            [tuple(ctx.offsets[i] + c for c in sup) for sup in per_size]
+            for i, per_size in enumerate(table)
+        ]
+        stack = [(0, limit, ())]
+        while stack:
+            start, room, prefix = stack.pop()
+            pool.add(prefix)
+            for i in range(start, h):
+                for sup in shifted[i][1 : room + 1]:
+                    stack.append((i + 1, room - len(sup), prefix + sup))
+    return pool
 
 
-@lru_cache(maxsize=None)
 def _candidate_value(
-    base: ReducedProblem, chi: tuple[int, ...]
+    ctx: _Context, chi: tuple[int, ...]
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact minimum over lambda of one candidate's residual form."""
-    lookup = _form_lookup(base)
-    offsets = _col_offsets(base.blocks)
-    total = QuadraticForm.zero(base.k_prime)
-    for i in range(len(base.blocks)):
-        local = tuple(
-            c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1]
-        )
-        total = total.add(lookup[i][local])
-    return quadratic_minimum(total)
+    hit = ctx.values.get(chi)
+    if hit is None:
+        offsets = ctx.offsets
+        total = QuadraticForm.zero(ctx.base.k_prime)
+        for i, lookup in enumerate(ctx.lookup):
+            local = tuple(
+                c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1]
+            )
+            total = total.add(lookup[local])
+        hit = ctx.values[chi] = quadratic_minimum(total)
+    return hit
 
 
 def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolution:
@@ -282,26 +385,26 @@ def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolutio
     """
     pool = {tuple(sorted(chi)) for chi in candidates}
     pool.add(())
-    base = _strip_budget(rp)
+    ctx = _context(_strip_budget(rp))
     best_key = None
     best_lam: tuple[Fraction, ...] = ()
     for chi in sorted(pool):
         if len(chi) > rp.sigma_p:
             raise ValueError("candidate support exceeds the subproblem budget")
-        value, lam = _candidate_value(base, chi)
+        value, lam = _candidate_value(ctx, chi)
         key = (value, chi)
         if best_key is None or key < best_key:
             best_key, best_lam = key, lam
-    assert best_key is not None
+    if best_key is None:
+        raise InvariantError("the empty support is always a candidate")
     value, chi = best_key
 
-    pieces = _row_pieces(base)
-    offsets = _col_offsets(base.blocks)
+    offsets = ctx.offsets
     x = [Fraction(0)] * rp.n_total
     rebuilt = Fraction(0)
-    for i, blk in enumerate(base.blocks):
+    for i, blk in enumerate(rp.blocks):
         local = [c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1]]
-        b_piece, lam_pieces = pieces[i]
+        b_piece, lam_pieces = ctx.pieces[i]
         target = list(b_piece)
         for coeff, piece in zip(best_lam, lam_pieces):
             if coeff:
@@ -311,16 +414,18 @@ def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolutio
         for c, v in zip(local, coeffs):
             x[offsets[i] + c] = v
         rebuilt += res2
-    assert rebuilt == value, "closed-form value must match the rebuilt residual"
+    if rebuilt != value:
+        raise InvariantError(
+            f"rebuilt residual {rebuilt} differs from the closed-form value {value}"
+        )
     return RpSolution(tuple(x), best_lam, value, chi)
 
 
 # --- diagonal specialization ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _diag_rankings(
-    base: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
+    ctx: _Context, max_cells: int = DEFAULT_MAX_CELLS
 ) -> tuple[tuple[int, ...], ...]:
     """Orderings of the hittable coordinates seen across all witnesses.
 
@@ -328,10 +433,13 @@ def _diag_rankings(
     descending, index ascending; coordinates with a zero diagonal entry are
     left out.  Witness points come from the pairwise difference and sum
     lines of the b' functionals (with the single-coordinate lines along for
-    exactness of the orderings).
+    exactness of the orderings).  Kept in the context per cell budget, so
+    a smaller budget still refuses.
     """
+    if max_cells in ctx.rankings:
+        return ctx.rankings[max_cells]
+    base, pieces = ctx.base, ctx.pieces
     h = len(base.blocks)
-    pieces = _row_pieces(base)
     funcs = []
     for i in range(h):
         b_piece, lam_pieces = pieces[i]
@@ -401,7 +509,8 @@ def _diag_rankings(
             vals.append(acc * acc)
         order = sorted(hittable, key=lambda i: (-vals[i], i))
         rankings.add(tuple(order))
-    return tuple(sorted(rankings))
+    ctx.rankings[max_cells] = tuple(sorted(rankings))
+    return ctx.rankings[max_cells]
 
 
 def solve_diagonal(
@@ -417,9 +526,9 @@ def solve_diagonal(
     for blk in rp.blocks:
         if blk.rows != 1 or blk.cols != 1:
             raise ValueError("solve_diagonal requires 1x1 blocks")
-    base = _strip_budget(rp)
+    ctx = _context(_strip_budget(rp))
     candidates: CandidateSet = set()
-    for ranking in _diag_rankings(base, max_cells):
+    for ranking in _diag_rankings(ctx, max_cells):
         take = min(rp.sigma_p, len(ranking))
         candidates.add(tuple(sorted(ranking[:take])))
     return candidates, finish(candidates, rp)
@@ -428,11 +537,13 @@ def solve_diagonal(
 # --- general blocks ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
     """Hyperplanes of the same-cardinality comparisons in extended space."""
+    ctx = _context(base)
+    if ctx.planes is not None:
+        return ctx.planes
     sources: list[tuple[LinearFunctional, object]] = []
-    for i, rows in enumerate(_support_forms(base)):
+    for i, rows in enumerate(ctx.forms):
         for j, row in enumerate(rows):
             for (s1, f1), (s2, f2) in itertools.combinations(row, 2):
                 diff = f1.sub(f2)
@@ -442,7 +553,8 @@ def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
                 if all(c == 0 for c in func.coeffs):
                     continue  # constant sign: no surface to cross
                 sources.append((func, (i, j, s1, s2)))
-    return tuple(merge_hyperplanes(sources))
+    ctx.planes = tuple(merge_hyperplanes(sources))
+    return ctx.planes
 
 
 def build_support_tables(
@@ -459,9 +571,8 @@ def build_support_tables(
     base = _strip_budget(rp)
     planes = _support_planes(base)
     cells = enumerate_cells(planes, extended_dim(rp.k_prime), max_cells=max_cells)
-    tables = [
-        SupportTable(_argmins_extended(base, cell.witness)) for cell in cells
-    ]
+    forms = _context(base).forms
+    tables = [SupportTable(_argmins_extended(forms, cell.witness)) for cell in cells]
     return cells, tables
 
 
@@ -475,19 +586,19 @@ def _solve_extended(
     hyperplanes, and each refined cell contributes the support realized by
     the incremental chain at the evaluated witness.
     """
-    base = _strip_budget(rp)
-    planes = _support_planes(base)
+    ctx = _context(_strip_budget(rp))
+    planes = _support_planes(ctx.base)
     cells, tables = build_support_tables(rp, max_cells=max_cells)
     regions = 0
-    lookup = _form_lookup(base)
-    offsets = _col_offsets(base.blocks)
+    lookup = ctx.lookup
+    offsets = ctx.offsets
     structure = rp.structure()
     level = min(rp.sigma_p, rp.n_total)
     candidates: CandidateSet = set()
     for cell, table in zip(cells, tables):
         sel_forms = [
             [lookup[i][sup] for sup in table.selections[i]]
-            for i in range(len(base.blocks))
+            for i in range(len(rp.blocks))
         ]
         exchanges = build_d(structure, forms=sel_forms)
         sources: list[tuple[LinearFunctional, object]] = []
@@ -545,13 +656,10 @@ def solve_block(
     if method == "auto":
         method = "cover" if rp.k_prime <= 2 else "extended"
     if method == "cover":
-        base = _strip_budget(rp)
-        limit = min(rp.sigma_p, rp.n_total)
-        candidates = {
-            chi for chi in _cover_pool(base) if len(chi) <= limit
-        }
+        ctx = _context(_strip_budget(rp))
+        candidates = _cover_pool(ctx, min(rp.sigma_p, rp.n_total))
         if stats is not None:
-            stats["regions"] = len(_cover_witnesses(base))
+            stats["regions"] = ctx.witness_count
         return candidates, finish(candidates, rp)
     if method == "extended":
         return _solve_extended(rp, max_cells, stats=stats)
@@ -573,7 +681,11 @@ def _lift(instance: Instance, rp: ReducedProblem, sol: RpSolution) -> Solution:
             x[n + tag] = coeff
             support.add(n + tag)
     lifted = make_solution(instance, x, mu, support)
-    assert lifted.objective == sol.objective, "lifting must preserve the residual"
+    if lifted.objective != sol.objective:
+        raise InvariantError(
+            f"lifted residual {lifted.objective} differs from the subproblem "
+            f"objective {sol.objective}"
+        )
     return lifted
 
 
@@ -612,7 +724,9 @@ def solve_detailed(
             if method == "diagonal" or (method == "auto" and diagonal):
                 entry["path"] = "diagonal"
                 candidates, sol = solve_diagonal(rp, max_cells=max_cells)
-                stats["regions"] = len(_diag_rankings(_strip_budget(rp), max_cells))
+                stats["regions"] = len(
+                    _diag_rankings(_context(_strip_budget(rp)), max_cells)
+                )
             else:
                 chosen = method
                 if method == "auto":
@@ -633,7 +747,8 @@ def solve_detailed(
         lifted = _lift(instance, rp, sol)
         if best is None or lifted.objective < best.objective:
             best = lifted
-    assert best is not None, "the empty coupling subset is always present"
+    if best is None:
+        raise InvariantError("the empty coupling subset is always present")
     return best, report
 
 

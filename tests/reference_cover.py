@@ -1,0 +1,132 @@
+"""The cover pool as it was before in-budget enumeration, kept as a reference.
+
+These are the former solver helpers, unchanged: the pool unions the
+winning supports of every cardinality allocation at every cover witness,
+with argmins read by evaluating each residual form in Fractions, and
+callers filter the budget-free pool by their own sigma'.  Tests compare
+the solver's candidates and integer argmins against them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
+
+from blocksel.arrangement import sweep_1d
+from blocksel.cover import conic_cover_points
+from blocksel.linalg import QuadraticForm, eval_form, residual_quadratic
+from blocksel.model import BudgetExceededError, ReducedProblem
+from blocksel.solver import MAX_PROFILE_UNIONS
+
+
+def _col_offsets(blocks: Sequence) -> tuple[int, ...]:
+    offsets = [0]
+    for blk in blocks:
+        offsets.append(offsets[-1] + blk.cols)
+    return tuple(offsets)
+
+
+@lru_cache(maxsize=None)
+def _row_pieces(base: ReducedProblem):
+    """Per block: (piece of b, pieces of each lambda column)."""
+    pieces = []
+    offset = 0
+    for blk in base.blocks:
+        rows = range(offset, offset + blk.rows)
+        b_piece = tuple(base.b[r] for r in rows)
+        lam_pieces = tuple(tuple(col[r] for r in rows) for col in base.lambda_cols)
+        pieces.append((b_piece, lam_pieces))
+        offset += blk.rows
+    return tuple(pieces)
+
+
+@lru_cache(maxsize=None)
+def _support_forms(base: ReducedProblem):
+    """All residual forms: entry [i][j] lists (support, form) for block i, size j."""
+    pieces = _row_pieces(base)
+    out = []
+    for i, blk in enumerate(base.blocks):
+        b_piece, lam_pieces = pieces[i]
+        by_size = []
+        for j in range(blk.cols + 1):
+            row = tuple(
+                (sup, residual_quadratic(blk, b_piece, lam_pieces, sup))
+                for sup in itertools.combinations(range(blk.cols), j)
+            )
+            by_size.append(row)
+        out.append(tuple(by_size))
+    return tuple(out)
+
+
+def _difference_forms(base: ReducedProblem) -> list[QuadraticForm]:
+    """Nonzero residual differences of same-cardinality supports per block."""
+    out = []
+    for rows in _support_forms(base):
+        for row in rows:
+            for (_, f1), (_, f2) in itertools.combinations(row, 2):
+                diff = f1.sub(f2)
+                if not diff.is_zero():
+                    out.append(diff)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cover_witnesses(base: ReducedProblem) -> tuple[tuple[Fraction, ...], ...]:
+    """Rational lambda points hitting every sign region of the differences."""
+    k = base.k_prime
+    if k == 0:
+        return ((),)
+    diffs = _difference_forms(base)
+    if k == 1:
+        _, samples = sweep_1d(diffs)
+        return tuple((s,) for s in samples)
+    if k == 2:
+        return tuple(conic_cover_points(diffs))
+    raise ValueError("witness covers require at most two free parameters")
+
+
+def _argmins_at(base: ReducedProblem, witness: Sequence[Fraction]) -> tuple:
+    """Winning support per (block, cardinality) at a lambda point.
+
+    The witness never lies on a nonzero difference surface, so ties happen
+    only between supports with identical forms; those break to the
+    lexicographically smallest support.
+    """
+    table = []
+    for rows in _support_forms(base):
+        per_size = tuple(
+            min(row, key=lambda sf: (eval_form(sf[1], witness), sf[0]))[0]
+            for row in rows
+        )
+        table.append(per_size)
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _cover_pool(base: ReducedProblem) -> tuple[tuple[int, ...], ...]:
+    """Union supports of every argmin profile at every cover witness.
+
+    For each witness the per-block tables are fixed; every cardinality
+    allocation contributes the union of its blocks' winning supports.  The
+    pool is budget-free: callers filter by their own sigma'.
+    """
+    profiles = {_argmins_at(base, w) for w in _cover_witnesses(base)}
+    offsets = _col_offsets(base.blocks)
+    per_witness = math.prod(blk.cols + 1 for blk in base.blocks)
+    if per_witness * max(len(profiles), 1) > MAX_PROFILE_UNIONS:
+        raise BudgetExceededError(
+            f"profile union enumeration needs {per_witness} allocations for "
+            f"each of {len(profiles)} argmin tables"
+        )
+    pool: set[tuple[int, ...]] = set()
+    for table in profiles:
+        ranges = [range(len(per_size)) for per_size in table]
+        for alloc in itertools.product(*ranges):
+            chi: list[int] = []
+            for i, j in enumerate(alloc):
+                chi.extend(offsets[i] + c for c in table[i][j])
+            pool.add(tuple(sorted(chi)))
+    return tuple(sorted(pool))

@@ -114,6 +114,30 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     assert "BLOCKSEL_MAX_ORACLE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["solve", "--max-cells", "-5"], {}),
+        (["solve", "--max-cells", "-5", "--method", "extended"], {}),
+        (["solve"], {"BLOCKSEL_MAX_CELLS": "-1"}),
+        (["oracle", "--max-oracle", "-1"], {}),
+        (["oracle"], {"BLOCKSEL_MAX_ORACLE": "-3"}),
+        (["compare", "--max-cells", "-2"], {}),
+        (["compare"], {"BLOCKSEL_MAX_ORACLE": "-1"}),
+        (["bench", "--max-cells", "-1"], {}),
+    ],
+)
+def test_negative_budgets_are_input_errors(tmp_path, capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if argv[0] != "bench":
+        argv = argv + [write_doc(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "must be non-negative" in err
+    assert (next(iter(env)) if env else argv[1]) in err
+
+
 def test_compare_pass(tmp_path, capsys):
     assert main(["compare", write_doc(tmp_path)]) == 0
     out = capsys.readouterr().out

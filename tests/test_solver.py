@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import blocksel.solver as solver
+import reference_cover
 from blocksel.linalg import eval_form, least_squares, linearize, residual_quadratic
-from blocksel.model import BudgetExceededError, Instance, ReducedProblem
+from blocksel.model import BudgetExceededError, Instance, InvariantError, ReducedProblem
 from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
 from blocksel.separable import diag_greedy
 from blocksel.solver import (
@@ -351,3 +355,118 @@ def test_solve_detailed_diagonal_path_label():
     )
     _, report = solve_detailed(inst)
     assert {entry["path"] for entry in report} == {"diagonal"}
+
+
+def random_cover_rp(rng, k):
+    """A small subproblem with k free parameters and general blocks."""
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    shapes = [(rng.randint(1, 2), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    blocks = Instance.build(
+        [[[entry() for _ in range(cols)] for _ in range(rows)] for rows, cols in shapes]
+    ).blocks
+    m = sum(rows for rows, _ in shapes)
+    return ReducedProblem(
+        blocks=tuple(blocks),
+        b=tuple(entry() for _ in range(m)),
+        lambda_cols=tuple(tuple(entry() for _ in range(m)) for _ in range(k)),
+        tags=tuple(range(k)),
+        sigma_p=0,
+    )
+
+
+def test_cover_pool_equals_filtered_reference_pool():
+    rng = random.Random(11)
+    for trial in range(24):
+        base = random_cover_rp(rng, k=1 + trial % 2)
+        reference = reference_cover._cover_pool(base)
+        for sigma_p in range(base.n_total + 2):
+            rp = ReducedProblem(
+                base.blocks, base.b, base.lambda_cols, base.tags, sigma_p
+            )
+            candidates, _ = solve_block(rp, method="cover")
+            limit = min(sigma_p, base.n_total)
+            assert candidates == {chi for chi in reference if len(chi) <= limit}
+
+
+def test_integer_argmins_match_fraction_argmins():
+    rng = random.Random(12)
+    for trial in range(24):
+        base = random_cover_rp(rng, k=trial % 3)
+        int_rows = solver._integer_rows(solver._context(base).forms)
+        for w in reference_cover._cover_witnesses(base):
+            assert solver._argmins_at(int_rows, w) == reference_cover._argmins_at(base, w)
+
+
+def test_cover_solves_past_the_old_profile_union_budget():
+    # 13 full 2x2 blocks: the budget-free pool needed 3^13 allocations per
+    # argmin profile, over MAX_PROFILE_UNIONS whatever the profile count.
+    rng = random.Random(1)
+
+    def entry():
+        return Fraction(rng.randint(1, 5) * rng.choice((-1, 1)), rng.randint(1, 5))
+
+    h = 13
+    assert 3**h > solver.MAX_PROFILE_UNIONS
+    inst = Instance.build(
+        [[[entry(), entry()], [entry(), entry()]] for _ in range(h)],
+        coupling=[[entry() for _ in range(2 * h)]],
+        intercept=[1] * (2 * h),
+        b=[entry() for _ in range(2 * h)],
+        sigma=2,
+    )
+    sol, report = solve_detailed(inst)
+    assert [entry["path"] for entry in report] == ["cover", "cover"]
+    assert sol.objective == brute_force(inst).objective
+
+
+def test_profile_union_budget_names_the_subproblem(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_PROFILE_UNIONS", 3)
+    inst = Instance.build(
+        [[[1, 2], [3, 1]], [[2, 1], [1, -1]]],
+        coupling=[[1, 0, 2, 1]],
+        b=[1, 2, 3, 4],
+        sigma=2,
+    )
+    with pytest.raises(BudgetExceededError) as excinfo:
+        solve(inst, method="cover")
+    message = str(excinfo.value)
+    assert "subproblem with coupling columns []" in message
+    assert "profile union enumeration" in message
+
+
+def test_allocation_count_matches_enumeration():
+    for widths in ((1,), (2, 2, 2), (3, 1, 2, 2)):
+        for limit in range(sum(widths) + 2):
+            allocations = [
+                alloc
+                for alloc in itertools.product(*(range(w + 1) for w in widths))
+                if sum(alloc) <= limit
+            ]
+            assert solver._allocation_count(widths, limit) == len(allocations)
+
+
+def test_finish_raises_invariant_error_on_residual_mismatch(monkeypatch):
+    def off_by_one(columns, target):
+        coeffs, res2 = least_squares(columns, target)
+        return coeffs, res2 + 1
+
+    monkeypatch.setattr(solver, "least_squares", off_by_one)
+    rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
+    with pytest.raises(InvariantError, match="rebuilt residual"):
+        finish({(0,), (1,)}, rp)
+
+
+def test_lift_raises_invariant_error_on_residual_mismatch(monkeypatch):
+    real = solver.make_solution
+
+    def shifted(instance, x, mu, support):
+        sol = real(instance, x, mu, support)
+        return replace(sol, objective=sol.objective + 1)
+
+    monkeypatch.setattr(solver, "make_solution", shifted)
+    inst = Instance.build([[[1]], [[1]]], coupling=[[1, 1]], b=[2, 1], sigma=1)
+    with pytest.raises(InvariantError, match="lifted residual"):
+        solve(inst)
