@@ -26,7 +26,7 @@ from .model import (
     validate,
 )
 from .oracle import brute_force
-from .solver import DEFAULT_MAX_CELLS, solve, solve_detailed
+from .solver import DEFAULT_MAX_CELLS, METHODS, reduce, route, solve, solve_detailed
 
 DEFAULT_MAX_ORACLE = 10**6
 
@@ -46,7 +46,10 @@ def load_instance(text: str) -> Instance:
     of rows of rationals), "coupling" (list of columns), optional
     "intercept" (column or null), "b" (vector), and "sigma" (integer).
     Rationals may be integers or strings like "3", "-2/7", "0.25"; decimal
-    literals in the file are re-read as strings so they stay exact.
+    literals in the file are re-read as strings so they stay exact.  A
+    number whose numerator or denominator has more digits than Python will
+    print (sys.get_int_max_str_digits) is refused, since no answer built
+    from it could be shown.
     """
     try:
         doc = json.loads(text, parse_float=str)
@@ -73,7 +76,33 @@ def load_instance(text: str) -> Instance:
     problems = validate(instance)
     if problems:
         raise ValueError("; ".join(problems))
+    _check_digits(instance)
     return instance
+
+
+def _check_digits(instance: Instance) -> None:
+    """Refuse numbers with more digits than int-to-text conversion allows.
+
+    Sizes are read from bit lengths, with an exact comparison only near the
+    limit, because converting such a number to text is what fails.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        return
+    # 10**limit has more than limit * 3.3219 (< log2 10) bits, so a number
+    # with at most that many bits has at most limit digits.
+    short_bits = limit * 33219 // 10000
+    values = [v for blk in instance.blocks for v in blk.entries]
+    values += [v for col in instance.coupling for v in col]
+    values += instance.intercept or ()
+    values += instance.b
+    for v in values:
+        for part in (abs(v.numerator), v.denominator):
+            if part.bit_length() > short_bits and part >= 10**limit:
+                raise ValueError(
+                    f"a number has more than {limit} digits in its numerator "
+                    "or denominator"
+                )
 
 
 def dump_instance(instance: Instance) -> str:
@@ -153,26 +182,26 @@ def _solution_doc(
     return doc
 
 
-def _print_solution(
+def _solution_text(
     instance: Instance, solution: Solution, report: Optional[list[dict]] = None
-) -> None:
+) -> str:
     value = format_rational(solution.objective)
-    print(f"objective  {value}  ({float(solution.objective):.6g})")
+    lines = [f"objective  {value}  ({float(solution.objective):.6g})"]
     support = " ".join(str(i + 1) for i in sorted(solution.support))
-    print(f"support    {support if support else '(empty)'}")
-    print("x          " + " ".join(format_rational(v) for v in solution.x))
+    lines.append(f"support    {support if support else '(empty)'}")
+    lines.append("x          " + " ".join(format_rational(v) for v in solution.x))
     if instance.k:
         lam = solution.x[instance.n_total :]
-        print("coupling   " + " ".join(format_rational(v) for v in lam))
+        lines.append("coupling   " + " ".join(format_rational(v) for v in lam))
     if solution.mu is not None:
-        print(f"mu         {format_rational(solution.mu)}")
+        lines.append(f"mu         {format_rational(solution.mu)}")
     if report is not None:
         scored = sum(entry["candidates"] for entry in report)
-        print(f"subproblems {len(report)}  candidates scored {scored}")
+        lines.append(f"subproblems {len(report)}  candidates scored {scored}")
         for entry in report:
             cols = ",".join(str(j + 1) for j in entry["coupling"])
             pinned = "+mu" if entry["intercept"] else ""
-            print(
+            lines.append(
                 "  coupling=[{}]{} budget={} path={} regions={} candidates={} objective={}".format(
                     cols,
                     pinned,
@@ -183,6 +212,35 @@ def _print_solution(
                     format_rational(entry["objective"]),
                 )
             )
+    return "\n".join(lines)
+
+
+def _unprintable(exc: Exception) -> int:
+    print(f"error: result too large to print: {exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
+def _print_solution(
+    instance: Instance,
+    solution: Solution,
+    report: Optional[list[dict]],
+    as_json: bool,
+) -> int:
+    """Print the whole report, or exit 1 when a number in it cannot be shown.
+
+    Rendering fails when an exact value has more digits than int-to-text
+    conversion allows (ValueError) or its decimal passes the float range
+    (OverflowError); nothing is printed then.
+    """
+    try:
+        if as_json:
+            text = json.dumps(_solution_doc(instance, solution, report), indent=2)
+        else:
+            text = _solution_text(instance, solution, report)
+    except (ValueError, OverflowError) as exc:
+        return _unprintable(exc)
+    print(text)
+    return EXIT_OK
 
 
 # --- commands ----------------------------------------------------------------
@@ -192,6 +250,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         max_cells = _budget(args.max_cells, "BLOCKSEL_MAX_CELLS", DEFAULT_MAX_CELLS)
         instance = load_instance(_read_source(args.path))
+        for rp in reduce(instance):
+            route(rp, args.method)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -202,11 +262,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if args.json:
-        print(json.dumps(_solution_doc(instance, solution, report), indent=2))
-    else:
-        _print_solution(instance, solution, report)
-    return EXIT_OK
+    return _print_solution(instance, solution, report, args.json)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -221,11 +277,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if args.json:
-        print(json.dumps(_solution_doc(instance, solution), indent=2))
-    else:
-        _print_solution(instance, solution)
-    return EXIT_OK
+    return _print_solution(instance, solution, None, args.json)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -242,13 +294,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    print(f"oracle  {format_rational(reference.objective)}", flush=True)
+    try:
+        print(f"oracle  {format_rational(reference.objective)}", flush=True)
+    except ValueError as exc:
+        return _unprintable(exc)
     try:
         solution = solve(instance, max_cells=max_cells)
     except BudgetExceededError as exc:
         print(f"solver budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    print(f"solver  {format_rational(solution.objective)}")
+    try:
+        print(f"solver  {format_rational(solution.objective)}")
+    except ValueError as exc:
+        return _unprintable(exc)
     if solution.objective == reference.objective:
         print("PASS")
         return EXIT_OK
@@ -385,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--json", action="store_true", help="machine-readable report")
     ps.add_argument(
         "--method",
-        choices=("auto", "diagonal", "cover", "extended"),
+        choices=METHODS,
         default="auto",
-        help="force one candidate generator (default auto)",
+        help="force one candidate generator (default auto); diagonal is the 1x1 route",
     )
     ps.add_argument("--max-cells", type=int, default=None, help=cells_help)
     ps.set_defaults(func=cmd_solve)

@@ -1,24 +1,19 @@
 """Rational witness points covering two-parameter sign arrangements.
 
-The solver needs, for a family of curves in the (lambda_1, lambda_2) plane,
-a finite set of rational points that hits every open region on which all
-family members keep a constant sign.  Two generators live here:
-
-* line_cover_points: for families of lines.  Every open cell of a line
-  arrangement has an edge on its boundary; nudging an interior point of
-  each edge to both sides lands a witness in every cell.
-
-* conic_cover_points: for families of degree-at-most-2 curves, by
-  cylindrical decomposition.  Critical lambda_1 values (discriminants,
-  leading coefficients, vertical components, pairwise resultants) split the
-  axis into strips; inside a strip every curve is a union of non-crossing
-  graphs over lambda_1, so sweeping one rational vertical line per strip
-  reaches every region.
+The cover path of the solver needs, for a family of curves in the
+(lambda_1, lambda_2) plane, a finite set of rational points that hits every
+open region on which all family members keep a constant sign.
+conic_cover_points does this for families of degree-at-most-2 curves
+(lines included) by cylindrical decomposition.  Critical lambda_1 values
+(discriminants, leading coefficients, vertical components, pairwise
+resultants) split the axis into strips; inside a strip every curve is a
+union of non-crossing graphs over lambda_1, so sweeping one rational
+vertical line per strip reaches every region.
 
 Every returned point avoids the zero set of every family member that
 vanishes anywhere, so comparisons made at a witness are strict.  Members
 that never vanish are dropped: they cannot change sign or create ties.
-Both generators may return extra points (several per region, or in regions
+The generator may return extra points (several per region, or in regions
 no optimum uses); downstream consumers only collect candidate supports per
 point, so extras cost time, never correctness.
 """
@@ -30,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .linalg import LinearFunctional, QuadraticForm
+from .linalg import QuadraticForm
 from .model import BudgetExceededError
 from .roots import (
     IPoly,
@@ -43,88 +38,6 @@ from .roots import (
 MAX_CONICS = 256
 
 Point2 = tuple[Fraction, Fraction]
-
-
-def line_cover_points(lines: Sequence[LinearFunctional]) -> list[Point2]:
-    """Witnesses for every open cell of a line arrangement in the plane.
-
-    Lines are functionals a*x + b*y + c; zero functionals are ignored and
-    coincident lines are merged.  Offsets are sized exactly so that each
-    emitted point crosses only the host line of its edge.  Canonical lines
-    have coprime integer coefficients, which keeps the inner loops in
-    integer arithmetic.
-    """
-    canon: dict[tuple, tuple[int, int, int]] = {}
-    for f in lines:
-        if len(f.coeffs) != 2 and not f.is_zero():
-            raise ValueError("line cover expects functionals in two variables")
-        if all(a == 0 for a in f.coeffs):
-            # Constant functionals keep one sign everywhere: no line to cross.
-            continue
-        c = f.canonical()
-        canon[(c.coeffs, c.const)] = (int(c.coeffs[0]), int(c.coeffs[1]), int(c.const))
-    family = list(canon.values())
-    if not family:
-        return [(Fraction(0), Fraction(0))]
-
-    points: list[Point2] = []
-    seen: set[Point2] = set()
-
-    for a, b, c in family:
-        direction = (-b, a)
-        if b != 0:
-            base = (Fraction(0), Fraction(-c, b))
-            den0 = b
-        else:
-            base = (Fraction(-c, a), Fraction(0))
-            den0 = a
-        # For a point at parameter t on the host, each other line g takes the
-        # value (alpha_scaled + beta * den0 * t) / den0, all integers besides t.
-        others: list[tuple[int, int, int]] = []
-        params: list[Fraction] = []
-        for a2, b2, c2 in family:
-            det = a * b2 - b * a2
-            alpha_scaled = (
-                b2 * (-c) + c2 * b if b != 0 else a2 * (-c) + c2 * a
-            )
-            rate = a2 * a + b2 * b
-            others.append((alpha_scaled, (b2 * a - a2 * b) * den0, rate))
-            if det == 0:
-                continue
-            if b != 0:
-                params.append(Fraction(b2 * c - b * c2, det * b))
-            else:
-                params.append(Fraction(c * a2 - c2 * a, det * a))
-        params = sorted(set(params))
-        if params:
-            anchors = [params[0] - 1]
-            anchors += [(u + v) / 2 for u, v in zip(params, params[1:])]
-            anchors.append(params[-1] + 1)
-        else:
-            anchors = [Fraction(0)]
-        abs_den0 = abs(den0)
-        for t in anchors:
-            u, w = t.numerator, t.denominator
-            best_num = 0
-            best_den = 0
-            for alpha_scaled, beta_den0, rate in others:
-                if rate == 0:
-                    continue
-                value_scaled = alpha_scaled * w + beta_den0 * u
-                if value_scaled == 0:
-                    continue
-                num = abs(value_scaled)
-                den = 2 * abs(rate) * abs_den0 * w
-                if best_den == 0 or num * best_den < best_num * den:
-                    best_num, best_den = num, den
-            eps = Fraction(best_num, best_den) if best_den else Fraction(1)
-            mid = (base[0] + t * direction[0], base[1] + t * direction[1])
-            for s in (eps, -eps):
-                pt = (mid[0] + s * a, mid[1] + s * b)
-                if pt not in seen:
-                    seen.add(pt)
-                    points.append(pt)
-    return points
 
 
 # --- conic machinery -------------------------------------------------------

@@ -158,11 +158,6 @@ class QuadraticForm:
             z,
         )
 
-    @classmethod
-    def constant(cls, dim: int, value: Fraction) -> "QuadraticForm":
-        base = cls.zero(dim)
-        return cls(dim, base.p, base.r, Fraction(value))
-
     def add(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check(other)
         return QuadraticForm(

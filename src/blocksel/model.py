@@ -139,30 +139,6 @@ class BlockStructure:
 
 
 @dataclass(frozen=True)
-class Support:
-    """A sorted set of variable indices within a declared range."""
-
-    indices: tuple[int, ...]
-    universe: int
-
-    @classmethod
-    def of(cls, indices: Iterable[int], universe: int) -> "Support":
-        return cls(tuple(sorted(set(indices))), universe)
-
-    def __post_init__(self) -> None:
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("support indices must be sorted and distinct")
-        if self.indices and (self.indices[0] < 0 or self.indices[-1] >= self.universe):
-            raise ValueError("support index out of range")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-
-@dataclass(frozen=True)
 class Instance:
     """A full subset-selection instance.
 
@@ -347,15 +323,3 @@ def validate(instance: Instance) -> list[str]:
         problems.append(f"sigma {instance.sigma} exceeds the variable count {instance.d}")
     return problems
 
-
-def slice_by_block(instance: Instance, vector: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    """Split a stacked row-space vector (length sum m_i) into per-block pieces."""
-    if len(vector) != instance.m_total:
-        raise ValueError(
-            f"vector has length {len(vector)}, expected {instance.m_total}"
-        )
-    pieces = []
-    offsets = instance.row_offsets()
-    for bi, blk in enumerate(instance.blocks):
-        pieces.append(tuple(vector[offsets[bi] : offsets[bi] + blk.rows]))
-    return pieces

@@ -225,10 +225,6 @@ class AlgebraicNumber:
         else:
             self.hi = mid
 
-    def refine_below(self, width: Fraction) -> None:
-        while self.value is None and (self.hi - self.lo) > width:
-            self.refine()
-
     def cmp(self, other: "AlgebraicNumber") -> int:
         """Exact three-way comparison."""
         if self.value is not None and other.value is not None:

@@ -3,9 +3,9 @@
 Once the free parameters are pinned, the subset-selection objective splits
 across blocks: an allocation assigns each block a cardinality j_i and the
 total cost is the sum of per-block values val(i; j_i).  This module contains
-the exact solvers on such tables: the closed-form greedy for the diagonal
-case, a dynamic program, and the incremental chain that climbs one
-cardinality level at a time using bounded exchange steps.
+the exact solvers on such tables, a dynamic program and the incremental
+chain that climbs one cardinality level at a time using bounded exchange
+steps, together with the exchange set that the chain's steps come from.
 
 The chain's step set is governed by the proximity radius theta_bar of the
 block structure: moving from an optimal level-s allocation to some optimal
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import QuadraticForm, eval_form
 from .model import BlockStructure
@@ -59,16 +59,13 @@ class DeltaExpr:
     changes lists (block, j_from, j_to) for every block that moves, sorted by
     block index.  q is the total decrease; the total increase is q + 1.  In
     numeric mode value carries the exact cost difference; in symbolic mode
-    form carries it as a quadratic form in the free parameters.  target is
-    the destination allocation when the step is anchored at a concrete
-    source allocation (chain use); pattern-only entries leave it None.
+    form carries it as a quadratic form in the free parameters.
     """
 
     changes: tuple[tuple[int, int, int], ...]
     q: int
     value: Optional[Fraction] = None
     form: Optional[QuadraticForm] = None
-    target: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         inc = sum(t - f for _, f, t in self.changes if t > f)
@@ -78,17 +75,6 @@ class DeltaExpr:
         blocks = [blk for blk, _, _ in self.changes]
         if blocks != sorted(set(blocks)):
             raise ValueError("changes must be sorted by block and distinct")
-
-    def pattern_key(self) -> tuple:
-        return self.changes
-
-
-def weak_composition_count(total: int, parts: int) -> int:
-    """Number of ways to write total as an ordered sum of parts non-negative ints."""
-    if parts <= 0:
-        return 1 if total == 0 and parts == 0 else 0
-    return math.comb(total + parts - 1, parts - 1)
-
 
 def d_pattern_bound(structure: BlockStructure) -> int:
     """Upper bound on the number of distinct exchange patterns.
@@ -107,47 +93,6 @@ def d_pattern_bound(structure: BlockStructure) -> int:
             * theta ** (2 * q + 1)
         )
     return total
-
-
-def diag_greedy(
-    a: Sequence[Fraction], b_prime: Sequence[Fraction], sigma: int
-) -> tuple[list[Fraction], Fraction, list[int]]:
-    """Closed-form solution for a diagonal system with an adjusted right side.
-
-    Only coordinates with a nonzero diagonal entry can absorb anything; among
-    those, picking the min(sigma, count) largest |b'| values is optimal.  Ties
-    go to the smaller index.  Returns (x, objective, chosen indices).
-    """
-    if len(a) != len(b_prime):
-        raise ValueError("a and b' must have the same length")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    n = len(a)
-    hittable = [i for i in range(n) if a[i] != 0]
-    ranked = sorted(hittable, key=lambda i: (-abs(b_prime[i]), i))
-    chosen = sorted(ranked[: min(sigma, len(hittable))])
-    chosen_set = set(chosen)
-    x = [Fraction(0)] * n
-    objective = Fraction(0)
-    for i in range(n):
-        if i in chosen_set:
-            x[i] = b_prime[i] / a[i]
-        else:
-            objective += b_prime[i] * b_prime[i]
-    return x, objective, chosen
-
-
-def q_closeness(j_from: Sequence[int], j_to: Sequence[int]) -> int:
-    """Total decrease q between consecutive-level allocations.
-
-    Requires sum(j_to) == sum(j_from) + 1; the total increase is then q + 1
-    and the l1 distance 2q + 1.
-    """
-    if len(j_from) != len(j_to):
-        raise ValueError("allocations must have the same length")
-    if sum(j_to) != sum(j_from) + 1:
-        raise ValueError("target must sit one level above the source")
-    return sum(f - t for f, t in zip(j_from, j_to) if t < f)
 
 
 def aug_set(
@@ -191,28 +136,6 @@ def aug_set(
 
     recurse(0, 0, 0)
     return out
-
-
-def delta_value(
-    table: ValTable, j_source: Sequence[int], j_target: Sequence[int]
-) -> Fraction:
-    """Exact cost difference of an exchange step on a numeric table."""
-    q_closeness(j_source, j_target)  # validates the level relation
-    total = Fraction(0)
-    for i, (f, t) in enumerate(zip(j_source, j_target)):
-        if f != t:
-            total += table.values[i][t] - table.values[i][f]
-    return total
-
-
-def _delta_from_pair(
-    j_source: Sequence[int], j_target: Sequence[int], value=None, form=None
-) -> DeltaExpr:
-    changes = tuple(
-        (i, f, t) for i, (f, t) in enumerate(zip(j_source, j_target)) if f != t
-    )
-    q = sum(f - t for _, f, t in changes if t < f)
-    return DeltaExpr(changes, q, value=value, form=form, target=tuple(j_target))
 
 
 def _enumerate_patterns(structure: BlockStructure) -> list[tuple[tuple[int, int, int], ...]]:
@@ -297,15 +220,13 @@ def build_d(
 def chain_solve(
     table: ValTable,
     sigma: int,
-    key: Optional[Callable[[DeltaExpr], object]] = None,
     return_trace: bool = False,
 ):
     """Climb from the zero allocation one level at a time.
 
     At each level every exchange step in the bounded-decrease neighbourhood
     is scored and the minimum is taken; ties break toward the
-    lexicographically smallest target allocation.  A custom key makes the
-    same walk usable with evaluate-at-witness comparators.  Returns
+    lexicographically smallest target allocation.  Returns
     (allocation, objective) or, with return_trace, (allocation, objective,
     [levels 0..sigma]).
     """
@@ -319,15 +240,11 @@ def chain_solve(
         best: Optional[tuple[int, ...]] = None
         best_key: object = None
         for target in aug_set(structure, current):
-            if key is None:
-                val = Fraction(0)
-                for i, (f, t) in enumerate(zip(current, target)):
-                    if f != t:
-                        val += values[i][t] - values[i][f]
-                k: object = (val, target)
-            else:
-                val = delta_value(table, current, target)
-                k = key(_delta_from_pair(current, target, value=val))
+            val = Fraction(0)
+            for i, (f, t) in enumerate(zip(current, target)):
+                if f != t:
+                    val += values[i][t] - values[i][f]
+            k = (val, target)
             if best is None or k < best_key:
                 best, best_key = target, k
         assert best is not None

@@ -12,12 +12,18 @@ the cardinality allocations that fit the budget sigma'.  finish() then
 minimizes each candidate's residual form over lambda in closed form and
 keeps the best.
 
-Two candidate generators coexist.  The cover path (up to two parameters)
-uses the witness generators from the cover module; its allocation work is
-bounded by MAX_PROFILE_UNIONS.  The extended path lifts the comparisons to
-linear hyperplanes over the coordinates (lambda, pairwise products of
-lambda) and enumerates arrangement cells exactly; it has no
-parameter-count limit and doubles as a cross-check.
+route() picks one of three candidate generators per subproblem:
+
+* diagonal: all blocks 1x1 and at most one free parameter.  The optimal
+  support is a top slice of the coordinates ranked by |b'(lambda)|, so one
+  candidate per ranking seen along a 1-D sweep suffices.
+* cover: every other subproblem with at most two free parameters.  Argmin
+  profiles are read at the witnesses of the cover module's generators;
+  the allocation work is bounded by MAX_PROFILE_UNIONS.
+* extended: three or more free parameters.  The comparisons are lifted to
+  linear hyperplanes over the coordinates (lambda, pairwise products of
+  lambda) and arrangement cells are enumerated exactly; it has no
+  parameter-count limit and doubles as a cross-check.
 
 Everything that does not depend on sigma' (residual forms, argmin
 profiles, rankings, planes, candidate values) lives in one context per
@@ -42,7 +48,7 @@ from .arrangement import (
     merge_hyperplanes,
     sweep_1d,
 )
-from .cover import conic_cover_points, line_cover_points
+from .cover import conic_cover_points
 from .linalg import (
     LinearFunctional,
     QuadraticForm,
@@ -194,7 +200,7 @@ class _Context:
     values: dict = field(default_factory=dict)
     witness_count: int = 0
     profiles: tuple | None = None
-    rankings: dict = field(default_factory=dict)
+    rankings: tuple | None = None
     planes: tuple[Hyperplane, ...] | None = None
 
 
@@ -424,21 +430,25 @@ def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolutio
 # --- diagonal specialization ------------------------------------------------
 
 
-def _diag_rankings(
-    ctx: _Context, max_cells: int = DEFAULT_MAX_CELLS
-) -> tuple[tuple[int, ...], ...]:
-    """Orderings of the hittable coordinates seen across all witnesses.
+def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
+    """Orderings of the hittable coordinates seen along the lambda axis.
 
     Coordinates sort by squared adjusted right side |b'(lambda)|^2,
     descending, index ascending; coordinates with a zero diagonal entry are
-    left out.  Witness points come from the pairwise difference and sum
-    lines of the b' functionals (with the single-coordinate lines along for
-    exactness of the orderings).  Kept in the context per cell budget, so
-    a smaller budget still refuses.
+    left out.  With one free parameter the witnesses are the samples of a
+    sweep over the pairwise difference and sum lines of the b' functionals
+    (with the single-coordinate lines along for exactness of the
+    orderings); with none there is one ordering.  More free parameters
+    raise ValueError.  Computed once per context.
     """
-    if max_cells in ctx.rankings:
-        return ctx.rankings[max_cells]
+    if ctx.rankings is not None:
+        return ctx.rankings
     base, pieces = ctx.base, ctx.pieces
+    k = base.k_prime
+    if k > 1:
+        raise ValueError(
+            f"diagonal rankings take at most one free parameter, not {k}"
+        )
     h = len(base.blocks)
     funcs = []
     for i in range(h):
@@ -466,21 +476,14 @@ def _diag_rankings(
         add(fj, ("coord", j))
     planes = merge_hyperplanes(sources)
 
-    k = base.k_prime
-    if k == 0:
-        witnesses: list[tuple[Fraction, ...]] = [()]
-    elif k == 1:
+    witnesses: list[tuple[Fraction, ...]] = [()]
+    if k == 1:
         lines = [
             QuadraticForm(1, ((Fraction(0),),), (hp.functional.coeffs[0],), hp.functional.const)
             for hp in planes
         ]
         _, samples = sweep_1d(lines)
         witnesses = [(s,) for s in samples]
-    elif k == 2:
-        witnesses = line_cover_points([hp.functional for hp in planes])
-    else:
-        cells = enumerate_cells(planes, k, max_cells=max_cells)
-        witnesses = [cell.witness for cell in cells]
 
     # One positive scale factor for all functionals, and one common
     # denominator per witness, keep the ordering loop in integer arithmetic
@@ -509,26 +512,25 @@ def _diag_rankings(
             vals.append(acc * acc)
         order = sorted(hittable, key=lambda i: (-vals[i], i))
         rankings.add(tuple(order))
-    ctx.rankings[max_cells] = tuple(sorted(rankings))
-    return ctx.rankings[max_cells]
+    ctx.rankings = tuple(sorted(rankings))
+    return ctx.rankings
 
 
-def solve_diagonal(
-    rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
-) -> tuple[CandidateSet, RpSolution]:
-    """Candidates and optimum for a subproblem whose blocks are all 1x1.
+def solve_diagonal(rp: ReducedProblem) -> tuple[CandidateSet, RpSolution]:
+    """Candidates and optimum for an all-1x1 subproblem with k' <= 1.
 
     At any lambda the optimal support is a top slice of the coordinates
     ordered by |b'(lambda)|, restricted to nonzero diagonal entries: each
     inclusion removes that coordinate's squared residual.  One candidate
-    per witness ordering suffices.
+    per witness ordering suffices.  Other blocks, or more than one free
+    parameter, raise ValueError.
     """
     for blk in rp.blocks:
         if blk.rows != 1 or blk.cols != 1:
             raise ValueError("solve_diagonal requires 1x1 blocks")
     ctx = _context(_strip_budget(rp))
     candidates: CandidateSet = set()
-    for ranking in _diag_rankings(ctx, max_cells):
+    for ranking in _diag_rankings(ctx):
         take = min(rp.sigma_p, len(ranking))
         candidates.add(tuple(sorted(ranking[:take])))
     return candidates, finish(candidates, rp)
@@ -576,10 +578,10 @@ def build_support_tables(
     return cells, tables
 
 
-def _solve_extended(
-    rp: ReducedProblem, max_cells: int, stats: dict | None = None
-) -> tuple[CandidateSet, RpSolution]:
-    """Candidate generation through the extended-space arrangement.
+def _extended_candidates(
+    rp: ReducedProblem, max_cells: int
+) -> tuple[CandidateSet, int]:
+    """Candidates and refined-cell count from the extended-space arrangement.
 
     Per cell, the winning supports induce symbolic cardinality values; the
     exchange set over those values is refined by its pairwise comparison
@@ -635,9 +637,46 @@ def _solve_extended(
             for i, j in enumerate(alloc):
                 chi.extend(offsets[i] + c for c in table.selections[i][j])
             candidates.add(tuple(sorted(chi)))
-    if stats is not None:
-        stats["regions"] = regions
-    return candidates, finish(candidates, rp)
+    return candidates, regions
+
+
+METHODS = ("auto", "diagonal", "cover", "extended")
+
+
+def _describe(rp: ReducedProblem) -> str:
+    active = [tag for tag in rp.tags if tag != "mu"]
+    return f"subproblem with coupling columns {active}"
+
+
+def route(rp: ReducedProblem, method: str = "auto") -> str:
+    """The candidate generator solve_block runs on one subproblem.
+
+    Under "auto" and "diagonal", a subproblem whose blocks are all 1x1 and
+    that has at most one free parameter takes the diagonal ranking; every
+    other subproblem takes cover up to two free parameters and extended
+    beyond.  "diagonal" therefore names the 1x1 route and is refused when a
+    block is not 1x1; "cover" is refused beyond two free parameters;
+    "extended" serves every subproblem.  A refusal raises ValueError naming
+    the method and the subproblem.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    unit = all(blk.rows == 1 and blk.cols == 1 for blk in rp.blocks)
+    if method == "diagonal" and not unit:
+        raise ValueError(
+            f"method 'diagonal' needs 1x1 blocks, and the {_describe(rp)} "
+            "has a larger block"
+        )
+    if method == "cover" and rp.k_prime > 2:
+        raise ValueError(
+            f"method 'cover' takes at most two free parameters, and the "
+            f"{_describe(rp)} has {rp.k_prime}"
+        )
+    if method in ("cover", "extended"):
+        return method
+    if unit and rp.k_prime <= 1:
+        return "diagonal"
+    return "cover" if rp.k_prime <= 2 else "extended"
 
 
 def solve_block(
@@ -648,22 +687,26 @@ def solve_block(
 ) -> tuple[CandidateSet, RpSolution]:
     """Candidates and optimum for one reduced subproblem.
 
-    method "cover" reads argmin profiles at witness points (needs at most
-    two free parameters); "extended" runs the lifted arrangement
-    construction, valid for any parameter count; "auto" picks cover when
-    it applies.  A stats dict, when given, receives the region count.
+    route() picks the generator for method.  A stats dict, when given,
+    receives the path taken and its region count: distinct rankings on
+    the diagonal path, witnesses on cover, refined cells on extended.
     """
-    if method == "auto":
-        method = "cover" if rp.k_prime <= 2 else "extended"
-    if method == "cover":
-        ctx = _context(_strip_budget(rp))
+    path = route(rp, method)
+    ctx = _context(_strip_budget(rp))
+    if path == "diagonal":
+        candidates, sol = solve_diagonal(rp)
+        regions = len(_diag_rankings(ctx))
+    elif path == "cover":
         candidates = _cover_pool(ctx, min(rp.sigma_p, rp.n_total))
-        if stats is not None:
-            stats["regions"] = ctx.witness_count
-        return candidates, finish(candidates, rp)
-    if method == "extended":
-        return _solve_extended(rp, max_cells, stats=stats)
-    raise ValueError(f"unknown method {method!r}")
+        regions = ctx.witness_count
+        sol = finish(candidates, rp)
+    else:
+        candidates, regions = _extended_candidates(rp, max_cells)
+        sol = finish(candidates, rp)
+    if stats is not None:
+        stats["path"] = path
+        stats["regions"] = regions
+    return candidates, sol
 
 
 def _lift(instance: Instance, rp: ReducedProblem, sol: RpSolution) -> Solution:
@@ -696,54 +739,44 @@ def solve_detailed(
 ) -> tuple[Solution, list[dict]]:
     """Exact optimum of a full instance, with one stats entry per subproblem.
 
-    Validates, reduces, solves every subproblem with the matching strategy,
-    and lifts the best result back.  With method "auto" the all-1x1 case
-    takes the diagonal ordering path; "cover", "extended", and "diagonal"
-    force one generator everywhere.  Budget overruns are re-raised with the
-    offending subproblem named.
+    Validates, reduces, and routes every subproblem before solving any, so
+    a forced method that cannot serve one is refused up front with
+    ValueError; then solves each with solve_block and lifts the best result
+    back.  See route() for which generator each method picks.  Budget
+    overruns are re-raised with the offending subproblem named.
 
     Each stats entry records the coupling columns pinned active, whether
-    the intercept was pinned, the residual budget, the strategy used, the
+    the intercept was pinned, the residual budget, the path taken, the
     number of parameter regions inspected, the candidate supports scored,
     and the subproblem's objective.
     """
     problems = validate(instance)
     if problems:
         raise ValueError("; ".join(problems))
+    subproblems = reduce(instance)
+    for rp in subproblems:
+        route(rp, method)
     best: Solution | None = None
     report: list[dict] = []
-    for rp in reduce(instance):
-        diagonal = all(blk.rows == 1 and blk.cols == 1 for blk in rp.blocks)
-        entry: dict = {
-            "coupling": [tag for tag in rp.tags if tag != "mu"],
-            "intercept": "mu" in rp.tags,
-            "budget": rp.sigma_p,
-        }
+    for rp in subproblems:
         stats: dict = {}
         try:
-            if method == "diagonal" or (method == "auto" and diagonal):
-                entry["path"] = "diagonal"
-                candidates, sol = solve_diagonal(rp, max_cells=max_cells)
-                stats["regions"] = len(
-                    _diag_rankings(_context(_strip_budget(rp)), max_cells)
-                )
-            else:
-                chosen = method
-                if method == "auto":
-                    chosen = "cover" if rp.k_prime <= 2 else "extended"
-                entry["path"] = chosen
-                candidates, sol = solve_block(
-                    rp, max_cells=max_cells, method=chosen, stats=stats
-                )
+            candidates, sol = solve_block(
+                rp, max_cells=max_cells, method=method, stats=stats
+            )
         except BudgetExceededError as exc:
-            active = [tag for tag in rp.tags if tag != "mu"]
-            raise BudgetExceededError(
-                f"subproblem with coupling columns {active}: {exc}"
-            ) from exc
-        entry["regions"] = stats["regions"]
-        entry["candidates"] = len(candidates)
-        entry["objective"] = sol.objective
-        report.append(entry)
+            raise BudgetExceededError(f"{_describe(rp)}: {exc}") from exc
+        report.append(
+            {
+                "coupling": [tag for tag in rp.tags if tag != "mu"],
+                "intercept": "mu" in rp.tags,
+                "budget": rp.sigma_p,
+                "path": stats["path"],
+                "regions": stats["regions"],
+                "candidates": len(candidates),
+                "objective": sol.objective,
+            }
+        )
         lifted = _lift(instance, rp, sol)
         if best is None or lifted.objective < best.objective:
             best = lifted

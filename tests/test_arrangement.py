@@ -189,7 +189,8 @@ def test_sweep_rejects_zero_form():
 
 
 def test_sweep_constant_form_contributes_nothing():
-    breakpoints, _ = sweep_1d([QuadraticForm.constant(1, Fraction(7))])
+    constant = QuadraticForm(1, ((Fraction(0),),), (Fraction(0),), Fraction(7))
+    breakpoints, _ = sweep_1d([constant])
     assert breakpoints == []
 
 

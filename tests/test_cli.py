@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -136,6 +137,46 @@ def test_negative_budgets_are_input_errors(tmp_path, capsys, monkeypatch, argv, 
     err = capsys.readouterr().err
     assert "must be non-negative" in err
     assert (next(iter(env)) if env else argv[1]) in err
+
+
+def number_doc(value, sigma=0):
+    return json.dumps({"blocks": [[["1"]]], "coupling": [], "b": [value], "sigma": sigma})
+
+
+BLOCK_DOC = json.dumps(
+    {
+        "blocks": [[["1", "2"], ["0", "1"]]],
+        "coupling": [["1", "0"], ["2", "1"]],
+        "intercept": ["1", "1"],
+        "b": ["1", "3"],
+        "sigma": 2,
+    }
+)
+DIGITS = f"more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize(
+    "argv, text, needle",
+    [
+        (["solve", "--method", "diagonal"], BLOCK_DOC, "method 'diagonal' needs 1x1 blocks"),
+        (["solve", "--method", "cover"], BLOCK_DOC, "method 'cover' takes at most two"),
+        (["solve"], number_doc("1e5000"), DIGITS),
+        (["solve"], number_doc("1e-5000"), DIGITS),
+        (["oracle"], number_doc("1e5000"), DIGITS),
+        (["compare"], number_doc("1e5000"), DIGITS),
+        (["solve"], number_doc("1e2200"), "too large to print"),
+        (["solve", "--json"], number_doc("1e2200"), "too large to print"),
+        (["oracle"], number_doc("1e2200"), "too large to print"),
+        (["compare"], number_doc("1e2200"), "too large to print"),
+        (["solve"], number_doc("1e200"), "too large to print"),
+        (["solve"], number_doc("1e200").replace('"1e200"', "1" * 5000), "Exceeds the limit"),
+    ],
+)
+def test_hostile_inputs_exit_1_without_output(tmp_path, capsys, argv, text, needle):
+    assert main(argv + [write_doc(tmp_path, text=text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
 
 
 def test_compare_pass(tmp_path, capsys):

@@ -9,7 +9,6 @@ from blocksel.cover import (
     MAX_CONICS,
     conic_cover_points,
     conic_from_form,
-    line_cover_points,
     split_rational_lines,
     vanishes_somewhere,
 )
@@ -50,20 +49,27 @@ def sign(v):
     return (v > 0) - (v < 0)
 
 
+def line_form(f):
+    """The functional a*x + b*y + c as a two-variable form, for the conic cover."""
+    zero = Fraction(0)
+    return QuadraticForm(2, ((zero, zero), (zero, zero)), f.coeffs, f.const)
+
+
 def test_single_line_both_sides():
-    pts = line_cover_points([functional((1, -1), 0)])
+    pts = conic_cover_points([line_form(functional((1, -1), 0))])
     signs = {sign(p[0] - p[1]) for p in pts}
     assert signs == {1, -1}
 
 
 def test_empty_line_family():
-    assert line_cover_points([]) == [(0, 0)]
-    assert line_cover_points([functional((0, 0), 5)]) == [(0, 0)]
+    assert conic_cover_points([]) == [(0, 0)]
+    assert conic_cover_points([line_form(functional((0, 0), 5))]) == [(0, 0)]
 
 
 def test_line_cover_rejects_wrong_dimension():
+    one_var = QuadraticForm(1, ((Fraction(0),),), (Fraction(1),), Fraction(0))
     with pytest.raises(ValueError):
-        line_cover_points([functional((1,), 0)])
+        conic_cover_points([one_var])
 
 
 def test_line_cover_hits_every_cell():
@@ -75,7 +81,7 @@ def test_line_cover_hits_every_cell():
     ]
     planes = merge_hyperplanes([(f, i) for i, f in enumerate(funcs)])
     cells = enumerate_cells(planes, 2)
-    pts = line_cover_points(funcs)
+    pts = conic_cover_points([line_form(f) for f in funcs])
     realized = {
         tuple(sign_at(hp.functional, pt) for hp in planes) for pt in pts
     }
@@ -96,7 +102,7 @@ def test_line_cover_matches_arrangement(raw):
     funcs = [functional((a, b), c) for a, b, c in raw]
     planes = merge_hyperplanes([(f, i) for i, f in enumerate(funcs)])
     cells = enumerate_cells(planes, 2)
-    pts = line_cover_points(funcs)
+    pts = conic_cover_points([line_form(f) for f in funcs])
     for f in funcs:
         for pt in pts:
             assert f.eval(pt) != 0

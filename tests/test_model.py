@@ -12,7 +12,6 @@ from blocksel.model import (
     make_solution,
     parse_rational,
     residual_norm2,
-    slice_by_block,
     validate,
 )
 
@@ -75,38 +74,6 @@ def test_validate_names_violations():
     assert any("b has length" in p for p in validate(inst))
     inst = Instance.build(blocks=[[[1]], [[1]]], b=[1, 2], sigma=7)
     assert any("exceeds the variable count" in p for p in validate(inst))
-
-
-def test_slice_by_block():
-    inst = Instance.build(blocks=[[[1]], [[1], [1]]], b=[1, 2, 3], sigma=0)
-    assert slice_by_block(inst, [1, 2, 3]) == [
-        (Fraction(1),),
-        (Fraction(2), Fraction(3)),
-    ]
-    one = Instance.build(blocks=[[[1]]], b=[5], sigma=0)
-    assert slice_by_block(one, [5]) == [(Fraction(5),)]
-    two = Instance.build(blocks=[[[1], [1]], [[1], [1]]], b=[1, 2, 3, 4], sigma=0)
-    assert slice_by_block(two, [1, 2, 3, 4]) == [
-        (Fraction(1), Fraction(2)),
-        (Fraction(3), Fraction(4)),
-    ]
-
-
-def test_slice_by_block_length_mismatch():
-    inst = Instance.build(blocks=[[[1]]], b=[1], sigma=0)
-    with pytest.raises(ValueError):
-        slice_by_block(inst, [1, 2])
-
-
-@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4), st.data())
-def test_slice_concat_round_trip(row_counts, data):
-    blocks = [[[1]] * m for m in row_counts]
-    total = sum(row_counts)
-    vec = data.draw(st.lists(rationals, min_size=total, max_size=total))
-    inst = Instance.build(blocks=blocks, b=[0] * total, sigma=0)
-    pieces = slice_by_block(inst, vec)
-    flat = [v for piece in pieces for v in piece]
-    assert flat == [Fraction(v) for v in vec]
 
 
 def test_residual_norm2_and_solution():

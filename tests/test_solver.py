@@ -8,10 +8,10 @@ import pytest
 
 import blocksel.solver as solver
 import reference_cover
+from reference_separable import diag_greedy
 from blocksel.linalg import eval_form, least_squares, linearize, residual_quadratic
 from blocksel.model import BudgetExceededError, Instance, InvariantError, ReducedProblem
 from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
-from blocksel.separable import diag_greedy
 from blocksel.solver import (
     build_support_tables,
     finish,
@@ -166,6 +166,16 @@ def test_diagonal_requires_unit_blocks():
         solve_diagonal(rp)
 
 
+def test_diagonal_takes_at_most_one_free_parameter():
+    cols = [(1, -1), (1, 2)]
+    rp = rp_1x1((1, 1), (1, 0), lambda_cols=cols, tags=(0, 1), sigma_p=1)
+    with pytest.raises(ValueError, match="at most one free parameter"):
+        solve_diagonal(rp)
+    rp = rp_1x1((1, 1), (1, 0), lambda_cols=cols + [(0, 1)], tags=(0, 1, 2))
+    with pytest.raises(ValueError, match="at most one free parameter"):
+        solve_diagonal(rp)
+
+
 def test_diagonal_without_lambda_matches_greedy():
     a = (Fraction(1), Fraction(2), Fraction(0), Fraction(-1))
     b = (Fraction(3), Fraction(-4), Fraction(5), Fraction(1))
@@ -200,10 +210,13 @@ def test_block_methods_agree_on_diagonal():
         ]
         rp = rp_1x1(a, b, lambda_cols=cols, tags=tuple(range(k)),
                     sigma_p=rng.randint(0, h))
-        _, diag_sol = solve_diagonal(rp)
-        for method in ("cover", "extended") if k <= 2 else ("extended",):
+        expected = rp_oracle(rp)
+        if k <= 1:
+            _, diag_sol = solve_diagonal(rp)
+            assert diag_sol.objective == expected
+        for method in ("cover", "extended"):
             _, block_sol = solve_block(rp, method=method)
-            assert block_sol.objective == diag_sol.objective
+            assert block_sol.objective == expected
 
 
 def test_block_without_lambda_matches_dp():
@@ -275,11 +288,7 @@ def test_candidate_union_covers_oracle_support():
         best = brute_force(inst)
         pool = set()
         for rp in reduce(inst):
-            diagonal = all(b.rows == 1 and b.cols == 1 for b in rp.blocks)
-            if diagonal:
-                candidates, _ = solve_diagonal(rp)
-            else:
-                candidates, _ = solve_block(rp)
+            candidates, _ = solve_block(rp)
             chosen = frozenset(tag for tag in rp.tags if tag != "mu")
             for chi in candidates:
                 pool.add((chosen, frozenset(chi)))
@@ -355,6 +364,65 @@ def test_solve_detailed_diagonal_path_label():
     )
     _, report = solve_detailed(inst)
     assert {entry["path"] for entry in report} == {"diagonal"}
+    # Past one free parameter, 1x1 subproblems leave the diagonal ranking.
+    inst = Instance.build(
+        [[[1]], [[2]], [[-1]]],
+        coupling=[[1, 0, 2], [0, 1, 1]],
+        intercept=[1, 1, 1],
+        b=[1, 2, 3],
+        sigma=2,
+    )
+    for method in ("auto", "diagonal"):
+        sol, report = solve_detailed(inst, method=method)
+        assert [(e["coupling"], e["path"]) for e in report] == [
+            ([], "diagonal"),
+            ([0], "cover"),
+            ([1], "cover"),
+            ([0, 1], "extended"),
+        ]
+        assert sol.objective == brute_force(inst).objective
+
+
+def test_auto_matches_brute_force_on_diagonal_three_parameter_instances():
+    # 1x1 blocks with three free parameters in the fullest subproblem: three
+    # coupling columns, or the intercept and two.
+    rng = random.Random(31)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    for trial in range(8):
+        h = rng.randint(3, 4)
+        intercept = trial % 2 == 1
+        k = 2 if intercept else 3
+        inst = Instance.build(
+            [[[entry()]] for _ in range(h)],
+            coupling=[[entry() for _ in range(h)] for _ in range(k)],
+            intercept=[1] * h if intercept else None,
+            b=[entry() for _ in range(h)],
+            sigma=rng.randint(k, h + k),
+        )
+        sol, report = solve_detailed(inst)
+        assert report[-1]["path"] == "extended"
+        assert sol.objective == brute_force(inst).objective
+
+
+@pytest.mark.parametrize(
+    "method, shape",
+    [
+        ("diagonal", dict(blocks=[[[1, 2], [0, 1]]], coupling=[], sigma=1)),
+        ("cover", dict(blocks=[[[1]], [[2]]], coupling=[[1, 1], [1, 2]], sigma=2)),
+    ],
+)
+def test_unfit_forced_method_is_refused_before_solving(monkeypatch, method, shape):
+    def never(*args, **kwargs):
+        raise AssertionError("solved a subproblem before refusing")
+
+    monkeypatch.setattr(solver, "finish", never)
+    m = sum(len(blk) for blk in shape["blocks"])
+    inst = Instance.build(intercept=[1] * m, b=list(range(m)), **shape)
+    with pytest.raises(ValueError, match=f"method '{method}'.*subproblem with coupling"):
+        solve_detailed(inst, method=method)
 
 
 def random_cover_rp(rng, k):
