@@ -10,6 +10,7 @@ from .model import (
     BudgetExceededError,
     Instance,
     InvariantError,
+    MethodRefusedError,
     RatMatrix,
     ReducedProblem,
     Solution,
@@ -34,6 +35,7 @@ __all__ = [
     "BudgetExceededError",
     "Instance",
     "InvariantError",
+    "MethodRefusedError",
     "RatMatrix",
     "ReducedProblem",
     "Solution",

@@ -21,12 +21,13 @@ from typing import Optional, Sequence
 from .model import (
     BudgetExceededError,
     Instance,
+    MethodRefusedError,
     Solution,
     format_rational,
     validate,
 )
 from .oracle import brute_force
-from .solver import DEFAULT_MAX_CELLS, METHODS, reduce, route, solve, solve_detailed
+from .solver import DEFAULT_MAX_CELLS, METHODS, solve, solve_detailed
 
 DEFAULT_MAX_ORACLE = 10**6
 
@@ -250,8 +251,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         max_cells = _budget(args.max_cells, "BLOCKSEL_MAX_CELLS", DEFAULT_MAX_CELLS)
         instance = load_instance(_read_source(args.path))
-        for rp in reduce(instance):
-            route(rp, args.method)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -259,6 +258,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution, report = solve_detailed(
             instance, max_cells=max_cells, method=args.method
         )
+    except MethodRefusedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

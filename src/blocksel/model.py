@@ -11,6 +11,7 @@ Indices are 0-based throughout the library; the CLI renders them 1-based.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -28,6 +29,14 @@ class BudgetExceededError(Exception):
     """
 
 
+class MethodRefusedError(ValueError):
+    """Raised when a forced solving method cannot serve a subproblem.
+
+    The message names the method and the subproblem.  The solver raises it
+    before solving anything, so it describes the request, not a failure.
+    """
+
+
 class InvariantError(RuntimeError):
     """Raised when an internal consistency check of the solver fails.
 
@@ -40,7 +49,9 @@ def parse_rational(value: RationalLike) -> Fraction:
     """Parse a rational from an int, a Fraction, or a string.
 
     Strings may be integer literals ("-3"), fractions ("5/7"), or decimal
-    literals ("0.25"), all read exactly.
+    literals ("0.25", "1e-3"), all read exactly.  A decimal literal whose
+    exponent alone passes the digit limit raises ValueError before the
+    number is built (see _check_exponent).
     """
     if isinstance(value, Fraction):
         return value
@@ -50,8 +61,31 @@ def parse_rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if not text:
             raise ValueError("empty rational literal")
+        if "e" in text or "E" in text:
+            _check_exponent(text)
         return Fraction(text)
     raise ValueError(f"cannot parse rational from {value!r}")
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal literal whose exponent alone passes the digit limit.
+
+    Fraction expands the exponent into a power of ten before any size can
+    be read, so "1e1000000000" would take minutes and gigabytes.  Past the
+    int-to-text limit (sys.get_int_max_str_digits) plus the mantissa's
+    digit count, the numerator or denominator has more digits than the
+    limit; a zero mantissa is refused as well.  A limit of 0 turns this off.
+    """
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "")
+    if limit and digits.isdecimal():
+        bound = limit + sum(ch.isdecimal() for ch in mantissa)
+        if len(digits) > limit or int(digits) > bound:
+            raise ValueError(
+                f"decimal literal {text[:40]!r} gives a number with more "
+                f"than {limit} digits"
+            )
 
 
 def format_rational(value: Fraction) -> str:

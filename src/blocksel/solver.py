@@ -14,9 +14,10 @@ keeps the best.
 
 route() picks one of three candidate generators per subproblem:
 
-* diagonal: all blocks 1x1 and at most one free parameter.  The optimal
+* diagonal: all blocks 1x1 and at most two free parameters.  The optimal
   support is a top slice of the coordinates ranked by |b'(lambda)|, so one
-  candidate per ranking seen along a 1-D sweep suffices.
+  candidate per ranking suffices, whatever sigma'; rankings are read along
+  a 1-D sweep, or off the edges of a line arrangement in the plane.
 * cover: every other subproblem with at most two free parameters.  Argmin
   profiles are read at the witnesses of the cover module's generators;
   the allocation work is bounded by MAX_PROFILE_UNIONS.
@@ -62,6 +63,7 @@ from .model import (
     BudgetExceededError,
     Instance,
     InvariantError,
+    MethodRefusedError,
     ReducedProblem,
     Solution,
     make_solution,
@@ -431,23 +433,25 @@ def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolutio
 
 
 def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
-    """Orderings of the hittable coordinates seen along the lambda axis.
+    """Orderings of the hittable coordinates over the regions of lambda space.
 
     Coordinates sort by squared adjusted right side |b'(lambda)|^2,
     descending, index ascending; coordinates with a zero diagonal entry are
-    left out.  With one free parameter the witnesses are the samples of a
-    sweep over the pairwise difference and sum lines of the b' functionals
-    (with the single-coordinate lines along for exactness of the
-    orderings); with none there is one ordering.  More free parameters
-    raise ValueError.  Computed once per context.
+    left out.  Orderings change only across the pairwise difference and sum
+    lines of the b' functionals, where |b'_i| = |b'_j|.  With no free
+    parameter there is one ordering; with one, the samples of a sweep over
+    those lines give them all.  With two, every region of the line
+    arrangement has an edge on some line, so the orderings just off each
+    edge, on both sides, give them all (see _edge_rankings).  More free
+    parameters raise ValueError.  Computed once per context.
     """
     if ctx.rankings is not None:
         return ctx.rankings
     base, pieces = ctx.base, ctx.pieces
     k = base.k_prime
-    if k > 1:
+    if k > 2:
         raise ValueError(
-            f"diagonal rankings take at most one free parameter, not {k}"
+            f"diagonal rankings take at most two free parameters, not {k}"
         )
     h = len(base.blocks)
     funcs = []
@@ -472,21 +476,10 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
         )
         add(minus, ("minus", i, j))
         add(plus, ("plus", i, j))
-        add(fi, ("coord", i))
-        add(fj, ("coord", j))
     planes = merge_hyperplanes(sources)
 
-    witnesses: list[tuple[Fraction, ...]] = [()]
-    if k == 1:
-        lines = [
-            QuadraticForm(1, ((Fraction(0),),), (hp.functional.coeffs[0],), hp.functional.const)
-            for hp in planes
-        ]
-        _, samples = sweep_1d(lines)
-        witnesses = [(s,) for s in samples]
-
     # One positive scale factor for all functionals, and one common
-    # denominator per witness, keep the ordering loop in integer arithmetic
+    # denominator per witness, keep the ordering loops in integer arithmetic
     # without disturbing any comparison of squared values.
     scale = 1
     for f in funcs:
@@ -499,6 +492,26 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
 
     hittable = [i for i in range(h) if base.blocks[i].at(0, 0) != 0]
     rankings: set[tuple[int, ...]] = set()
+    if k == 2:
+        lines = [
+            tuple(int(v) for v in (*hp.functional.coeffs, hp.functional.const))
+            for hp in planes
+        ]
+        # Without any line every b' is constant, and one edge of an
+        # arbitrary line reads the single ordering.
+        for line in lines or [(0, 1, 0)]:
+            rankings.update(_edge_rankings(line, lines, int_funcs, hittable))
+        ctx.rankings = tuple(sorted(rankings))
+        return ctx.rankings
+
+    witnesses: list[tuple[Fraction, ...]] = [()]
+    if k == 1:
+        lines_1d = [
+            QuadraticForm(1, ((Fraction(0),),), (hp.functional.coeffs[0],), hp.functional.const)
+            for hp in planes
+        ]
+        _, samples = sweep_1d(lines_1d)
+        witnesses = [(s,) for s in samples]
     for w in witnesses:
         den = 1
         for x in w:
@@ -516,14 +529,61 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
     return ctx.rankings
 
 
+def _edge_rankings(line, lines, int_funcs, hittable) -> set[tuple[int, ...]]:
+    """Orderings just off each edge of one line, on both sides.
+
+    The line a x + b y + c = 0 is walked as P(t) = base + t (-b, a); its
+    crossings with the other lines cut it into edges, and each edge is read
+    at one interior parameter.  Along the normal n = (a, b), a functional
+    with value v at that point and slope s = f . n has square
+    v^2 + 2 e v s + e^2 s^2 at offset e n, so for small e > 0 the ordering
+    on the + side compares (v^2, v s, s^2) lexicographically and on the -
+    side (v^2, -v s, s^2).  Values are scaled by one positive integer per
+    point, which keeps every comparison.
+    """
+    a, b, c = line
+    g = b if b != 0 else a  # base has denominator g
+    sign, mag = (1, g) if g > 0 else (-1, -g)
+    params = set()
+    for a2, b2, c2 in lines:
+        det = a * b2 - b * a2
+        if det != 0:
+            at_base = c2 * b - b2 * c if b != 0 else c2 * a - a2 * c
+            params.add(Fraction(-at_base, g * det))
+    params = sorted(params)
+    if params:
+        anchors = [params[0] - 1]
+        anchors += [(u + v) / 2 for u, v in zip(params, params[1:])]
+        anchors.append(params[-1] + 1)
+    else:
+        anchors = [Fraction(0)]
+    # f(P(t)) * |g| * w = A w + B u for t = u / w.  Keys sort ascending,
+    # so every component of the descending comparison is negated.
+    rows = []
+    for i in hittable:
+        (p, q), r = int_funcs[i]
+        at_base = r * b - q * c if b != 0 else r * a - p * c
+        s = p * a + q * b
+        rows.append((sign * at_base, (q * a - p * b) * mag, s, -s * s, i))
+    out = set()
+    for t in anchors:
+        u, w = t.numerator, t.denominator
+        vals = [(big_a * w + big_b * u, s, ss, i) for big_a, big_b, s, ss, i in rows]
+        plus = sorted([(-v * v, -v * s, ss, i) for v, s, ss, i in vals])
+        minus = sorted([(-v * v, v * s, ss, i) for v, s, ss, i in vals])
+        out.add(tuple(key[3] for key in plus))
+        out.add(tuple(key[3] for key in minus))
+    return out
+
+
 def solve_diagonal(rp: ReducedProblem) -> tuple[CandidateSet, RpSolution]:
-    """Candidates and optimum for an all-1x1 subproblem with k' <= 1.
+    """Candidates and optimum for an all-1x1 subproblem with k' <= 2.
 
     At any lambda the optimal support is a top slice of the coordinates
     ordered by |b'(lambda)|, restricted to nonzero diagonal entries: each
     inclusion removes that coordinate's squared residual.  One candidate
-    per witness ordering suffices.  Other blocks, or more than one free
-    parameter, raise ValueError.
+    per witness ordering suffices.  Other blocks, or more than two free
+    parameters, raise ValueError.
     """
     for blk in rp.blocks:
         if blk.rows != 1 or blk.cols != 1:
@@ -652,31 +712,31 @@ def route(rp: ReducedProblem, method: str = "auto") -> str:
     """The candidate generator solve_block runs on one subproblem.
 
     Under "auto" and "diagonal", a subproblem whose blocks are all 1x1 and
-    that has at most one free parameter takes the diagonal ranking; every
+    that has at most two free parameters takes the diagonal ranking; every
     other subproblem takes cover up to two free parameters and extended
     beyond.  "diagonal" therefore names the 1x1 route and is refused when a
     block is not 1x1; "cover" is refused beyond two free parameters;
-    "extended" serves every subproblem.  A refusal raises ValueError naming
-    the method and the subproblem.
+    "extended" serves every subproblem.  A refusal raises MethodRefusedError
+    naming the method and the subproblem.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     unit = all(blk.rows == 1 and blk.cols == 1 for blk in rp.blocks)
     if method == "diagonal" and not unit:
-        raise ValueError(
+        raise MethodRefusedError(
             f"method 'diagonal' needs 1x1 blocks, and the {_describe(rp)} "
             "has a larger block"
         )
     if method == "cover" and rp.k_prime > 2:
-        raise ValueError(
+        raise MethodRefusedError(
             f"method 'cover' takes at most two free parameters, and the "
             f"{_describe(rp)} has {rp.k_prime}"
         )
     if method in ("cover", "extended"):
         return method
-    if unit and rp.k_prime <= 1:
-        return "diagonal"
-    return "cover" if rp.k_prime <= 2 else "extended"
+    if rp.k_prime > 2:
+        return "extended"
+    return "diagonal" if unit else "cover"
 
 
 def solve_block(
@@ -741,7 +801,7 @@ def solve_detailed(
 
     Validates, reduces, and routes every subproblem before solving any, so
     a forced method that cannot serve one is refused up front with
-    ValueError; then solves each with solve_block and lifts the best result
+    MethodRefusedError; then solves each with solve_block and lifts the best result
     back.  See route() for which generator each method picks.  Budget
     overruns are re-raised with the offending subproblem named.
 

@@ -162,6 +162,9 @@ DIGITS = f"more than {sys.get_int_max_str_digits()} digits"
         (["solve", "--method", "cover"], BLOCK_DOC, "method 'cover' takes at most two"),
         (["solve"], number_doc("1e5000"), DIGITS),
         (["solve"], number_doc("1e-5000"), DIGITS),
+        (["solve"], number_doc("1e1000000000"), DIGITS),
+        (["oracle"], number_doc("1e-1000000000"), DIGITS),
+        (["solve"], number_doc("1e200").replace('"1e200"', "1e1000000000"), DIGITS),
         (["oracle"], number_doc("1e5000"), DIGITS),
         (["compare"], number_doc("1e5000"), DIGITS),
         (["solve"], number_doc("1e2200"), "too large to print"),

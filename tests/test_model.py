@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,15 @@ def test_parse_rational_accepts_common_shapes():
     assert parse_rational("-2/7") == Fraction(-2, 7)
     assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational(Fraction(5, 3)) == Fraction(5, 3)
+
+
+def test_parse_rational_refuses_exponents_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational("2.5E-3") == Fraction(1, 400)
+    for text in ("1e1000000000", "-1e-1000000000", "0e1000000000", f"1e{limit + 2}"):
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            parse_rational(text)
 
 
 def test_parse_rational_rejects_floats_and_garbage():

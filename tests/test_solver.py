@@ -9,8 +9,21 @@ import pytest
 import blocksel.solver as solver
 import reference_cover
 from reference_separable import diag_greedy
-from blocksel.linalg import eval_form, least_squares, linearize, residual_quadratic
-from blocksel.model import BudgetExceededError, Instance, InvariantError, ReducedProblem
+from blocksel.cover import conic_cover_points
+from blocksel.linalg import (
+    QuadraticForm,
+    eval_form,
+    least_squares,
+    linearize,
+    residual_quadratic,
+)
+from blocksel.model import (
+    BudgetExceededError,
+    Instance,
+    InvariantError,
+    MethodRefusedError,
+    ReducedProblem,
+)
 from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
 from blocksel.solver import (
     build_support_tables,
@@ -166,13 +179,12 @@ def test_diagonal_requires_unit_blocks():
         solve_diagonal(rp)
 
 
-def test_diagonal_takes_at_most_one_free_parameter():
+def test_diagonal_takes_at_most_two_free_parameters():
     cols = [(1, -1), (1, 2)]
     rp = rp_1x1((1, 1), (1, 0), lambda_cols=cols, tags=(0, 1), sigma_p=1)
-    with pytest.raises(ValueError, match="at most one free parameter"):
-        solve_diagonal(rp)
+    assert solve_diagonal(rp)[1].objective == rp_oracle(rp)
     rp = rp_1x1((1, 1), (1, 0), lambda_cols=cols + [(0, 1)], tags=(0, 1, 2))
-    with pytest.raises(ValueError, match="at most one free parameter"):
+    with pytest.raises(ValueError, match="at most two free parameters"):
         solve_diagonal(rp)
 
 
@@ -211,9 +223,8 @@ def test_block_methods_agree_on_diagonal():
         rp = rp_1x1(a, b, lambda_cols=cols, tags=tuple(range(k)),
                     sigma_p=rng.randint(0, h))
         expected = rp_oracle(rp)
-        if k <= 1:
-            _, diag_sol = solve_diagonal(rp)
-            assert diag_sol.objective == expected
+        _, diag_sol = solve_diagonal(rp)
+        assert diag_sol.objective == expected
         for method in ("cover", "extended"):
             _, block_sol = solve_block(rp, method=method)
             assert block_sol.objective == expected
@@ -364,7 +375,7 @@ def test_solve_detailed_diagonal_path_label():
     )
     _, report = solve_detailed(inst)
     assert {entry["path"] for entry in report} == {"diagonal"}
-    # Past one free parameter, 1x1 subproblems leave the diagonal ranking.
+    # Past two free parameters, 1x1 subproblems leave the diagonal ranking.
     inst = Instance.build(
         [[[1]], [[2]], [[-1]]],
         coupling=[[1, 0, 2], [0, 1, 1]],
@@ -376,8 +387,8 @@ def test_solve_detailed_diagonal_path_label():
         sol, report = solve_detailed(inst, method=method)
         assert [(e["coupling"], e["path"]) for e in report] == [
             ([], "diagonal"),
-            ([0], "cover"),
-            ([1], "cover"),
+            ([0], "diagonal"),
+            ([1], "diagonal"),
             ([0, 1], "extended"),
         ]
         assert sol.objective == brute_force(inst).objective
@@ -407,6 +418,86 @@ def test_auto_matches_brute_force_on_diagonal_three_parameter_instances():
         assert sol.objective == brute_force(inst).objective
 
 
+def test_edge_rankings_match_rankings_at_cover_witnesses():
+    # Reference: read each ordering at a strict witness of every region of
+    # the difference and sum lines, from the independent conic cover.
+    rng = random.Random(43)
+    zero = (Fraction(0), Fraction(0))
+    for trial in range(40):
+        h = rng.randint(2, 5)
+        spread = 1 if trial % 2 else 3
+        rp = rp_1x1(
+            [rng.randint(-1, 2) for _ in range(h)],
+            [rng.randint(-spread, spread) for _ in range(h)],
+            lambda_cols=[[rng.randint(-spread, spread) for _ in range(h)] for _ in range(2)],
+            tags=(0, 1),
+        )
+        funcs = [
+            ((-rp.lambda_cols[0][i], -rp.lambda_cols[1][i]), rp.b[i]) for i in range(h)
+        ]
+        lines = [
+            QuadraticForm(2, (zero, zero), (u0 + sign * v0, u1 + sign * v1), c + sign * d)
+            for ((u0, u1), c), ((v0, v1), d) in itertools.combinations(funcs, 2)
+            for sign in (1, -1)
+        ]
+        hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
+        expected = set()
+        for x, y in conic_cover_points(lines):
+            values = [(u0 * x + u1 * y + c) ** 2 for (u0, u1), c in funcs]
+            expected.add(tuple(sorted(hittable, key=lambda i: (-values[i], i))))
+        assert set(solver._diag_rankings(solver._context(rp))) == expected
+
+
+def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch):
+    # With 1x1 blocks there is one argmin profile, so cover scores every
+    # allocation of at most sigma' columns; the ranking's candidates do not
+    # depend on sigma'.
+    monkeypatch.setattr(solver, "MAX_PROFILE_UNIONS", 30)
+    rng = random.Random(41)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    for sigma_p in (3, 4, 5, 3, 4, 5):
+        h = 7
+        rp = rp_1x1(
+            [rng.choice((-2, -1, 1, 2)) for _ in range(h)],
+            [entry() for _ in range(h)],
+            lambda_cols=[[entry() for _ in range(h)] for _ in range(2)],
+            tags=(0, 1),
+            sigma_p=sigma_p,
+        )
+        assert solver._allocation_count([1] * h, sigma_p) > 30
+        with pytest.raises(BudgetExceededError, match="profile union"):
+            solve_block(rp, method="cover")
+        stats = {}
+        candidates, sol = solve_block(rp, stats=stats)
+        assert stats["path"] == "diagonal"
+        assert len(candidates) <= stats["regions"]
+        assert sol.objective == rp_oracle(rp)
+
+
+def test_diagonal_ranking_solves_a_large_budget_at_full_size():
+    # h = 21 at sigma' = 10: 2^20 in-budget allocations, past
+    # MAX_PROFILE_UNIONS, which cover would refuse.
+    rng = random.Random(42)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    h = 21
+    inst = Instance.build(
+        [[[rng.choice((-2, -1, 1, 2))]] for _ in range(h)],
+        coupling=[[entry() for _ in range(h)] for _ in range(2)],
+        b=[entry() for _ in range(h)],
+        sigma=12,
+    )
+    assert solver._allocation_count([1] * h, 10) > solver.MAX_PROFILE_UNIONS
+    _, report = solve_detailed(inst)
+    assert (report[-1]["path"], report[-1]["budget"]) == ("diagonal", 10)
+    assert report[-1]["candidates"] <= report[-1]["regions"]
+
+
 @pytest.mark.parametrize(
     "method, shape",
     [
@@ -421,7 +512,7 @@ def test_unfit_forced_method_is_refused_before_solving(monkeypatch, method, shap
     monkeypatch.setattr(solver, "finish", never)
     m = sum(len(blk) for blk in shape["blocks"])
     inst = Instance.build(intercept=[1] * m, b=list(range(m)), **shape)
-    with pytest.raises(ValueError, match=f"method '{method}'.*subproblem with coupling"):
+    with pytest.raises(MethodRefusedError, match=f"method '{method}'.*subproblem with coupling"):
         solve_detailed(inst, method=method)
 
 
