@@ -492,19 +492,18 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
 
     hittable = [i for i in range(h) if base.blocks[i].at(0, 0) != 0]
     rankings: set[tuple[int, ...]] = set()
-    if k == 2:
+    if k == 2 and planes:
         lines = [
             tuple(int(v) for v in (*hp.functional.coeffs, hp.functional.const))
             for hp in planes
         ]
-        # Without any line every b' is constant, and one edge of an
-        # arbitrary line reads the single ordering.
-        for line in lines or [(0, 1, 0)]:
+        for line in lines:
             rankings.update(_edge_rankings(line, lines, int_funcs, hittable))
         ctx.rankings = tuple(sorted(rankings))
         return ctx.rankings
 
-    witnesses: list[tuple[Fraction, ...]] = [()]
+    # Without any line every ordering is constant: any point reads it.
+    witnesses: list[tuple[Fraction, ...]] = [(Fraction(0),) * k]
     if k == 1:
         lines_1d = [
             QuadraticForm(1, ((Fraction(0),),), (hp.functional.coeffs[0],), hp.functional.const)
