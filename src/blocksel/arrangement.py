@@ -9,13 +9,14 @@ enough to drive the combinatorial phase of the solver.
 Cells use closed semantics: the cell is where sign * functional >= 0 for
 each hyperplane, while the stored witness satisfies every constraint
 strictly.  Enumeration is incremental: hyperplanes are inserted one at a
-time and an exact feasibility program decides whether a cell splits.
+time and an exact feasibility program decides whether a cell splits;
+argmin_regions splits an open polyhedron by its smallest functional.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -122,15 +123,11 @@ def enumerate_cells(
     hyperplanes: Sequence[Hyperplane],
     dim: int,
     max_cells: int = 200000,
-    base: Sequence[tuple[LinearFunctional, int]] = (),
-    base_witness: Optional[Sequence[Fraction]] = None,
 ) -> list[Cell]:
     """All full-dimensional cells of the arrangement, each with a witness.
 
-    base constrains the enumeration to an ambient open polyhedron (used when
-    refining a cell by further hyperplanes); base signs are strict and are
-    not part of the output sign vectors.  Raises BudgetExceededError when
-    the predicted cell count passes max_cells.
+    Raises BudgetExceededError when the predicted cell count passes
+    max_cells.
     """
     bound = predicted_cell_bound(len(hyperplanes), dim)
     if bound > max_cells:
@@ -138,15 +135,11 @@ def enumerate_cells(
             f"arrangement of {len(hyperplanes)} hyperplanes in dimension {dim} "
             f"may have {bound} cells, over the budget of {max_cells}"
         )
-    base_normals = [list(f.coeffs) for f, _ in base]
-    base_offsets = [f.const for f, _ in base]
-    base_signs = [s for _, s in base]
-    start = tuple(base_witness) if base_witness is not None else tuple([Fraction(0)] * dim)
-    cells: list[tuple[list[int], tuple[Fraction, ...]]] = [([], start)]
+    cells: list[tuple[list[int], tuple[Fraction, ...]]] = [([], (Fraction(0),) * dim)]
 
     for idx, plane in enumerate(hyperplanes):
-        normals = base_normals + [list(h.functional.coeffs) for h in hyperplanes[: idx + 1]]
-        offsets = base_offsets + [h.functional.const for h in hyperplanes[: idx + 1]]
+        normals = [list(h.functional.coeffs) for h in hyperplanes[: idx + 1]]
+        offsets = [h.functional.const for h in hyperplanes[: idx + 1]]
         next_cells: list[tuple[list[int], tuple[Fraction, ...]]] = []
         for signs, witness in cells:
             here = sign_at(plane.functional, witness)
@@ -157,17 +150,13 @@ def enumerate_cells(
                     next_cells.append((signs + [target], witness))
                     settled = True
                     continue
-                candidate = strict_sign_witness(
-                    normals, offsets, base_signs + signs + [target]
-                )
+                candidate = strict_sign_witness(normals, offsets, signs + [target])
                 if candidate is not None:
                     next_cells.append((signs + [target], tuple(candidate)))
                     settled = True
             if here != 0:
                 # Try the far side of the new hyperplane.
-                candidate = strict_sign_witness(
-                    normals, offsets, base_signs + signs + [-here]
-                )
+                candidate = strict_sign_witness(normals, offsets, signs + [-here])
                 if candidate is not None:
                     next_cells.append((signs + [-here], tuple(candidate)))
             if not settled:
@@ -184,19 +173,64 @@ def enumerate_cells(
     # the loop above only guarantees strictness against inserted planes at
     # insertion time; a stale witness can be on a plane inserted afterwards.
     result = []
-    all_normals = base_normals + [list(h.functional.coeffs) for h in hyperplanes]
-    all_offsets = base_offsets + [h.functional.const for h in hyperplanes]
+    all_normals = [list(h.functional.coeffs) for h in hyperplanes]
+    all_offsets = [h.functional.const for h in hyperplanes]
     for signs, witness in cells:
         strict = all(
             sign_at(h.functional, witness) == s for h, s in zip(hyperplanes, signs)
         )
         if not strict:
-            candidate = strict_sign_witness(all_normals, all_offsets, base_signs + signs)
+            candidate = strict_sign_witness(all_normals, all_offsets, signs)
             if candidate is None:
                 raise AssertionError("recorded cell has empty interior")
             witness = tuple(candidate)
         result.append(Cell(signs=tuple(signs), witness=witness))
     return result
+
+
+Constraint = tuple[LinearFunctional, int]
+
+
+def argmin_regions(
+    functionals: Sequence[LinearFunctional],
+    base: Sequence[Constraint],
+    witness: Sequence[Fraction],
+) -> list[Optional[tuple[list[Constraint], tuple[Fraction, ...]]]]:
+    """Where each functional is strictly below all the others, inside base.
+
+    base is the open polyhedron where sign * f > 0 for every (f, sign) in
+    it, and witness is a point of it.  Entry i is None when functionals[i]
+    is nowhere strictly smallest in base; otherwise it is that region, base
+    plus the constraints f_j - f_i > 0, with a rational point strictly
+    inside.  The functional strictly smallest at witness keeps witness and
+    a difference without variable part is settled by its constant; any
+    other entry costs one strict_sign_witness program.  Identical
+    functionals are never strictly below each other.
+    """
+    witness = tuple(witness)
+    values = [f.eval(witness) for f in functionals]
+    out: list[Optional[tuple[list[Constraint], tuple[Fraction, ...]]]] = []
+    for i, fi in enumerate(functionals):
+        region = list(base)
+        for j, fj in enumerate(functionals):
+            coeffs = tuple(a - b for a, b in zip(fj.coeffs, fi.coeffs))
+            const = fj.const - fi.const
+            if any(coeffs):
+                region.append((LinearFunctional(coeffs, const), 1))
+            elif const <= 0 and j != i:
+                out.append(None)
+                break
+        else:
+            if all(values[i] < v for j, v in enumerate(values) if j != i):
+                out.append((region, witness))
+                continue
+            point = strict_sign_witness(
+                [f.coeffs for f, _ in region],
+                [f.const for f, _ in region],
+                [s for _, s in region],
+            )
+            out.append(None if point is None else (region, tuple(point)))
+    return out
 
 
 def _form_to_ipoly(form: QuadraticForm) -> tuple[int, ...]:

@@ -191,11 +191,6 @@ class QuadraticForm:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
 
-    def coefficients_key(self) -> tuple:
-        """Canonical coefficient tuple, usable as an exact dedup key."""
-        upper = tuple(self.p[i][j] for i in range(self.dim) for j in range(i, self.dim))
-        return (self.dim, upper, self.r, self.s0)
-
 
 def eval_form(form: QuadraticForm, lam: Sequence[Fraction]) -> Fraction:
     """Exact evaluation of a quadratic form at a rational point."""

@@ -62,13 +62,6 @@ def ipoly_eval_sign(p: IPoly, point: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def ipoly_eval(p: IPoly, point: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(p):
-        total = total * point + c
-    return total
-
-
 def _frac_polys_to_int(coeffs: Sequence[Fraction]) -> IPoly:
     den = 1
     for c in coeffs:
@@ -199,10 +192,6 @@ class AlgebraicNumber:
     @classmethod
     def interval_root(cls, poly: IPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
         return cls(poly=poly, lo=lo, hi=hi)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.value is not None
 
     def approx(self) -> float:
         if self.value is not None:

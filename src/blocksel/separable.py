@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import QuadraticForm, eval_form
 from .model import BlockStructure
 
 
@@ -57,15 +56,13 @@ class DeltaExpr:
     """One exchange step: per-block cardinality moves with their cost delta.
 
     changes lists (block, j_from, j_to) for every block that moves, sorted by
-    block index.  q is the total decrease; the total increase is q + 1.  In
-    numeric mode value carries the exact cost difference; in symbolic mode
-    form carries it as a quadratic form in the free parameters.
+    block index.  q is the total decrease; the total increase is q + 1.
+    value is the exact cost difference.
     """
 
     changes: tuple[tuple[int, int, int], ...]
     q: int
-    value: Optional[Fraction] = None
-    form: Optional[QuadraticForm] = None
+    value: Fraction
 
     def __post_init__(self) -> None:
         inc = sum(t - f for _, f, t in self.changes if t > f)
@@ -172,48 +169,24 @@ def _enumerate_patterns(structure: BlockStructure) -> list[tuple[tuple[int, int,
     return results
 
 
-def build_d(
-    structure: BlockStructure,
-    table: Optional[ValTable] = None,
-    forms: Optional[Sequence[Sequence[QuadraticForm]]] = None,
-) -> list[DeltaExpr]:
+def build_d(structure: BlockStructure, table: ValTable) -> list[DeltaExpr]:
     """The deduplicated exchange set D over all feasible source allocations.
 
-    Exactly one of table (numeric mode) or forms (symbolic mode) must be
-    given; forms[i][j] is the symbolic value of cardinality j in block i.
-    Numeric entries dedup by (pattern, value) so distinct patterns survive;
-    symbolic entries dedup by the canonical coefficient key of their form,
-    which is what the downstream hyperplane construction needs.
+    Entries dedup by (pattern, value), so distinct patterns survive.
     """
-    if (table is None) == (forms is None):
-        raise ValueError("give exactly one of table or forms")
-    patterns = _enumerate_patterns(structure)
     out: list[DeltaExpr] = []
     seen: set = set()
-    for changes in patterns:
+    for changes in _enumerate_patterns(structure):
         q = sum(f - t for _, f, t in changes if t < f)
-        if table is not None:
-            val = sum(
-                (table.values[i][t] - table.values[i][f] for i, f, t in changes),
-                Fraction(0),
-            )
-            key = (changes, val)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(DeltaExpr(changes, q, value=val))
-        else:
-            assert forms is not None
-            form: Optional[QuadraticForm] = None
-            for i, f, t in changes:
-                step = forms[i][t].sub(forms[i][f])
-                form = step if form is None else form.add(step)
-            assert form is not None
-            key = form.coefficients_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(DeltaExpr(changes, q, form=form))
+        val = sum(
+            (table.values[i][t] - table.values[i][f] for i, f, t in changes),
+            Fraction(0),
+        )
+        key = (changes, val)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(DeltaExpr(changes, q, val))
     return out
 
 

@@ -23,7 +23,9 @@ route() picks one of three candidate generators per subproblem:
   the allocation work is bounded by MAX_PROFILE_UNIONS.
 * extended: three or more free parameters.  The comparisons are lifted to
   linear hyperplanes over the coordinates (lambda, pairwise products of
-  lambda) and arrangement cells are enumerated exactly; it has no
+  lambda) and arrangement cells are enumerated exactly; each cell is then
+  split into the regions where the incremental allocation chain makes the
+  same choices, found by walking the chain as a tree.  It has no
   parameter-count limit and doubles as a cross-check.
 
 Everything that does not depend on sigma' (residual forms, argmin
@@ -45,6 +47,7 @@ from typing import Iterable, Sequence
 from .arrangement import (
     Cell,
     Hyperplane,
+    argmin_regions,
     enumerate_cells,
     merge_hyperplanes,
     sweep_1d,
@@ -69,7 +72,7 @@ from .model import (
     make_solution,
     validate,
 )
-from .separable import ValTable, build_d, chain_solve
+from .separable import aug_set
 
 DEFAULT_MAX_CELLS = 200000
 # Bounds the cover path's pool work: in-budget allocations times distinct
@@ -640,62 +643,63 @@ def build_support_tables(
 def _extended_candidates(
     rp: ReducedProblem, max_cells: int
 ) -> tuple[CandidateSet, int]:
-    """Candidates and refined-cell count from the extended-space arrangement.
+    """Candidates and chain-region count from the extended-space arrangement.
 
-    Per cell, the winning supports induce symbolic cardinality values; the
-    exchange set over those values is refined by its pairwise comparison
-    hyperplanes, and each refined cell contributes the support realized by
-    the incremental chain at the evaluated witness.
+    In each support cell the winning supports fix a value functional per
+    (block, cardinality) slot.  The incremental chain climbs from the zero
+    allocation to level min(sigma', n), each step to the cheapest target of
+    aug_set, ties to the lexicographically smallest; a step's exchange
+    value is the target's total less the source's, so targets compare by
+    total.  The chain is walked as a tree whose node is an open region, a
+    witness in it and the allocation reached; its children are the targets
+    whose totals are strictly smallest somewhere in the region.  The leaves
+    fill the cell up to finitely many hyperplanes, the chain's outcome is
+    constant on each, and each contributes its support.  Leaves count
+    against max_cells.
     """
     ctx = _context(_strip_budget(rp))
     planes = _support_planes(ctx.base)
     cells, tables = build_support_tables(rp, max_cells=max_cells)
-    regions = 0
-    lookup = ctx.lookup
-    offsets = ctx.offsets
     structure = rp.structure()
     level = min(rp.sigma_p, rp.n_total)
+    regions = 0
     candidates: CandidateSet = set()
     for cell, table in zip(cells, tables):
-        sel_forms = [
-            [lookup[i][sup] for sup in table.selections[i]]
-            for i in range(len(rp.blocks))
+        slots = [
+            [linearize(ctx.lookup[i][sup]) for sup in per_size]
+            for i, per_size in enumerate(table.selections)
         ]
-        exchanges = build_d(structure, forms=sel_forms)
-        sources: list[tuple[LinearFunctional, object]] = []
-        for e1, e2 in itertools.combinations(exchanges, 2):
-            assert e1.form is not None and e2.form is not None
-            diff = e1.form.sub(e2.form)
-            if diff.is_zero():
+
+        def total(alloc: tuple[int, ...]) -> LinearFunctional:
+            parts = [row[j] for row, j in zip(slots, alloc)]
+            coeffs = tuple(map(sum, zip(*(f.coeffs for f in parts))))
+            return LinearFunctional(coeffs, sum(f.const for f in parts))
+
+        root = [(hp.functional, sign) for hp, sign in zip(planes, cell.signs)]
+        stack = [(root, cell.witness, (0,) * len(slots))]
+        while stack:
+            region, witness, alloc = stack.pop()
+            if sum(alloc) == level:
+                regions += 1
+                if regions > max_cells:
+                    raise BudgetExceededError(
+                        f"chain regions reached {regions}, over the budget of "
+                        f"{max_cells}"
+                    )
+                chi: list[int] = []
+                for i, j in enumerate(alloc):
+                    chi.extend(ctx.offsets[i] + c for c in table.selections[i][j])
+                candidates.add(tuple(sorted(chi)))
                 continue
-            func = linearize(diff)
-            if all(c == 0 for c in func.coeffs):
-                continue
-            sources.append((func, (e1.changes, e2.changes)))
-        refine = merge_hyperplanes(sources)
-        constraints = [
-            (hp.functional, sign) for hp, sign in zip(planes, cell.signs)
-        ]
-        refined = enumerate_cells(
-            refine,
-            extended_dim(rp.k_prime),
-            max_cells=max_cells,
-            base=constraints,
-            base_witness=cell.witness,
-        )
-        regions += len(refined)
-        for sub in refined:
-            pseudo = ValTable(
-                tuple(
-                    tuple(linearize(f).eval(sub.witness) for f in row)
-                    for row in sel_forms
-                )
-            )
-            alloc, _ = chain_solve(pseudo, level)
-            chi: list[int] = []
-            for i, j in enumerate(alloc):
-                chi.extend(offsets[i] + c for c in table.selections[i][j])
-            candidates.add(tuple(sorted(chi)))
+            # aug_set lists targets in lexicographic order, so each group of
+            # identical totals keeps its smallest target.
+            groups: dict[LinearFunctional, tuple[int, ...]] = {}
+            for target in aug_set(structure, alloc):
+                groups.setdefault(total(target), target)
+            children = argmin_regions(list(groups), region, witness)
+            for target, child in zip(groups.values(), children):
+                if child is not None:
+                    stack.append((*child, target))
     return candidates, regions
 
 
@@ -703,7 +707,8 @@ METHODS = ("auto", "diagonal", "cover", "extended")
 
 
 def _describe(rp: ReducedProblem) -> str:
-    active = [tag for tag in rp.tags if tag != "mu"]
+    """The subproblem's pinned coupling columns, numbered from 1 as the CLI does."""
+    active = [tag + 1 for tag in rp.tags if tag != "mu"]
     return f"subproblem with coupling columns {active}"
 
 
@@ -748,7 +753,8 @@ def solve_block(
 
     route() picks the generator for method.  A stats dict, when given,
     receives the path taken and its region count: distinct rankings on
-    the diagonal path, witnesses on cover, refined cells on extended.
+    the diagonal path, witnesses on cover, chain regions (the leaves of
+    the chain tree, summed over the support cells) on extended.
     """
     path = route(rp, method)
     ctx = _context(_strip_budget(rp))

@@ -1,0 +1,225 @@
+"""The extended path as it was before the chain tree, kept as a reference.
+
+These are the former library helpers, unchanged apart from their names
+and the dedup key, which was the method QuadraticForm.coefficients_key:
+each support cell was refined by the pairwise comparison hyperplanes of the
+whole symbolic exchange set D (the symbolic mode of build_d), cell by cell
+through enumerate_cells restricted to the support cell, and the incremental
+chain ran at every refined witness.  Tests compare the solver's extended
+candidates against extended_candidates.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from blocksel.arrangement import (
+    Cell,
+    Hyperplane,
+    merge_hyperplanes,
+    predicted_cell_bound,
+    sign_at,
+)
+from blocksel.linalg import LinearFunctional, QuadraticForm, extended_dim, linearize
+from blocksel.lp import strict_sign_witness
+from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
+from blocksel.separable import ValTable, _enumerate_patterns, chain_solve
+from blocksel.solver import (
+    CandidateSet,
+    _context,
+    _strip_budget,
+    _support_planes,
+    build_support_tables,
+)
+
+
+@dataclass(frozen=True)
+class DeltaForm:
+    """One exchange step with its cost difference as a quadratic form.
+
+    changes lists (block, j_from, j_to) for every block that moves, sorted by
+    block index; q is the total decrease.
+    """
+
+    changes: tuple[tuple[int, int, int], ...]
+    q: int
+    form: Optional[QuadraticForm] = None
+
+
+def _coefficients_key(form: QuadraticForm) -> tuple:
+    """Canonical coefficient tuple, usable as an exact dedup key."""
+    upper = tuple(form.p[i][j] for i in range(form.dim) for j in range(i, form.dim))
+    return (form.dim, upper, form.r, form.s0)
+
+
+def build_d_symbolic(
+    structure: BlockStructure,
+    forms: Sequence[Sequence[QuadraticForm]],
+) -> list[DeltaForm]:
+    """The exchange set D in symbolic mode; forms[i][j] values block i, size j.
+
+    Entries dedup by the canonical coefficient key of their form, which is
+    what the downstream hyperplane construction needs.
+    """
+    patterns = _enumerate_patterns(structure)
+    out: list[DeltaForm] = []
+    seen: set = set()
+    for changes in patterns:
+        q = sum(f - t for _, f, t in changes if t < f)
+        form: Optional[QuadraticForm] = None
+        for i, f, t in changes:
+            step = forms[i][t].sub(forms[i][f])
+            form = step if form is None else form.add(step)
+        assert form is not None
+        key = _coefficients_key(form)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(DeltaForm(changes, q, form=form))
+    return out
+
+
+def enumerate_cells(
+    hyperplanes: Sequence[Hyperplane],
+    dim: int,
+    max_cells: int = 200000,
+    base: Sequence[tuple[LinearFunctional, int]] = (),
+    base_witness: Optional[Sequence[Fraction]] = None,
+) -> list[Cell]:
+    """All full-dimensional cells of the arrangement, each with a witness.
+
+    base constrains the enumeration to an ambient open polyhedron (used when
+    refining a cell by further hyperplanes); base signs are strict and are
+    not part of the output sign vectors.  Raises BudgetExceededError when
+    the predicted cell count passes max_cells.
+    """
+    bound = predicted_cell_bound(len(hyperplanes), dim)
+    if bound > max_cells:
+        raise BudgetExceededError(
+            f"arrangement of {len(hyperplanes)} hyperplanes in dimension {dim} "
+            f"may have {bound} cells, over the budget of {max_cells}"
+        )
+    base_normals = [list(f.coeffs) for f, _ in base]
+    base_offsets = [f.const for f, _ in base]
+    base_signs = [s for _, s in base]
+    start = tuple(base_witness) if base_witness is not None else tuple([Fraction(0)] * dim)
+    cells: list[tuple[list[int], tuple[Fraction, ...]]] = [([], start)]
+
+    for idx, plane in enumerate(hyperplanes):
+        normals = base_normals + [list(h.functional.coeffs) for h in hyperplanes[: idx + 1]]
+        offsets = base_offsets + [h.functional.const for h in hyperplanes[: idx + 1]]
+        next_cells: list[tuple[list[int], tuple[Fraction, ...]]] = []
+        for signs, witness in cells:
+            here = sign_at(plane.functional, witness)
+            targets = [here] if here != 0 else [1, -1]
+            settled = False
+            for target in targets:
+                if target == here:
+                    next_cells.append((signs + [target], witness))
+                    settled = True
+                    continue
+                candidate = strict_sign_witness(
+                    normals, offsets, base_signs + signs + [target]
+                )
+                if candidate is not None:
+                    next_cells.append((signs + [target], tuple(candidate)))
+                    settled = True
+            if here != 0:
+                # Try the far side of the new hyperplane.
+                candidate = strict_sign_witness(
+                    normals, offsets, base_signs + signs + [-here]
+                )
+                if candidate is not None:
+                    next_cells.append((signs + [-here], tuple(candidate)))
+            if not settled:
+                # Witness sat on the plane and neither side is feasible;
+                # impossible for a nonzero functional over an open region.
+                raise AssertionError("cell lost during hyperplane insertion")
+        cells = next_cells
+        if len(cells) > max_cells:
+            raise BudgetExceededError(
+                f"cell count {len(cells)} exceeded the budget of {max_cells}"
+            )
+
+    # Re-witness cells whose inherited witness sits on a later hyperplane:
+    # the loop above only guarantees strictness against inserted planes at
+    # insertion time; a stale witness can be on a plane inserted afterwards.
+    result = []
+    all_normals = base_normals + [list(h.functional.coeffs) for h in hyperplanes]
+    all_offsets = base_offsets + [h.functional.const for h in hyperplanes]
+    for signs, witness in cells:
+        strict = all(
+            sign_at(h.functional, witness) == s for h, s in zip(hyperplanes, signs)
+        )
+        if not strict:
+            candidate = strict_sign_witness(all_normals, all_offsets, base_signs + signs)
+            if candidate is None:
+                raise AssertionError("recorded cell has empty interior")
+            witness = tuple(candidate)
+        result.append(Cell(signs=tuple(signs), witness=witness))
+    return result
+
+
+def extended_candidates(
+    rp: ReducedProblem, max_cells: int
+) -> tuple[CandidateSet, int]:
+    """Candidates and refined-cell count from the extended-space arrangement.
+
+    Per cell, the winning supports induce symbolic cardinality values; the
+    exchange set over those values is refined by its pairwise comparison
+    hyperplanes, and each refined cell contributes the support realized by
+    the incremental chain at the evaluated witness.
+    """
+    ctx = _context(_strip_budget(rp))
+    planes = _support_planes(ctx.base)
+    cells, tables = build_support_tables(rp, max_cells=max_cells)
+    regions = 0
+    lookup = ctx.lookup
+    offsets = ctx.offsets
+    structure = rp.structure()
+    level = min(rp.sigma_p, rp.n_total)
+    candidates: CandidateSet = set()
+    for cell, table in zip(cells, tables):
+        sel_forms = [
+            [lookup[i][sup] for sup in table.selections[i]]
+            for i in range(len(rp.blocks))
+        ]
+        exchanges = build_d_symbolic(structure, forms=sel_forms)
+        sources: list[tuple[LinearFunctional, object]] = []
+        for e1, e2 in itertools.combinations(exchanges, 2):
+            assert e1.form is not None and e2.form is not None
+            diff = e1.form.sub(e2.form)
+            if diff.is_zero():
+                continue
+            func = linearize(diff)
+            if all(c == 0 for c in func.coeffs):
+                continue
+            sources.append((func, (e1.changes, e2.changes)))
+        refine = merge_hyperplanes(sources)
+        constraints = [
+            (hp.functional, sign) for hp, sign in zip(planes, cell.signs)
+        ]
+        refined = enumerate_cells(
+            refine,
+            extended_dim(rp.k_prime),
+            max_cells=max_cells,
+            base=constraints,
+            base_witness=cell.witness,
+        )
+        regions += len(refined)
+        for sub in refined:
+            pseudo = ValTable(
+                tuple(
+                    tuple(linearize(f).eval(sub.witness) for f in row)
+                    for row in sel_forms
+                )
+            )
+            alloc, _ = chain_solve(pseudo, level)
+            chi: list[int] = []
+            for i, j in enumerate(alloc):
+                chi.extend(offsets[i] + c for c in table.selections[i][j])
+            candidates.add(tuple(sorted(chi)))
+    return candidates, regions

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blocksel.arrangement as arrangement
 from blocksel.arrangement import (
     Cell,
     Hyperplane,
+    argmin_regions,
     enumerate_cells,
     ext,
     merge_hyperplanes,
@@ -99,6 +101,54 @@ def test_budget_refusal_is_upfront():
     planes = [plane((1, 0), 0), plane((0, 1), 0)]
     with pytest.raises(BudgetExceededError):
         enumerate_cells(planes, 2, max_cells=3)
+
+
+def _strictly_inside(region, point):
+    return all(sign_at(f, point) == s for f, s in region)
+
+
+def test_argmin_regions_split_the_line_by_the_smallest_functional():
+    # On the line: x is smallest for x < 0, -x for x > 0; 0 never is.
+    funcs = [functional((1,), 0), functional((-1,), 0), functional((0,), 0)]
+    found = argmin_regions(funcs, [], (Fraction(2),))
+    assert found[2] is None
+    for i, want in ((0, -1), (1, 1)):
+        region, point = found[i]
+        assert sign_at(funcs[0], point) == want
+        assert _strictly_inside(region, point)
+        assert all(
+            funcs[i].eval(point) < f.eval(point) for j, f in enumerate(funcs) if j != i
+        )
+
+
+def test_argmin_regions_respect_the_base_polyhedron():
+    funcs = [functional((1,), 0), functional((-1,), 0)]
+    base = [(functional((1,), -1), 1)]  # x > 1
+    found = argmin_regions(funcs, base, (Fraction(3),))
+    assert found[0] is None
+    region, point = found[1]
+    assert region[0] == base[0] and point == (Fraction(3),)
+
+
+def test_argmin_regions_settle_inherited_and_constant_cases_without_a_program(
+    monkeypatch,
+):
+    calls = []
+    real = arrangement.strict_sign_witness
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arrangement, "strict_sign_witness", counting)
+    # x + 1 is below x + 2 everywhere; only the third functional needs a
+    # program, because it loses at the witness x = 0 but wins for x < -1.
+    funcs = [functional((1,), 1), functional((1,), 2), functional((2,), 2)]
+    found = argmin_regions(funcs, [], (Fraction(0),))
+    assert found[0][1] == (Fraction(0),)
+    assert found[1] is None
+    assert found[2] is not None and found[2][1][0] < -1
+    assert len(calls) == 1
 
 
 def test_predicted_cell_bound():

@@ -8,6 +8,7 @@ import pytest
 
 import blocksel.solver as solver
 import reference_cover
+import reference_extended
 from reference_separable import diag_greedy
 from blocksel.cover import conic_cover_points
 from blocksel.linalg import (
@@ -318,11 +319,11 @@ def test_budget_error_names_the_subproblem():
         [[[1]], [[1]]],
         coupling=[[1, 2], [2, 1], [1, -1]],
         b=[1, 2],
-        sigma=3,
+        sigma=4,
     )
     with pytest.raises(BudgetExceededError) as excinfo:
         solve(inst, max_cells=1)
-    assert "coupling columns [0, 1, 2]" in str(excinfo.value)
+    assert "coupling columns [1, 2, 3]" in str(excinfo.value)
 
 
 def test_objective_monotone_and_exhaustive_at_full_budget():
@@ -415,6 +416,40 @@ def test_auto_matches_brute_force_on_diagonal_three_parameter_instances():
         )
         sol, report = solve_detailed(inst)
         assert report[-1]["path"] == "extended"
+        assert sol.objective == brute_force(inst).objective
+
+
+def test_lifted_path_matches_brute_force_on_general_blocks():
+    # auto at three free parameters, and forced extended at up to two, on up
+    # to three blocks of at most 2x2.  sigma' stays at most 2 on the
+    # three-parameter subproblem: chain regions multiply with every level,
+    # and 2x2 blocks at sigma' 3 or more take tens of seconds.
+    rng = random.Random(41)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def build(k, intercept):
+        shapes = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        m = sum(rows for rows, _ in shapes)
+        return Instance.build(
+            [[[entry() for _ in range(cols)] for _ in range(rows)] for rows, cols in shapes],
+            coupling=[[entry() for _ in range(m)] for _ in range(k)],
+            intercept=[1] * m if intercept else None,
+            b=[entry() for _ in range(m)],
+            sigma=k + rng.randint(0, min(2, sum(cols for _, cols in shapes))),
+        )
+
+    for trial in range(16):
+        intercept = trial % 2 == 0
+        inst = build(3 - intercept, intercept)
+        sol, report = solve_detailed(inst)
+        assert report[-1]["path"] == "extended"
+        assert sol.objective == brute_force(inst).objective
+        intercept = not intercept
+        inst = build(rng.randint(0, 2 - intercept), intercept)
+        sol, report = solve_detailed(inst, method="extended")
+        assert {e["path"] for e in report} == {"extended"}
         assert sol.objective == brute_force(inst).objective
 
 
@@ -548,6 +583,53 @@ def test_cover_pool_equals_filtered_reference_pool():
             candidates, _ = solve_block(rp, method="cover")
             limit = min(sigma_p, base.n_total)
             assert candidates == {chi for chi in reference if len(chi) <= limit}
+
+
+def random_extended_rp(rng, k, spread):
+    """A subproblem with k free parameters and up to three blocks of <= 3x2.
+
+    Entries are p/q with |p| <= spread and 1 <= q <= spread; spread 1 draws
+    from -1, 0, 1 only, so residual forms often tie.
+    """
+
+    def entry():
+        return Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
+
+    shapes = [(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+    blocks = Instance.build(
+        [[[entry() for _ in range(cols)] for _ in range(rows)] for rows, cols in shapes]
+    ).blocks
+    m = sum(rows for rows, _ in shapes)
+    return ReducedProblem(
+        blocks=tuple(blocks),
+        b=tuple(entry() for _ in range(m)),
+        lambda_cols=tuple(tuple(entry() for _ in range(m)) for _ in range(k)),
+        tags=tuple(range(k)),
+        sigma_p=0,
+    )
+
+
+def test_extended_candidates_equal_the_refined_cell_reference():
+    # The reference refines every support cell by all exchange comparisons,
+    # so it is only run where that arrangement fits a small cell budget.
+    rng = random.Random(21)
+    compared = set()
+    for trial in range(24):
+        k = 1 + trial % 3
+        spread = 1 if trial % 2 else 3
+        base = random_extended_rp(rng, k, spread)
+        for sigma_p in range(base.n_total + 1):
+            rp = replace(base, sigma_p=sigma_p)
+            try:
+                want, _ = reference_extended.extended_candidates(rp, 40)
+            except BudgetExceededError:
+                continue
+            got, regions = solver._extended_candidates(rp, solver.DEFAULT_MAX_CELLS)
+            assert got == want
+            assert regions >= len(got)
+            compared.add((k, spread, min(sigma_p, 2)))
+    # Every parameter count, with and without ties, at sigma' 0, 1 and >= 2.
+    assert compared == set(itertools.product((1, 2, 3), (1, 3), (0, 1, 2)))
 
 
 def test_integer_argmins_match_fraction_argmins():
