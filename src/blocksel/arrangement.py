@@ -20,16 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import LinearFunctional, QuadraticForm
+from .linalg import LinearFunctional
 from .lp import strict_sign_witness
 from .model import BudgetExceededError
-from .roots import (
-    AlgebraicNumber,
-    ipoly_normalize,
-    isolate_real_roots,
-    separating_samples,
-    sort_unique_roots,
-)
 
 
 def ext(lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -55,55 +48,26 @@ def sign_at(functional: LinearFunctional, point: Sequence[Fraction]) -> int:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """A nonzero linear functional plus the comparisons it came from.
-
-    provenance holds (label, flip) pairs: flip is -1 when the original
-    difference was a negative multiple of the stored canonical functional.
-    """
+    """A nonzero linear functional."""
 
     functional: LinearFunctional
-    provenance: tuple[tuple[object, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.functional.is_zero():
             raise ValueError("hyperplane functional must be nonzero")
 
 
-def merge_hyperplanes(
-    sources: Sequence[tuple[LinearFunctional, object]],
-) -> list[Hyperplane]:
-    """Canonicalize, drop zero functionals, and merge positive-scaling twins.
+def merge_hyperplanes(functionals: Sequence[LinearFunctional]) -> list[Hyperplane]:
+    """Canonicalize, drop zero functionals, and merge twins up to a nonzero factor.
 
-    Functionals that differ by a negative factor merge too; the provenance
-    entry records the flip so callers can recover the original comparison
-    sign from a cell sign.
+    The first functional of each twin class fixes its place in the result.
     """
-    merged: dict[tuple, tuple[LinearFunctional, list[tuple[object, int]]]] = {}
-    order: list[tuple] = []
-    for functional, label in sources:
-        if functional.is_zero():
-            continue
-        canon = functional.canonical()
-        key = (canon.coeffs, canon.const)
-        # Canonical form fixes the leading nonzero coefficient positive, so a
-        # negated twin canonicalizes to the same key; the raw orientation
-        # tells whether this source was the flipped one.
-        flip = _orientation(functional)
-        if key not in merged:
-            merged[key] = (canon, [])
-            order.append(key)
-        merged[key][1].append((label, flip))
-    return [
-        Hyperplane(functional=merged[key][0], provenance=tuple(merged[key][1]))
-        for key in order
-    ]
-
-
-def _orientation(functional: LinearFunctional) -> int:
-    for c in list(functional.coeffs) + [functional.const]:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 0
+    merged: dict[tuple, Hyperplane] = {}
+    for functional in functionals:
+        if not functional.is_zero():
+            canon = functional.canonical()
+            merged.setdefault((canon.coeffs, canon.const), Hyperplane(canon))
+    return list(merged.values())
 
 
 @dataclass(frozen=True)
@@ -231,38 +195,3 @@ def argmin_regions(
             )
             out.append(None if point is None else (region, tuple(point)))
     return out
-
-
-def _form_to_ipoly(form: QuadraticForm) -> tuple[int, ...]:
-    """A one-variable quadratic form as an integer polynomial (c0, c1, c2)."""
-    if form.dim != 1:
-        raise ValueError("expected a univariate form")
-    c0 = form.s0
-    c1 = form.r[0]
-    c2 = form.p[0][0]
-    den = 1
-    for c in (c0, c1, c2):
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return ipoly_normalize((int(c0 * den), int(c1 * den), int(c2 * den)))
-
-
-def sweep_1d(
-    forms: Sequence[QuadraticForm],
-) -> tuple[list[AlgebraicNumber], list[Fraction]]:
-    """Breakpoints and interval witnesses for univariate quadratic differences.
-
-    Breakpoints are the sorted distinct real roots of all the forms; the
-    witnesses are rational points, one strictly inside each open interval
-    between consecutive breakpoints (plus one below all and one above all).
-    Every form has constant sign on each open interval.
-    """
-    roots: list[AlgebraicNumber] = []
-    for form in forms:
-        poly = _form_to_ipoly(form)
-        if not poly:
-            raise ValueError("sweep differences must not be identically zero")
-        if len(poly) == 1:
-            continue  # nonzero constant: no roots, no breakpoints
-        roots.extend(isolate_real_roots(poly))
-    breakpoints = sort_unique_roots(roots)
-    return breakpoints, separating_samples(breakpoints)

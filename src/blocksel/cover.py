@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .linalg import QuadraticForm
-from .model import BudgetExceededError
+from .model import BudgetExceededError, InvariantError
 from .roots import (
     IPoly,
     ipoly_normalize,
@@ -58,19 +58,8 @@ def conic_from_form(form: QuadraticForm) -> Conic:
         form.r[1],
         form.s0,
     )
-    den = 1
-    for v in raw:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in raw]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return (0, 0, 0, 0, 0, 0)
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        g = -g
-    return tuple(v // g for v in ints)  # type: ignore[return-value]
+    den = math.lcm(*(v.denominator for v in raw))
+    return primitive([int(v * den) for v in raw])  # type: ignore[return-value]
 
 
 def _unonneg(gamma: int, beta: int, alpha: int) -> bool:
@@ -144,8 +133,8 @@ def split_rational_lines(conic: Conic) -> list[Conic]:
             return [conic]
         q, p = square
         return [
-            _normalize_conic((0, 0, 0, b - p, 2 * c, e - q)),
-            _normalize_conic((0, 0, 0, b + p, 2 * c, e + q)),
+            primitive((0, 0, 0, b - p, 2 * c, e - q)),
+            primitive((0, 0, 0, b + p, 2 * c, e + q)),
         ]
     if a != 0:
         square = _perfect_square_quadratic(_disc_in_x(conic))
@@ -153,29 +142,32 @@ def split_rational_lines(conic: Conic) -> list[Conic]:
             return [conic]
         q, p = square
         return [
-            _normalize_conic((0, 0, 0, 2 * a, b - p, d - q)),
-            _normalize_conic((0, 0, 0, 2 * a, b + p, d + q)),
+            primitive((0, 0, 0, 2 * a, b - p, d - q)),
+            primitive((0, 0, 0, 2 * a, b + p, d + q)),
         ]
     if b != 0:
         if b * f == d * e:
             return [
-                _normalize_conic((0, 0, 0, b, 0, e)),
-                _normalize_conic((0, 0, 0, 0, b, d)),
+                primitive((0, 0, 0, b, 0, e)),
+                primitive((0, 0, 0, 0, b, d)),
             ]
         return [conic]
     return [conic]
 
 
-def _normalize_conic(conic: Conic) -> Conic:
-    g = 0
-    for v in conic:
-        g = math.gcd(g, abs(v))
+def primitive(values: Sequence[int]) -> tuple[int, ...]:
+    """The integers divided by their gcd, first nonzero one positive.
+
+    Two integer coefficient tuples describe the same curve up to a nonzero
+    factor exactly when their primitive forms are equal.  All zeros stay
+    as they are.
+    """
+    g = math.gcd(*values)
     if g == 0:
-        return conic
-    lead = next(v for v in conic if v != 0)
-    if lead < 0:
+        return tuple(values)
+    if next(v for v in values if v != 0) < 0:
         g = -g
-    return tuple(v // g for v in conic)  # type: ignore[return-value]
+    return tuple(v // g for v in values)
 
 
 def _y_degree(conic: Conic) -> int:
@@ -241,7 +233,12 @@ def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:
 
 
 def conic_cover_points(forms: Iterable[QuadraticForm]) -> list[Point2]:
-    """Witnesses hitting every open sign-invariant region of the family."""
+    """Witnesses hitting every open sign-invariant region of the family.
+
+    Points come strip by strip, in increasing lambda_1.  A family without
+    lambda_2 gets one point per strip, on the axis lambda_2 = 0, so it
+    also serves forms in fewer than two parameters, padded with zeros.
+    """
     family: list[Conic] = []
     seen: set[Conic] = set()
     for form in forms:
@@ -256,18 +253,21 @@ def conic_cover_points(forms: Iterable[QuadraticForm]) -> list[Point2]:
                 family.append(part)
     if not family:
         return [(Fraction(0), Fraction(0))]
-    if len(family) > MAX_CONICS:
+    # Only members that involve y pair up in resultants and get solved on
+    # every strip; a member without y is a nonzero constant on each strip.
+    positives = [c for c in family if _y_degree(c) >= 1]
+    if len(positives) > MAX_CONICS:
         raise BudgetExceededError(
-            f"conic family of size {len(family)} exceeds the limit of {MAX_CONICS}"
+            f"{len(positives)} conics involve lambda_2, over the limit of {MAX_CONICS}"
         )
 
     criticals = []
-    positives = [c for c in family if _y_degree(c) >= 1]
     for conic in family:
         deg = _y_degree(conic)
         if deg == 2:
             disc = ipoly_normalize(_disc_in_y(conic))
-            assert disc, "kept quadratic-in-y conics have nonzero discriminant"
+            if not disc:
+                raise InvariantError("a kept quadratic-in-y conic has zero discriminant")
             if len(disc) > 1:
                 criticals.extend(isolate_real_roots(disc))
         elif deg == 1:
@@ -276,13 +276,15 @@ def conic_cover_points(forms: Iterable[QuadraticForm]) -> list[Point2]:
                 criticals.extend(isolate_real_roots(lead))
         else:
             vertical = ipoly_normalize((conic[5], conic[3], conic[0]))
-            assert vertical, "a zero conic cannot reach the family"
+            if not vertical:
+                raise InvariantError("a zero conic reached the family")
             if len(vertical) > 1:
                 criticals.extend(isolate_real_roots(vertical))
     for i in range(len(positives)):
         for j in range(i + 1, len(positives)):
             res = _resultant_in_y(positives[i], positives[j])
-            assert res, "distinct components must have nonzero resultant"
+            if not res:
+                raise InvariantError("two distinct components have zero resultant")
             if len(res) > 1:
                 criticals.extend(isolate_real_roots(res))
 
@@ -290,16 +292,10 @@ def conic_cover_points(forms: Iterable[QuadraticForm]) -> list[Point2]:
     points: list[Point2] = []
     for w in strip_xs:
         roots = []
-        for conic in family:
+        for conic in positives:
             a, b, c, d, e, f = conic
-            coeffs = (
-                Fraction(a * w * w + d * w + f),
-                Fraction(b * w + e),
-                Fraction(c),
-            )
-            den = 1
-            for v in coeffs:
-                den = den * v.denominator // math.gcd(den, v.denominator)
+            coeffs = (a * w * w + d * w + f, b * w + e, c)
+            den = math.lcm(*(v.denominator for v in coeffs))
             poly = ipoly_normalize(tuple(int(v * den) for v in coeffs))
             if len(poly) > 1:
                 roots.extend(isolate_real_roots(poly))

@@ -128,24 +128,20 @@ def strict_sign_witness(
     normals: Sequence[Sequence[Fraction]],
     offsets: Sequence[Fraction],
     signs: Sequence[int],
-    box: Fraction = Fraction(0),
 ) -> Optional[list[Fraction]]:
     """A rational point with sign(normals[i] . x + offsets[i]) == signs[i] for all i.
 
     Strict on every constraint.  Returns None when the open region is empty.
-    An optional bounding box |x_j| <= box (box > 0) keeps the program bounded;
-    without it the margin variable is capped instead.
+    The margin variable is capped to keep the program bounded.
     """
     dim = len(normals[0]) if normals else 0
     if not normals:
         return [Fraction(0)] * dim
 
     # Variables: u_j, v_j (x_j = u_j - v_j), delta, slack per constraint,
-    # plus one slack for the delta <= 1 cap and two per box constraint.
+    # plus one slack for the delta <= 1 cap.
     n_ineq = len(normals)
-    cap_rows = 1
-    box_rows = 2 * dim if box > 0 else 0
-    cols = 2 * dim + 1 + n_ineq + cap_rows + box_rows
+    cols = 2 * dim + 1 + n_ineq + 1
     delta_col = 2 * dim
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -167,18 +163,6 @@ def strict_sign_witness(
     cap[delta_col + 1 + n_ineq] = Fraction(1)
     rows.append(cap)
     rhs.append(Fraction(1))
-
-    if box > 0:
-        base = delta_col + 1 + n_ineq + 1
-        for j in range(dim):
-            up = [Fraction(0)] * cols
-            up[j], up[dim + j], up[base + 2 * j] = Fraction(1), Fraction(-1), Fraction(1)
-            rows.append(up)
-            rhs.append(box)
-            down = [Fraction(0)] * cols
-            down[j], down[dim + j], down[base + 2 * j + 1] = Fraction(-1), Fraction(1), Fraction(1)
-            rows.append(down)
-            rhs.append(box)
 
     objective = [Fraction(0)] * cols
     objective[delta_col] = Fraction(1)

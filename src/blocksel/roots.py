@@ -1,6 +1,6 @@
 """Exact real-root isolation for integer polynomials.
 
-The sweeps need, for a batch of low-degree polynomials, the sorted distinct
+The conic cover needs, for a batch of low-degree polynomials, the sorted distinct
 real roots plus rational sample points strictly between consecutive roots.
 Roots are kept as exact objects: either a rational value or a squarefree
 integer polynomial with an isolating interval that can be refined on demand.

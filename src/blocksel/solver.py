@@ -16,17 +16,20 @@ route() picks one of three candidate generators per subproblem:
 
 * diagonal: all blocks 1x1 and at most two free parameters.  The optimal
   support is a top slice of the coordinates ranked by |b'(lambda)|, so one
-  candidate per ranking suffices, whatever sigma'; rankings are read along
-  a 1-D sweep, or off the edges of a line arrangement in the plane.
+  candidate per ranking suffices, whatever sigma'; rankings are read off
+  the edges of a line arrangement in the plane.
 * cover: every other subproblem with at most two free parameters.  Argmin
-  profiles are read at the witnesses of the cover module's generators;
-  the allocation work is bounded by MAX_PROFILE_UNIONS.
+  profiles are read at the witnesses of one conic cover of the plane; the
+  allocation work is bounded by MAX_PROFILE_UNIONS.
 * extended: three or more free parameters.  The comparisons are lifted to
   linear hyperplanes over the coordinates (lambda, pairwise products of
   lambda) and arrangement cells are enumerated exactly; each cell is then
   split into the regions where the incremental allocation chain makes the
   same choices, found by walking the chain as a tree.  It has no
   parameter-count limit and doubles as a cross-check.
+
+With fewer than two free parameters, diagonal and cover still read lambda
+space as the plane, with zero coefficients on the missing parameters.
 
 Everything that does not depend on sigma' (residual forms, argmin
 profiles, rankings, planes, candidate values) lives in one context per
@@ -50,9 +53,8 @@ from .arrangement import (
     argmin_regions,
     enumerate_cells,
     merge_hyperplanes,
-    sweep_1d,
 )
-from .cover import conic_cover_points
+from .cover import conic_cover_points, primitive
 from .linalg import (
     LinearFunctional,
     QuadraticForm,
@@ -230,17 +232,30 @@ def _difference_forms(forms) -> list[QuadraticForm]:
     return out
 
 
+def _in_plane(form: QuadraticForm) -> QuadraticForm:
+    """A form in at most two parameters, with zero coefficients up to two."""
+    pad = (Fraction(0),) * (2 - form.dim)
+    return QuadraticForm(
+        2,
+        tuple(row + pad for row in form.p) + ((Fraction(0),) * 2,) * len(pad),
+        form.r + pad,
+        form.s0,
+    )
+
+
 def _cover_witnesses(forms, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational lambda points hitting every sign region of the differences."""
-    if k == 0:
-        return ((),)
-    diffs = _difference_forms(forms)
-    if k == 1:
-        _, samples = sweep_1d(diffs)
-        return tuple((s,) for s in samples)
-    if k == 2:
-        return tuple(conic_cover_points(diffs))
-    raise ValueError("witness covers require at most two free parameters")
+    """Rational lambda points hitting every sign region of the differences.
+
+    The differences are read in the plane, so one conic cover serves every
+    k <= 2; a region of the plane is a region of lambda space times the
+    missing coordinates, so the points cut back to k coordinates still hit
+    every region.  Below two parameters no member involves lambda_2, so
+    the cover gives one point per strip and the cut points stay distinct.
+    """
+    if k > 2:
+        raise ValueError("witness covers require at most two free parameters")
+    points = conic_cover_points(_in_plane(diff) for diff in _difference_forms(forms))
+    return tuple(point[:k] for point in points)
 
 
 def _integer_rows(forms) -> tuple:
@@ -256,12 +271,8 @@ def _integer_rows(forms) -> tuple:
         tuple(tuple((linearize(form), sup) for sup, form in row) for row in rows)
         for rows in forms
     )
-    scale = 1
-    for rows in linear:
-        for row in rows:
-            for func, _ in row:
-                for v in (func.const, *func.coeffs):
-                    scale = math.lcm(scale, v.denominator)
+    funcs = [func for rows in linear for row in rows for func, _ in row]
+    scale = math.lcm(*(v.denominator for f in funcs for v in (f.const, *f.coeffs)))
     return tuple(
         tuple(
             tuple(
@@ -284,9 +295,7 @@ def _argmins_at(int_rows, witness: Sequence[Fraction]) -> tuple:
     so ties happen only between supports with identical forms; those break
     to the lexicographically smallest support.
     """
-    den = 1
-    for x in witness:
-        den = math.lcm(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in witness))
     coords = [x.numerator * (den // x.denominator) for x in witness]
     monomials = [den * den, *(den * c for c in coords)]
     for i, ci in enumerate(coords):
@@ -441,92 +450,42 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
     Coordinates sort by squared adjusted right side |b'(lambda)|^2,
     descending, index ascending; coordinates with a zero diagonal entry are
     left out.  Orderings change only across the pairwise difference and sum
-    lines of the b' functionals, where |b'_i| = |b'_j|.  With no free
-    parameter there is one ordering; with one, the samples of a sweep over
-    those lines give them all.  With two, every region of the line
-    arrangement has an edge on some line, so the orderings just off each
-    edge, on both sides, give them all (see _edge_rankings).  More free
-    parameters raise ValueError.  Computed once per context.
+    lines of the b' functionals, where |b'_i| = |b'_j|.  The functionals
+    get zero coefficients up to two parameters, so lambda space is read as
+    the plane: every region of the line arrangement has an edge on some
+    line, so the orderings just off each edge, on both sides, give them all
+    (see _edge_rankings).  Without any line every ordering is constant, and
+    the line lambda_2 = 0 reads it.  More than two free parameters raise
+    ValueError.  Computed once per context.
     """
     if ctx.rankings is not None:
         return ctx.rankings
-    base, pieces = ctx.base, ctx.pieces
-    k = base.k_prime
+    k = ctx.base.k_prime
     if k > 2:
         raise ValueError(
             f"diagonal rankings take at most two free parameters, not {k}"
         )
-    h = len(base.blocks)
-    funcs = []
-    for i in range(h):
-        b_piece, lam_pieces = pieces[i]
-        coeffs = tuple(-piece[0] for piece in lam_pieces)
-        funcs.append(LinearFunctional(coeffs, b_piece[0]))
-
-    sources: list[tuple[LinearFunctional, object]] = []
-
-    def add(func: LinearFunctional, label: object) -> None:
-        if any(c != 0 for c in func.coeffs):
-            sources.append((func, label))
-
-    for i, j in itertools.combinations(range(h), 2):
-        fi, fj = funcs[i], funcs[j]
-        minus = LinearFunctional(
-            tuple(a - b for a, b in zip(fi.coeffs, fj.coeffs)), fi.const - fj.const
-        )
-        plus = LinearFunctional(
-            tuple(a + b for a, b in zip(fi.coeffs, fj.coeffs)), fi.const + fj.const
-        )
-        add(minus, ("minus", i, j))
-        add(plus, ("plus", i, j))
-    planes = merge_hyperplanes(sources)
-
-    # One positive scale factor for all functionals, and one common
-    # denominator per witness, keep the ordering loops in integer arithmetic
-    # without disturbing any comparison of squared values.
-    scale = 1
-    for f in funcs:
-        for v in (*f.coeffs, f.const):
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    int_funcs = [
-        (tuple(int(v * scale) for v in f.coeffs), int(f.const * scale))
-        for f in funcs
+    # b'_i(lambda) = b_i - sum_l lambda_l col_l[i] as (p, q, r) for
+    # p lambda_1 + q lambda_2 + r, all scaled by one positive integer, which
+    # keeps every comparison of squared values.
+    funcs = [
+        (*(-piece[0] for piece in lam_pieces), *(Fraction(0),) * (2 - k), b_piece[0])
+        for b_piece, lam_pieces in ctx.pieces
     ]
-
-    hittable = [i for i in range(h) if base.blocks[i].at(0, 0) != 0]
+    scale = math.lcm(*(v.denominator for f in funcs for v in f))
+    int_funcs = [tuple(int(v * scale) for v in f) for f in funcs]
+    lines = list(
+        {
+            primitive((p1 + s * p2, q1 + s * q2, r1 + s * r2))
+            for (p1, q1, r1), (p2, q2, r2) in itertools.combinations(int_funcs, 2)
+            for s in (1, -1)
+            if p1 + s * p2 or q1 + s * q2
+        }
+    ) or [(0, 1, 0)]
+    hittable = [i for i, blk in enumerate(ctx.base.blocks) if blk.at(0, 0) != 0]
     rankings: set[tuple[int, ...]] = set()
-    if k == 2 and planes:
-        lines = [
-            tuple(int(v) for v in (*hp.functional.coeffs, hp.functional.const))
-            for hp in planes
-        ]
-        for line in lines:
-            rankings.update(_edge_rankings(line, lines, int_funcs, hittable))
-        ctx.rankings = tuple(sorted(rankings))
-        return ctx.rankings
-
-    # Without any line every ordering is constant: any point reads it.
-    witnesses: list[tuple[Fraction, ...]] = [(Fraction(0),) * k]
-    if k == 1:
-        lines_1d = [
-            QuadraticForm(1, ((Fraction(0),),), (hp.functional.coeffs[0],), hp.functional.const)
-            for hp in planes
-        ]
-        _, samples = sweep_1d(lines_1d)
-        witnesses = [(s,) for s in samples]
-    for w in witnesses:
-        den = 1
-        for x in w:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        coords = [int(x * den) for x in w]
-        vals = []
-        for coeffs, const in int_funcs:
-            acc = const * den
-            for cf, x in zip(coeffs, coords):
-                acc += cf * x
-            vals.append(acc * acc)
-        order = sorted(hittable, key=lambda i: (-vals[i], i))
-        rankings.add(tuple(order))
+    for line in lines:
+        rankings.update(_edge_rankings(line, lines, int_funcs, hittable))
     ctx.rankings = tuple(sorted(rankings))
     return ctx.rankings
 
@@ -541,7 +500,8 @@ def _edge_rankings(line, lines, int_funcs, hittable) -> set[tuple[int, ...]]:
     v^2 + 2 e v s + e^2 s^2 at offset e n, so for small e > 0 the ordering
     on the + side compares (v^2, v s, s^2) lexicographically and on the -
     side (v^2, -v s, s^2).  Values are scaled by one positive integer per
-    point, which keeps every comparison.
+    point, which keeps every comparison.  Lines and int_funcs entries are
+    integer triples (a, b, c) of a x + b y + c.
     """
     a, b, c = line
     g = b if b != 0 else a  # base has denominator g
@@ -563,7 +523,7 @@ def _edge_rankings(line, lines, int_funcs, hittable) -> set[tuple[int, ...]]:
     # so every component of the descending comparison is negated.
     rows = []
     for i in hittable:
-        (p, q), r = int_funcs[i]
+        p, q, r = int_funcs[i]
         at_base = r * b - q * c if b != 0 else r * a - p * c
         s = p * a + q * b
         rows.append((sign * at_base, (q * a - p * b) * mag, s, -s * s, i))
@@ -606,18 +566,9 @@ def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
     ctx = _context(base)
     if ctx.planes is not None:
         return ctx.planes
-    sources: list[tuple[LinearFunctional, object]] = []
-    for i, rows in enumerate(ctx.forms):
-        for j, row in enumerate(rows):
-            for (s1, f1), (s2, f2) in itertools.combinations(row, 2):
-                diff = f1.sub(f2)
-                if diff.is_zero():
-                    continue
-                func = linearize(diff)
-                if all(c == 0 for c in func.coeffs):
-                    continue  # constant sign: no surface to cross
-                sources.append((func, (i, j, s1, s2)))
-    ctx.planes = tuple(merge_hyperplanes(sources))
+    # A difference with no variable part keeps one sign: no surface to cross.
+    funcs = map(linearize, _difference_forms(ctx.forms))
+    ctx.planes = tuple(merge_hyperplanes([f for f in funcs if any(f.coeffs)]))
     return ctx.planes
 
 

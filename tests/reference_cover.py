@@ -3,8 +3,10 @@
 These are the former solver helpers, unchanged: the pool unions the
 winning supports of every cardinality allocation at every cover witness,
 with argmins read by evaluating each residual form in Fractions, and
-callers filter the budget-free pool by their own sigma'.  Tests compare
-the solver's candidates and integer argmins against them.
+callers filter the budget-free pool by their own sigma'.  With one free
+parameter the witnesses come from the former one-dimensional root sweep,
+sweep_1d, also kept unchanged.  Tests compare the solver's candidates and
+integer argmins against them.
 """
 
 from __future__ import annotations
@@ -15,10 +17,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from blocksel.arrangement import sweep_1d
 from blocksel.cover import conic_cover_points
 from blocksel.linalg import QuadraticForm, eval_form, residual_quadratic
 from blocksel.model import BudgetExceededError, ReducedProblem
+from blocksel.roots import (
+    AlgebraicNumber,
+    ipoly_normalize,
+    isolate_real_roots,
+    separating_samples,
+    sort_unique_roots,
+)
 from blocksel.solver import MAX_PROFILE_UNIONS
 
 
@@ -130,3 +138,38 @@ def _cover_pool(base: ReducedProblem) -> tuple[tuple[int, ...], ...]:
                 chi.extend(offsets[i] + c for c in table[i][j])
             pool.add(tuple(sorted(chi)))
     return tuple(sorted(pool))
+
+
+def _form_to_ipoly(form: QuadraticForm) -> tuple[int, ...]:
+    """A one-variable quadratic form as an integer polynomial (c0, c1, c2)."""
+    if form.dim != 1:
+        raise ValueError("expected a univariate form")
+    c0 = form.s0
+    c1 = form.r[0]
+    c2 = form.p[0][0]
+    den = 1
+    for c in (c0, c1, c2):
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return ipoly_normalize((int(c0 * den), int(c1 * den), int(c2 * den)))
+
+
+def sweep_1d(
+    forms: Sequence[QuadraticForm],
+) -> tuple[list[AlgebraicNumber], list[Fraction]]:
+    """Breakpoints and interval witnesses for univariate quadratic differences.
+
+    Breakpoints are the sorted distinct real roots of all the forms; the
+    witnesses are rational points, one strictly inside each open interval
+    between consecutive breakpoints (plus one below all and one above all).
+    Every form has constant sign on each open interval.
+    """
+    roots: list[AlgebraicNumber] = []
+    for form in forms:
+        poly = _form_to_ipoly(form)
+        if not poly:
+            raise ValueError("sweep differences must not be identically zero")
+        if len(poly) == 1:
+            continue  # nonzero constant: no roots, no breakpoints
+        roots.extend(isolate_real_roots(poly))
+    breakpoints = sort_unique_roots(roots)
+    return breakpoints, separating_samples(breakpoints)

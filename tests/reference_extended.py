@@ -188,7 +188,7 @@ def extended_candidates(
             for i in range(len(rp.blocks))
         ]
         exchanges = build_d_symbolic(structure, forms=sel_forms)
-        sources: list[tuple[LinearFunctional, object]] = []
+        sources: list[LinearFunctional] = []
         for e1, e2 in itertools.combinations(exchanges, 2):
             assert e1.form is not None and e2.form is not None
             diff = e1.form.sub(e2.form)
@@ -197,7 +197,7 @@ def extended_candidates(
             func = linearize(diff)
             if all(c == 0 for c in func.coeffs):
                 continue
-            sources.append((func, (e1.changes, e2.changes)))
+            sources.append(func)
         refine = merge_hyperplanes(sources)
         constraints = [
             (hp.functional, sign) for hp, sign in zip(planes, cell.signs)

@@ -15,9 +15,8 @@ from blocksel.arrangement import (
     merge_hyperplanes,
     predicted_cell_bound,
     sign_at,
-    sweep_1d,
 )
-from blocksel.linalg import LinearFunctional, QuadraticForm, eval_form
+from blocksel.linalg import LinearFunctional
 from blocksel.model import BudgetExceededError
 
 coords = st.fractions(
@@ -33,12 +32,6 @@ def functional(coeffs, const):
 
 def plane(coeffs, const):
     return Hyperplane(functional=functional(coeffs, const))
-
-
-def univariate(c2, c1, c0):
-    return QuadraticForm(
-        1, ((Fraction(c2),),), (Fraction(c1),), Fraction(c0)
-    )
 
 
 def moment_planes(ts, dim):
@@ -160,18 +153,16 @@ def test_predicted_cell_bound():
 def test_merge_collapses_scaled_twins():
     merged = merge_hyperplanes(
         [
-            (functional((2, 0), -2), "a"),
-            (functional((1, 0), -1), "b"),
-            (functional((-3, 0), 3), "c"),
+            functional((2, 0), -2),
+            functional((1, 0), -1),
+            functional((-3, 0), 3),
         ]
     )
     assert len(merged) == 1
-    flips = dict(merged[0].provenance)
-    assert flips["a"] == 1 and flips["b"] == 1 and flips["c"] == -1
 
 
 def test_merge_drops_zero_functionals():
-    assert merge_hyperplanes([(functional((0, 0), 0), "z")]) == []
+    assert merge_hyperplanes([functional((0, 0), 0)]) == []
 
 
 def test_generic_count_identity_moment_curve():
@@ -191,10 +182,9 @@ def test_generic_count_identity_moment_curve():
     st.lists(coords, min_size=3, max_size=3),
 )
 def test_closed_cells_cover_every_point(dim, raw_planes, raw_point):
-    sources = []
-    for idx, (coeffs, const) in enumerate(raw_planes):
-        sources.append((functional(coeffs[:dim], const), idx))
-    planes = merge_hyperplanes(sources)
+    planes = merge_hyperplanes(
+        [functional(coeffs[:dim], const) for coeffs, const in raw_planes]
+    )
     cells = enumerate_cells(planes, dim)
     point = tuple(Fraction(v) for v in raw_point[:dim])
     covered = False
@@ -206,55 +196,3 @@ def test_closed_cells_cover_every_point(dim, raw_planes, raw_point):
             covered = True
             break
     assert covered
-
-
-def test_sweep_single_comparison():
-    # (1 - lam)^2 - lam^2 = 1 - 2 lam
-    form = univariate(0, -2, 1)
-    breakpoints, witnesses = sweep_1d([form])
-    assert len(breakpoints) == 1
-    assert breakpoints[0].value == Fraction(1, 2)
-    assert len(witnesses) == 2
-    assert witnesses[0] < Fraction(1, 2) < witnesses[1]
-
-
-def test_sweep_diagonal_breakpoints():
-    # b = (1, 0), coupling (1, -1): lines 1 - lam, -lam, and their
-    # difference and sum 1 - 2 lam and 1 (a dropped constant).
-    forms = [univariate(0, -1, 1), univariate(0, -1, 0), univariate(0, -2, 1)]
-    breakpoints, witnesses = sweep_1d(forms)
-    assert [b.value for b in breakpoints] == [0, Fraction(1, 2), 1]
-    assert len(witnesses) == 4
-
-
-def test_sweep_definite_form_has_no_breakpoints():
-    breakpoints, witnesses = sweep_1d([univariate(1, 0, 1)])
-    assert breakpoints == []
-    assert witnesses == [0]
-
-
-def test_sweep_rejects_zero_form():
-    with pytest.raises(ValueError):
-        sweep_1d([QuadraticForm.zero(1)])
-
-
-def test_sweep_constant_form_contributes_nothing():
-    constant = QuadraticForm(1, ((Fraction(0),),), (Fraction(0),), Fraction(7))
-    breakpoints, _ = sweep_1d([constant])
-    assert breakpoints == []
-
-
-@given(
-    st.lists(
-        st.tuples(coords, coords, coords).filter(lambda t: any(v != 0 for v in t)),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_sweep_signs_constant_per_interval(raw_forms):
-    forms = [univariate(a, b, c) for a, b, c in raw_forms]
-    breakpoints, witnesses = sweep_1d(forms)
-    assert len(witnesses) == len(breakpoints) + 1
-    for w in witnesses:
-        for form in forms:
-            assert eval_form(form, (w,)) != 0

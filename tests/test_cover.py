@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from blocksel.cover import (
 )
 from blocksel.linalg import LinearFunctional, QuadraticForm
 from blocksel.model import BudgetExceededError
+from blocksel.roots import ipoly_normalize, isolate_real_roots, sort_unique_roots
 
 coords = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=2
@@ -49,6 +51,11 @@ def sign(v):
     return (v > 0) - (v < 0)
 
 
+def form1(c2, c1, c0):
+    """The one-parameter form c2 x^2 + c1 x + c0, read in the plane."""
+    return form2(c2, 0, 0, c1, 0, c0)
+
+
 def line_form(f):
     """The functional a*x + b*y + c as a two-variable form, for the conic cover."""
     zero = Fraction(0)
@@ -79,7 +86,7 @@ def test_line_cover_hits_every_cell():
         functional((1, 1), -1),
         functional((2, -1), 1),
     ]
-    planes = merge_hyperplanes([(f, i) for i, f in enumerate(funcs)])
+    planes = merge_hyperplanes(funcs)
     cells = enumerate_cells(planes, 2)
     pts = conic_cover_points([line_form(f) for f in funcs])
     realized = {
@@ -100,7 +107,7 @@ def test_line_cover_hits_every_cell():
 )
 def test_line_cover_matches_arrangement(raw):
     funcs = [functional((a, b), c) for a, b, c in raw]
-    planes = merge_hyperplanes([(f, i) for i, f in enumerate(funcs)])
+    planes = merge_hyperplanes(funcs)
     cells = enumerate_cells(planes, 2)
     pts = conic_cover_points([line_form(f) for f in funcs])
     for f in funcs:
@@ -184,6 +191,60 @@ def test_conic_cover_budget():
     forms = [form2(0, 0, 0, 0, 1, -i) for i in range(MAX_CONICS + 1)]
     with pytest.raises(BudgetExceededError):
         conic_cover_points(forms)
+
+
+def test_conic_cover_budget_counts_only_members_with_y():
+    # Members without y pair up in no resultant: one point per strip.
+    forms = [form1(0, 1, -i) for i in range(MAX_CONICS + 1)]
+    assert len(conic_cover_points(forms)) == MAX_CONICS + 2
+
+
+def test_y_free_single_comparison():
+    # (1 - x)^2 - x^2 = 1 - 2 x
+    pts = conic_cover_points([form1(0, -2, 1)])
+    assert len(pts) == 2
+    assert pts[0][0] < Fraction(1, 2) < pts[1][0]
+    assert {y for _, y in pts} == {0}
+
+
+def test_y_free_diagonal_breakpoints():
+    # b = (1, 0), coupling (1, -1): lines 1 - x, -x, and their
+    # difference and sum 1 - 2 x and 1 (a dropped constant).
+    pts = conic_cover_points([form1(0, -1, 1), form1(0, -1, 0), form1(0, -2, 1)])
+    xs = [x for x, _ in pts]
+    assert len(xs) == 4
+    assert xs[0] < 0 < xs[1] < Fraction(1, 2) < xs[2] < 1 < xs[3]
+
+
+def test_y_free_definite_form_has_no_breakpoints():
+    assert conic_cover_points([form1(1, 0, 1)]) == [(0, 0)]
+
+
+def test_y_free_constant_form_contributes_nothing():
+    assert conic_cover_points([form1(0, 0, 7)]) == [(0, 0)]
+
+
+@given(
+    st.lists(
+        st.tuples(coords, coords, coords).filter(lambda t: any(v != 0 for v in t)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_y_free_signs_constant_per_interval(raw_forms):
+    forms = [form1(a, b, c) for a, b, c in raw_forms]
+    roots = []
+    for coeffs in raw_forms:
+        den = math.lcm(*(v.denominator for v in coeffs))
+        poly = ipoly_normalize([int(v * den) for v in reversed(coeffs)])
+        if len(poly) > 1:
+            roots.extend(isolate_real_roots(poly))
+    pts = conic_cover_points(forms)
+    assert len(pts) == len(sort_unique_roots(roots)) + 1
+    assert [x for x, _ in pts] == sorted({x for x, _ in pts})
+    for pt in pts:
+        for a, b, c in raw_forms:
+            assert a * pt[0] ** 2 + b * pt[0] + c != 0
 
 
 @given(

@@ -46,18 +46,6 @@ def test_no_constraints_returns_origin():
     assert strict_sign_witness([], [], []) == []
 
 
-def test_box_keeps_witness_bounded():
-    point = strict_sign_witness(
-        [(Fraction(1), Fraction(1))],
-        [Fraction(-10),],
-        [1],
-        box=Fraction(100),
-    )
-    assert point is not None
-    assert point[0] + point[1] > 10
-    assert abs(point[0]) <= 100 and abs(point[1]) <= 100
-
-
 @given(
     st.integers(1, 3),
     st.lists(st.lists(coords, min_size=3, max_size=3), min_size=1, max_size=5),

@@ -455,21 +455,23 @@ def test_lifted_path_matches_brute_force_on_general_blocks():
 
 def test_edge_rankings_match_rankings_at_cover_witnesses():
     # Reference: read each ordering at a strict witness of every region of
-    # the difference and sum lines, from the independent conic cover.
+    # the difference and sum lines, from the independent conic cover.  With
+    # fewer than two free parameters the lines are lifted into the plane
+    # with zero coefficients on the missing ones.
     rng = random.Random(43)
     zero = (Fraction(0), Fraction(0))
-    for trial in range(40):
+    for trial in range(60):
+        k = trial % 3
         h = rng.randint(2, 5)
         spread = 1 if trial % 2 else 3
         rp = rp_1x1(
             [rng.randint(-1, 2) for _ in range(h)],
             [rng.randint(-spread, spread) for _ in range(h)],
-            lambda_cols=[[rng.randint(-spread, spread) for _ in range(h)] for _ in range(2)],
-            tags=(0, 1),
+            lambda_cols=[[rng.randint(-spread, spread) for _ in range(h)] for _ in range(k)],
+            tags=tuple(range(k)),
         )
-        funcs = [
-            ((-rp.lambda_cols[0][i], -rp.lambda_cols[1][i]), rp.b[i]) for i in range(h)
-        ]
+        cols = rp.lambda_cols + ((Fraction(0),) * h,) * (2 - k)
+        funcs = [((-cols[0][i], -cols[1][i]), rp.b[i]) for i in range(h)]
         lines = [
             QuadraticForm(2, (zero, zero), (u0 + sign * v0, u1 + sign * v1), c + sign * d)
             for ((u0, u1), c), ((v0, v1), d) in itertools.combinations(funcs, 2)
