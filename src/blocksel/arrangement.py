@@ -9,8 +9,11 @@ enough to drive the combinatorial phase of the solver.
 Cells use closed semantics: the cell is where sign * functional >= 0 for
 each hyperplane, while the stored witness satisfies every constraint
 strictly.  Enumeration is incremental: hyperplanes are inserted one at a
-time and an exact feasibility program decides whether a cell splits;
-argmin_regions splits an open polyhedron by its smallest functional.
+time.  A cell keeps its witness on the side of the new plane where the
+witness lies, and one lp.strict_sign_witness program per other side
+decides whether it splits, so every witness stays strict on every plane
+inserted so far.  argmin_regions splits an open polyhedron by its
+smallest functional.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 from .linalg import LinearFunctional
 from .lp import strict_sign_witness
-from .model import BudgetExceededError
+from .model import BudgetExceededError, InvariantError
 
 
 def ext(lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -106,50 +109,28 @@ def enumerate_cells(
         offsets = [h.functional.const for h in hyperplanes[: idx + 1]]
         next_cells: list[tuple[list[int], tuple[Fraction, ...]]] = []
         for signs, witness in cells:
+            # The kept witness is strict on the new plane, and a program's
+            # point is strict on every plane so far, so each witness stays
+            # strict on all of them.
             here = sign_at(plane.functional, witness)
-            targets = [here] if here != 0 else [1, -1]
             settled = False
-            for target in targets:
+            for target in (here, -here) if here else (1, -1):
                 if target == here:
-                    next_cells.append((signs + [target], witness))
-                    settled = True
-                    continue
-                candidate = strict_sign_witness(normals, offsets, signs + [target])
+                    candidate = witness
+                else:
+                    candidate = strict_sign_witness(normals, offsets, signs + [target])
                 if candidate is not None:
                     next_cells.append((signs + [target], tuple(candidate)))
                     settled = True
-            if here != 0:
-                # Try the far side of the new hyperplane.
-                candidate = strict_sign_witness(normals, offsets, signs + [-here])
-                if candidate is not None:
-                    next_cells.append((signs + [-here], tuple(candidate)))
             if not settled:
-                # Witness sat on the plane and neither side is feasible;
-                # impossible for a nonzero functional over an open region.
-                raise AssertionError("cell lost during hyperplane insertion")
+                # A nonzero functional cannot vanish on an open region.
+                raise InvariantError("cell lost during hyperplane insertion")
         cells = next_cells
         if len(cells) > max_cells:
             raise BudgetExceededError(
                 f"cell count {len(cells)} exceeded the budget of {max_cells}"
             )
-
-    # Re-witness cells whose inherited witness sits on a later hyperplane:
-    # the loop above only guarantees strictness against inserted planes at
-    # insertion time; a stale witness can be on a plane inserted afterwards.
-    result = []
-    all_normals = [list(h.functional.coeffs) for h in hyperplanes]
-    all_offsets = [h.functional.const for h in hyperplanes]
-    for signs, witness in cells:
-        strict = all(
-            sign_at(h.functional, witness) == s for h, s in zip(hyperplanes, signs)
-        )
-        if not strict:
-            candidate = strict_sign_witness(all_normals, all_offsets, signs)
-            if candidate is None:
-                raise AssertionError("recorded cell has empty interior")
-            witness = tuple(candidate)
-        result.append(Cell(signs=tuple(signs), witness=witness))
-    return result
+    return [Cell(signs=tuple(signs), witness=witness) for signs, witness in cells]
 
 
 Constraint = tuple[LinearFunctional, int]

@@ -17,6 +17,7 @@ from .linalg import eval_form, least_squares, residual_quadratic
 from .model import (
     BudgetExceededError,
     Instance,
+    InvariantError,
     ReducedProblem,
     Solution,
     make_solution,
@@ -78,7 +79,10 @@ def brute_force(instance: Instance, max_supports: int = 10**6) -> Solution:
         x[idx] = v
     mu = coeffs[-1] if instance.intercept is not None else None
     solution = make_solution(instance, x, mu, sup)
-    assert solution.objective == res2
+    if solution.objective != res2:
+        raise InvariantError(
+            f"objective {solution.objective} differs from the least-squares residual {res2}"
+        )
     return solution
 
 

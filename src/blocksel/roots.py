@@ -18,6 +18,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .model import InvariantError
+
 IPoly = tuple[int, ...]
 
 
@@ -113,7 +115,8 @@ def ipoly_squarefree(p: IPoly) -> IPoly:
     if len(g) <= 1:
         return p
     quo, rem = _poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in g])
-    assert not any(rem), "gcd must divide the polynomial"
+    if any(rem):
+        raise InvariantError("gcd must divide the polynomial")
     return ipoly_primitive(_frac_polys_to_int(quo))
 
 

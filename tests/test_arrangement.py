@@ -17,7 +17,7 @@ from blocksel.arrangement import (
     sign_at,
 )
 from blocksel.linalg import LinearFunctional
-from blocksel.model import BudgetExceededError
+from blocksel.model import BudgetExceededError, InvariantError
 
 coords = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
@@ -94,6 +94,14 @@ def test_budget_refusal_is_upfront():
     planes = [plane((1, 0), 0), plane((0, 1), 0)]
     with pytest.raises(BudgetExceededError):
         enumerate_cells(planes, 2, max_cells=3)
+
+
+def test_a_cell_with_no_side_of_a_plane_through_its_witness_is_refused(monkeypatch):
+    # The first cell's witness, the origin, lies on the plane x = 0; a
+    # program that finds neither side loses the cell.
+    monkeypatch.setattr(arrangement, "strict_sign_witness", lambda *args: None)
+    with pytest.raises(InvariantError, match="cell lost"):
+        enumerate_cells([plane((1, 0), 0)], 2)
 
 
 def _strictly_inside(region, point):

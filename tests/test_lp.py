@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_lp
 from blocksel.lp import strict_sign_witness
 
 coords = st.fractions(
@@ -74,3 +76,40 @@ def test_witness_matches_interior_point_signs(dim, raw_normals, raw_center):
     for w, c0, s in zip(normals, offsets, signs):
         value = sum(a * b for a, b in zip(w, point)) + c0
         assert value * s > 0
+
+
+def _random_system(rng, dim):
+    """Rows with repeated, opposite and zero normals and random signs."""
+    normals, offsets = [], []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if normals and roll < 0.25:
+            k = rng.randrange(len(normals))
+            factor = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+            w = [factor * v for v in normals[k]]
+        elif roll < 0.35:
+            w = [Fraction(0)] * dim
+        else:
+            w = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+        c0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if not any(w) and c0 == 0:
+            c0 = Fraction(1)
+        normals.append(w)
+        offsets.append(c0)
+    signs = [rng.choice((1, -1)) for _ in normals]
+    return normals, offsets, signs
+
+
+def test_seeded_sweep_agrees_with_the_two_phase_reference():
+    rng = random.Random(20181)
+    answers = {True: 0, False: 0}
+    for _ in range(600):
+        normals, offsets, signs = _random_system(rng, rng.randint(1, 4))
+        point = strict_sign_witness(normals, offsets, signs)
+        want = reference_lp.strict_sign_witness(normals, offsets, signs)
+        assert (point is None) == (want is None)
+        answers[point is not None] += 1
+        if point is not None:
+            for w, c0, s in zip(normals, offsets, signs):
+                assert s * (sum(a * b for a, b in zip(w, point)) + c0) > 0
+    assert min(answers.values()) > 100

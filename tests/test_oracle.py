@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import blocksel.oracle as oracle
 from blocksel.linalg import least_squares
-from blocksel.model import BudgetExceededError, Instance, ReducedProblem
+from blocksel.model import BudgetExceededError, Instance, InvariantError, ReducedProblem
 from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
 from blocksel.solver import solve_block
 
@@ -19,6 +20,16 @@ def test_brute_force_keeps_the_larger_coordinate():
     assert sol.objective == 9
     assert sol.support == (1,)
     assert sol.x == (0, 2)
+
+
+def test_brute_force_refuses_a_residual_its_solution_does_not_reach(monkeypatch):
+    def off_by_one(cols, b):
+        coeffs, res2 = least_squares(cols, b)
+        return coeffs, res2 + 1
+
+    monkeypatch.setattr(oracle, "least_squares", off_by_one)
+    with pytest.raises(InvariantError, match="least-squares residual"):
+        brute_force(diag_instance((1, 2), (3, 4), 1))
 
 
 def test_brute_force_budget_extremes():

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blocksel.roots as roots_module
+from blocksel.model import InvariantError
 from blocksel.roots import (
     AlgebraicNumber,
+    ipoly_squarefree,
     ipoly_eval_sign,
     isolate_real_roots,
     separating_samples,
@@ -15,6 +18,13 @@ from blocksel.roots import (
 small_fracs = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=4
 )
+
+
+def test_squarefree_part_refuses_a_gcd_that_does_not_divide(monkeypatch):
+    # x^2 + 1 is not divisible by a claimed gcd x + 1.
+    monkeypatch.setattr(roots_module, "ipoly_gcd", lambda p, q: (1, 1))
+    with pytest.raises(InvariantError, match="gcd must divide"):
+        ipoly_squarefree((1, 0, 1))
 
 
 def test_isolate_sqrt_two():
