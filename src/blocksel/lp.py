@@ -3,9 +3,10 @@
 The open region {x : s_i (a_i . x + c_i) > 0} is nonempty exactly when the
 homogeneous system s_i (a_i . x + c_i t) >= 1, t >= 1 has a solution
 z = (x, t), and then x / t lies strictly inside the region.  One phase-1
-simplex decides that system.  Each row is scaled to integers and the
-tableau stays integer: it keeps one common denominator, the previous pivot,
-and every division by it is exact (Edmonds, J. Res. NBS 1967; Bareiss,
+simplex decides that system.  Each row is scaled to primitive integers,
+so a row repeated at a positive multiple enters once, and the tableau
+stays integer: it keeps one common denominator, the previous pivot, and
+every division by it is exact (Edmonds, J. Res. NBS 1967; Bareiss,
 Math. Comp. 1968).  Bland's rule prevents cycling.  There is no tolerance
 anywhere.
 """
@@ -30,14 +31,18 @@ def strict_sign_witness(
         return []
     dim = len(normals[0])
 
-    rows: list[list[int]] = []
+    # A positive multiple of a row bounds the same open half-space, so each
+    # integer row is kept in primitive form and only its first occurrence.
+    rows: dict[tuple[int, ...], None] = {}
     for w, c0, s in zip(normals, offsets, signs):
         if s == 0:
             raise ValueError("strict witness needs nonzero signs")
         values = [Fraction(v) * s for v in (*w, c0)]
         scale = math.lcm(*(v.denominator for v in values))
-        rows.append([int(v * scale) for v in values])
-    rows.append([0] * dim + [1])
+        ints = [int(v * scale) for v in values]
+        g = math.gcd(*ints) or 1
+        rows[tuple(v // g for v in ints)] = None
+    rows[(0,) * dim + (1,)] = None
 
     # Row i of the tableau reads a_i + sum_j T[i][j] y_j = T[i][-1], over
     # the free z (columns 0..dim) and the surplus w >= 0 of R z - w = 1.
@@ -45,7 +50,7 @@ def strict_sign_witness(
     # numbered after every column; once it leaves, it is dropped, so its
     # column is never stored.
     m, free = len(rows), dim + 1
-    tab = [row + [-int(i == r) for i in range(m)] + [1] for r, row in enumerate(rows)]
+    tab = [[*row, *(-int(i == r) for i in range(m)), 1] for r, row in enumerate(rows)]
     basis = [free + m + r for r in range(m)]
     sign = [1] * free
     denom = 1

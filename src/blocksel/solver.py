@@ -17,7 +17,8 @@ route() picks one of three candidate generators per subproblem:
 * diagonal: all blocks 1x1 and at most two free parameters.  The optimal
   support is a top slice of the coordinates ranked by |b'(lambda)|, so one
   candidate per ranking suffices, whatever sigma'; rankings are read off
-  the edges of a line arrangement in the plane.
+  the edges of a line arrangement in the plane, walking each line once in
+  integers and re-sorting only the coordinates whose lines cross it.
 * cover: every other subproblem with at most two free parameters.  Argmin
   profiles are read at the witnesses of one conic cover of the plane; the
   allocation work is bounded by MAX_PROFILE_UNIONS.
@@ -251,9 +252,13 @@ def _cover_witnesses(forms, k: int) -> tuple[tuple[Fraction, ...], ...]:
     missing coordinates, so the points cut back to k coordinates still hit
     every region.  Below two parameters no member involves lambda_2, so
     the cover gives one point per strip and the cut points stay distinct.
+    Without parameters the differences are constants, and the empty point
+    is the one witness.
     """
     if k > 2:
         raise ValueError("witness covers require at most two free parameters")
+    if k == 0:
+        return ((),)
     points = conic_cover_points(_in_plane(diff) for diff in _difference_forms(forms))
     return tuple(point[:k] for point in points)
 
@@ -450,13 +455,16 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
     Coordinates sort by squared adjusted right side |b'(lambda)|^2,
     descending, index ascending; coordinates with a zero diagonal entry are
     left out.  Orderings change only across the pairwise difference and sum
-    lines of the b' functionals, where |b'_i| = |b'_j|.  The functionals
-    get zero coefficients up to two parameters, so lambda space is read as
-    the plane: every region of the line arrangement has an edge on some
-    line, so the orderings just off each edge, on both sides, give them all
-    (see _edge_rankings).  Without any line every ordering is constant, and
-    the line lambda_2 = 0 reads it.  More than two free parameters raise
-    ValueError.  Computed once per context.
+    lines of the hittable b' functionals, where |b'_i| = |b'_j|.  The
+    functionals get zero coefficients up to two parameters, so lambda space
+    is read as the plane: every region of the line arrangement has an edge
+    on some line, so the orderings just off each edge, on both sides, give
+    them all.  Each merged line keeps the coordinates of the pairs it
+    carries, and lines are grouped by primitive direction, so a line is
+    walked only against the lines that cross it (none below two free
+    parameters); see _line_rankings.  Without any line every ordering is
+    constant, and the line lambda_2 = 0 reads it.  More than two free
+    parameters raise ValueError.  Computed once per context.
     """
     if ctx.rankings is not None:
         return ctx.rankings
@@ -474,67 +482,106 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
     ]
     scale = math.lcm(*(v.denominator for f in funcs for v in f))
     int_funcs = [tuple(int(v * scale) for v in f) for f in funcs]
-    lines = list(
-        {
-            primitive((p1 + s * p2, q1 + s * q2, r1 + s * r2))
-            for (p1, q1, r1), (p2, q2, r2) in itertools.combinations(int_funcs, 2)
-            for s in (1, -1)
-            if p1 + s * p2 or q1 + s * q2
-        }
-    ) or [(0, 1, 0)]
     hittable = [i for i, blk in enumerate(ctx.base.blocks) if blk.at(0, 0) != 0]
+    carried: dict[tuple[int, ...], set[int]] = {}
+    for i, j in itertools.combinations(hittable, 2):
+        (p1, q1, r1), (p2, q2, r2) = int_funcs[i], int_funcs[j]
+        for s in (1, -1):
+            if p1 + s * p2 or q1 + s * q2:
+                line = primitive((p1 + s * p2, q1 + s * q2, r1 + s * r2))
+                carried.setdefault(line, set()).update((i, j))
+    directions: dict[tuple[int, ...], list] = {}
+    for line, coords in (carried or {(0, 1, 0): set()}).items():
+        directions.setdefault(primitive(line[:2]), []).append((line, coords))
     rankings: set[tuple[int, ...]] = set()
-    for line in lines:
-        rankings.update(_edge_rankings(line, lines, int_funcs, hittable))
+    for direction, group in directions.items():
+        crossing = [
+            entry
+            for other, entries in directions.items()
+            if other != direction
+            for entry in entries
+        ]
+        for line, _ in group:
+            rankings.update(_line_rankings(line, crossing, int_funcs, hittable))
     ctx.rankings = tuple(sorted(rankings))
     return ctx.rankings
 
 
-def _edge_rankings(line, lines, int_funcs, hittable) -> set[tuple[int, ...]]:
+def _line_rankings(line, crossing, int_funcs, hittable) -> set[tuple[int, ...]]:
     """Orderings just off each edge of one line, on both sides.
 
-    The line a x + b y + c = 0 is walked as P(t) = base + t (-b, a); its
-    crossings with the other lines cut it into edges, and each edge is read
-    at one interior parameter.  Along the normal n = (a, b), a functional
-    with value v at that point and slope s = f . n has square
+    The line a x + b y + c = 0 is walked as P(t) = base + t (-b, a); the
+    lines of crossing, each with the coordinates of the pairs it carries,
+    cut it at parameters t = n / d with 0 < d <= D.  With M = 2 D^2 the
+    integer key floor(n M / d) orders the crossings and tells distinct ones
+    apart by at least 2, so the edge after the crossing of key K is read
+    at (K + 1) / M and the first edge at (K_0 - 1) / M: every anchor shares
+    the denominator M.  Along the normal n = (a, b), a functional with
+    value v at that point and slope s = f . n has square
     v^2 + 2 e v s + e^2 s^2 at offset e n, so for small e > 0 the ordering
     on the + side compares (v^2, v s, s^2) lexicographically and on the -
     side (v^2, -v s, s^2).  Values are scaled by one positive integer per
-    point, which keeps every comparison.  Lines and int_funcs entries are
-    integer triples (a, b, c) of a x + b y + c.
+    point, which keeps every comparison.
+
+    Both orderings are sorted once, at the first edge.  Past a crossing
+    only the coordinates of the lines through it are sorted again, into
+    the positions they held: every other coordinate has a different |b'|
+    there, so its order against them stays.  Lines and int_funcs entries
+    are integer triples (a, b, c) of a x + b y + c.
     """
     a, b, c = line
     g = b if b != 0 else a  # base has denominator g
     sign, mag = (1, g) if g > 0 else (-1, -g)
-    params = set()
-    for a2, b2, c2 in lines:
-        det = a * b2 - b * a2
-        if det != 0:
-            at_base = c2 * b - b2 * c if b != 0 else c2 * a - a2 * c
-            params.add(Fraction(-at_base, g * det))
-    params = sorted(params)
-    if params:
-        anchors = [params[0] - 1]
-        anchors += [(u + v) / 2 for u, v in zip(params, params[1:])]
-        anchors.append(params[-1] + 1)
-    else:
-        anchors = [Fraction(0)]
+    swaps: dict[int, set[int]] = {}
+    w, u = 1, 0
+    if crossing:
+        hits = []
+        for (a2, b2, c2), coords in crossing:
+            n = b2 * c - c2 * b if b != 0 else a2 * c - c2 * a
+            d = g * (a * b2 - b * a2)
+            hits.append((n, d, coords) if d > 0 else (-n, -d, coords))
+        w = 2 * max(d for _, d, _ in hits) ** 2
+        for n, d, coords in hits:
+            swaps.setdefault(n * w // d, set()).update(coords)
+        u = min(swaps) - 1
     # f(P(t)) * |g| * w = A w + B u for t = u / w.  Keys sort ascending,
     # so every component of the descending comparison is negated.
-    rows = []
+    rows = {}
     for i in hittable:
         p, q, r = int_funcs[i]
         at_base = r * b - q * c if b != 0 else r * a - p * c
         s = p * a + q * b
-        rows.append((sign * at_base, (q * a - p * b) * mag, s, -s * s, i))
-    out = set()
-    for t in anchors:
-        u, w = t.numerator, t.denominator
-        vals = [(big_a * w + big_b * u, s, ss, i) for big_a, big_b, s, ss, i in rows]
-        plus = sorted([(-v * v, -v * s, ss, i) for v, s, ss, i in vals])
-        minus = sorted([(-v * v, v * s, ss, i) for v, s, ss, i in vals])
-        out.add(tuple(key[3] for key in plus))
-        out.add(tuple(key[3] for key in minus))
+        rows[i] = (sign * at_base * w, (q * a - p * b) * mag, s, -s * s)
+
+    def keys(coords, u):
+        plus, minus = [], []
+        for i in coords:
+            big_a, big_b, s, ss = rows[i]
+            v = big_a + big_b * u
+            vv, vs = -v * v, v * s
+            plus.append((vv, -vs, ss, i))
+            minus.append((vv, vs, ss, i))
+        plus.sort()
+        minus.sort()
+        return plus, minus
+
+    sides = []
+    for ordered in keys(hittable, u):
+        order = [key[3] for key in ordered]
+        sides.append((order, {i: slot for slot, i in enumerate(order)}))
+    out = {tuple(order) for order, _ in sides}
+    for at in sorted(swaps):
+        coords = swaps[at]
+        for (order, slot_of), ordered in zip(sides, keys(coords, at + 1)):
+            moved = False
+            for slot, key in zip(sorted(slot_of[i] for i in coords), ordered):
+                i = key[3]
+                if order[slot] != i:
+                    order[slot] = i
+                    slot_of[i] = slot
+                    moved = True
+            if moved:
+                out.add(tuple(order))
     return out
 
 

@@ -101,13 +101,24 @@ def _random_system(rng, dim):
 
 
 def test_seeded_sweep_agrees_with_the_two_phase_reference():
+    # Each system is solved again with every row appended at a positive
+    # multiple; a repeated row enters the program once, so the point is
+    # the same.
     rng = random.Random(20181)
+    factors = random.Random(20182)
     answers = {True: 0, False: 0}
     for _ in range(600):
         normals, offsets, signs = _random_system(rng, rng.randint(1, 4))
         point = strict_sign_witness(normals, offsets, signs)
         want = reference_lp.strict_sign_witness(normals, offsets, signs)
         assert (point is None) == (want is None)
+        scaled = [Fraction(factors.randint(1, 5), factors.randint(1, 3)) for _ in signs]
+        repeated = strict_sign_witness(
+            normals + [[f * v for v in w] for f, w in zip(scaled, normals)],
+            offsets + [f * c0 for f, c0 in zip(scaled, offsets)],
+            signs + signs,
+        )
+        assert repeated == point
         answers[point is not None] += 1
         if point is not None:
             for w, c0, s in zip(normals, offsets, signs):

@@ -8,6 +8,7 @@ import pytest
 
 import blocksel.solver as solver
 import reference_cover
+import reference_diagonal
 import reference_extended
 from reference_separable import diag_greedy
 from blocksel.cover import conic_cover_points
@@ -483,6 +484,41 @@ def test_edge_rankings_match_rankings_at_cover_witnesses():
             values = [(u0 * x + u1 * y + c) ** 2 for (u0, u1), c in funcs]
             expected.add(tuple(sorted(hittable, key=lambda i: (-values[i], i))))
         assert set(solver._diag_rankings(solver._context(rp))) == expected
+
+
+def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
+    # Entries from -2..2 make lines merge, coincide and meet three or more
+    # at a point, and leave some diagonal entries zero.  The last rounds
+    # have the shape of the diag-k2 benchmark documents: h = 10 to 12, two
+    # coupling columns and entries p/q with |p|, q <= 5.
+    rng = random.Random(47)
+
+    def small():
+        return rng.randint(-2, 2)
+
+    def entry():
+        return Fraction(rng.randint(1, 5) * rng.choice((-1, 1)), rng.randint(1, 5))
+
+    rounds = [
+        (k, intercept, rng.randint(2, 8), small)
+        for _ in range(16)
+        for k in range(3)
+        for intercept in (False, True)
+        if k or not intercept
+    ]
+    rounds += [(2, False, h, entry) for h in (10, 11, 12)]
+    for k, intercept, h, draw in rounds:
+        pinned = k - intercept
+        cols = [[1] * h] if intercept else []
+        cols += [[draw() for _ in range(h)] for _ in range(pinned)]
+        rp = rp_1x1(
+            [draw() for _ in range(h)],
+            [draw() for _ in range(h)],
+            lambda_cols=cols,
+            tags=("mu",) * intercept + tuple(range(pinned)),
+        )
+        ctx = solver._context(rp)
+        assert solver._diag_rankings(ctx) == reference_diagonal.diag_rankings(ctx)
 
 
 def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch):
