@@ -437,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cells_help = f"cell and chain region budget (default {DEFAULT_MAX_CELLS}, env BLOCKSEL_MAX_CELLS)"
+    cells_help = (
+        "support and chain region budget of the extended path "
+        f"(default {DEFAULT_MAX_CELLS}, env BLOCKSEL_MAX_CELLS)"
+    )
     oracle_help = f"support enumeration budget (default {DEFAULT_MAX_ORACLE}, env BLOCKSEL_MAX_ORACLE)"
 
     ps = sub.add_parser("solve", help="solve an instance exactly")

@@ -275,26 +275,6 @@ class LinearFunctional:
     def is_zero(self) -> bool:
         return self.const == 0 and all(c == 0 for c in self.coeffs)
 
-    def canonical(self) -> "LinearFunctional":
-        """Scale so coefficients are coprime integers, first nonzero positive."""
-        values = list(self.coeffs) + [self.const]
-        nonzero = [v for v in values if v != 0]
-        if not nonzero:
-            return self
-        from math import gcd
-
-        den = 1
-        for v in values:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in values]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        lead = next(v for v in ints if v != 0)
-        sign = -1 if lead < 0 else 1
-        ints = [v // (g * sign) for v in ints]
-        return LinearFunctional(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
-
 
 def quadratic_minimum(form: QuadraticForm) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact global minimum of a positive-semidefinite quadratic form.

@@ -23,17 +23,19 @@ route() picks one of three candidate generators per subproblem:
   profiles are read at the witnesses of one conic cover of the plane; the
   allocation work is bounded by MAX_PROFILE_UNIONS.
 * extended: three or more free parameters.  The comparisons are lifted to
-  linear hyperplanes over the coordinates (lambda, pairwise products of
-  lambda) and arrangement cells are enumerated exactly; each cell is then
-  split into the regions where the incremental allocation chain makes the
-  same choices, found by walking the chain as a tree.  It has no
+  linear functionals over the coordinates (lambda, pairwise products of
+  lambda), and the space is split exactly into support regions, where
+  every (block, cardinality) slot has one winner, by the argmin of each
+  slot's functionals; each support region is then split into the regions
+  where the incremental allocation chain makes the same choices, found by
+  walking the chain as a tree with the same argmin step.  It has no
   parameter-count limit and doubles as a cross-check.
 
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
 
 Everything that does not depend on sigma' (residual forms, argmin
-profiles, rankings, planes, candidate values) lives in one context per
+profiles, rankings, candidate values) lives in one context per
 subproblem, held in a cache of MAX_CONTEXTS entries so that a sigma sweep
 over the same data reuses it.
 """
@@ -48,13 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .arrangement import (
-    Cell,
-    Hyperplane,
-    argmin_regions,
-    enumerate_cells,
-    merge_hyperplanes,
-)
+from .arrangement import argmin_regions
 from .cover import conic_cover_points, primitive
 from .linalg import (
     LinearFunctional,
@@ -101,13 +97,6 @@ class RpSolution:
     lam: tuple[Fraction, ...]
     objective: Fraction
     support: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SupportTable:
-    """Winning support per (block, cardinality) slot inside one cell."""
-
-    selections: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def reduce(instance: Instance) -> list[ReducedProblem]:
@@ -195,9 +184,9 @@ class _Context:
     """Sigma-independent data of one subproblem, shared by every budget.
 
     The residual forms, their lookup table and the column offsets are built
-    up front; the cover profiles, diagonal rankings and support planes are
-    filled in by the first path that needs them, and candidate values as
-    candidates get scored.
+    up front; the cover profiles and diagonal rankings are filled in by the
+    first path that needs them, and candidate values as candidates get
+    scored.
     """
 
     base: ReducedProblem
@@ -209,7 +198,6 @@ class _Context:
     witness_count: int = 0
     profiles: tuple | None = None
     rankings: tuple | None = None
-    planes: tuple[Hyperplane, ...] | None = None
 
 
 @lru_cache(maxsize=MAX_CONTEXTS)
@@ -317,18 +305,6 @@ def _argmins_at(int_rows, witness: Sequence[Fraction]) -> tuple:
     )
 
 
-def _argmins_extended(forms, point: Sequence[Fraction]) -> tuple:
-    """Winning support per (block, cardinality) at an extended-space point."""
-    table = []
-    for rows in forms:
-        per_size = tuple(
-            min(row, key=lambda sf: (linearize(sf[1]).eval(point), sf[0]))[0]
-            for row in rows
-        )
-        table.append(per_size)
-    return tuple(table)
-
-
 def _cover_profiles(ctx: _Context) -> tuple:
     """Distinct argmin profiles over the cover witnesses, computed once."""
     if ctx.profiles is None:
@@ -386,16 +362,27 @@ def _cover_pool(ctx: _Context, limit: int) -> CandidateSet:
 def _candidate_value(
     ctx: _Context, chi: tuple[int, ...]
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact minimum over lambda of one candidate's residual form."""
+    """Exact minimum over lambda of one candidate's residual form.
+
+    The form is the entry-wise sum of the blocks' forms, built once.
+    """
     hit = ctx.values.get(chi)
     if hit is None:
         offsets = ctx.offsets
-        total = QuadraticForm.zero(ctx.base.k_prime)
-        for i, lookup in enumerate(ctx.lookup):
-            local = tuple(
-                c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1]
-            )
-            total = total.add(lookup[local])
+        forms = [
+            lookup[
+                tuple(c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1])
+            ]
+            for i, lookup in enumerate(ctx.lookup)
+        ]
+        total = QuadraticForm(
+            ctx.base.k_prime,
+            tuple(
+                tuple(map(sum, zip(*rows))) for rows in zip(*(f.p for f in forms))
+            ),
+            tuple(map(sum, zip(*(f.r for f in forms)))),
+            sum(f.s0 for f in forms),
+        )
         hit = ctx.values[chi] = quadratic_minimum(total)
     return hit
 
@@ -608,42 +595,52 @@ def solve_diagonal(rp: ReducedProblem) -> tuple[CandidateSet, RpSolution]:
 # --- general blocks ---------------------------------------------------------
 
 
-def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
-    """Hyperplanes of the same-cardinality comparisons in extended space."""
-    ctx = _context(base)
-    if ctx.planes is not None:
-        return ctx.planes
-    # A difference with no variable part keeps one sign: no surface to cross.
-    funcs = map(linearize, _difference_forms(ctx.forms))
-    ctx.planes = tuple(merge_hyperplanes([f for f in funcs if any(f.coeffs)]))
-    return ctx.planes
+def _support_regions(ctx: _Context, max_cells: int) -> list:
+    """Open regions of extended space on which every slot has one winner.
 
-
-def build_support_tables(
-    rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
-) -> tuple[list[Cell], list[SupportTable]]:
-    """Cells of the lifted comparison arrangement with their argmin tables.
-
-    The comparison surfaces are quadratic in lambda but linear over the
-    extended coordinates (lambda, then pairwise products), so cells come
-    from exact hyperplane enumeration there.  Within a cell every
-    comparison keeps one sign, fixing a winning support per
-    (block, cardinality) slot.
+    The residual comparisons are quadratic in lambda but linear over the
+    extended coordinates (lambda, then pairwise products).  Each
+    (block, cardinality) slot groups its supports by linearized form and
+    keeps the first of each group, the lexicographically smallest; starting
+    from the whole space, every region is split by argmin_regions over the
+    slot's group functionals, so a slot with one group splits nothing.
+    Returns (constraints, witness, selections) per region, selections[i][j]
+    being the winning support of block i at size j.  Regions count against
+    max_cells as they grow.
     """
-    base = _strip_budget(rp)
-    planes = _support_planes(base)
-    cells = enumerate_cells(planes, extended_dim(rp.k_prime), max_cells=max_cells)
-    forms = _context(base).forms
-    tables = [SupportTable(_argmins_extended(forms, cell.witness)) for cell in cells]
-    return cells, tables
+    regions = [([], (Fraction(0),) * extended_dim(ctx.base.k_prime), ())]
+    for rows in ctx.forms:
+        for row in rows:
+            groups: dict[LinearFunctional, tuple[int, ...]] = {}
+            for sup, form in row:
+                groups.setdefault(linearize(form), sup)
+            funcs = list(groups)
+            split = []
+            for constraints, witness, picks in regions:
+                children = argmin_regions(funcs, constraints, witness)
+                for sup, child in zip(groups.values(), children):
+                    if child is not None:
+                        split.append((*child, picks + (sup,)))
+            regions = split
+            if len(regions) > max_cells:
+                raise BudgetExceededError(
+                    f"support regions reached {len(regions)}, over the budget "
+                    f"of {max_cells}"
+                )
+    out = []
+    for constraints, witness, picks in regions:
+        it = iter(picks)
+        selections = tuple(tuple(next(it) for _ in rows) for rows in ctx.forms)
+        out.append((constraints, witness, selections))
+    return out
 
 
 def _extended_candidates(
     rp: ReducedProblem, max_cells: int
 ) -> tuple[CandidateSet, int]:
-    """Candidates and chain-region count from the extended-space arrangement.
+    """Candidates and chain-region count from the extended-space regions.
 
-    In each support cell the winning supports fix a value functional per
+    In each support region the winning supports fix a value functional per
     (block, cardinality) slot.  The incremental chain climbs from the zero
     allocation to level min(sigma', n), each step to the cheapest target of
     aug_set, ties to the lexicographically smallest; a step's exchange
@@ -651,21 +648,19 @@ def _extended_candidates(
     total.  The chain is walked as a tree whose node is an open region, a
     witness in it and the allocation reached; its children are the targets
     whose totals are strictly smallest somewhere in the region.  The leaves
-    fill the cell up to finitely many hyperplanes, the chain's outcome is
-    constant on each, and each contributes its support.  Leaves count
-    against max_cells.
+    fill the support region up to finitely many hyperplanes, the chain's
+    outcome is constant on each, and each contributes its support.  Leaves
+    count against max_cells.
     """
     ctx = _context(_strip_budget(rp))
-    planes = _support_planes(ctx.base)
-    cells, tables = build_support_tables(rp, max_cells=max_cells)
     structure = rp.structure()
     level = min(rp.sigma_p, rp.n_total)
     regions = 0
     candidates: CandidateSet = set()
-    for cell, table in zip(cells, tables):
+    for root, start, selections in _support_regions(ctx, max_cells):
         slots = [
             [linearize(ctx.lookup[i][sup]) for sup in per_size]
-            for i, per_size in enumerate(table.selections)
+            for i, per_size in enumerate(selections)
         ]
 
         def total(alloc: tuple[int, ...]) -> LinearFunctional:
@@ -673,8 +668,7 @@ def _extended_candidates(
             coeffs = tuple(map(sum, zip(*(f.coeffs for f in parts))))
             return LinearFunctional(coeffs, sum(f.const for f in parts))
 
-        root = [(hp.functional, sign) for hp, sign in zip(planes, cell.signs)]
-        stack = [(root, cell.witness, (0,) * len(slots))]
+        stack = [(root, start, (0,) * len(slots))]
         while stack:
             region, witness, alloc = stack.pop()
             if sum(alloc) == level:
@@ -686,7 +680,7 @@ def _extended_candidates(
                     )
                 chi: list[int] = []
                 for i, j in enumerate(alloc):
-                    chi.extend(ctx.offsets[i] + c for c in table.selections[i][j])
+                    chi.extend(ctx.offsets[i] + c for c in selections[i][j])
                 candidates.add(tuple(sorted(chi)))
                 continue
             # aug_set lists targets in lexicographic order, so each group of
@@ -752,7 +746,7 @@ def solve_block(
     route() picks the generator for method.  A stats dict, when given,
     receives the path taken and its region count: distinct rankings on
     the diagonal path, witnesses on cover, chain regions (the leaves of
-    the chain tree, summed over the support cells) on extended.
+    the chain tree, summed over the support regions) on extended.
     """
     path = route(rp, method)
     ctx = _context(_strip_budget(rp))

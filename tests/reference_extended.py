@@ -7,6 +7,13 @@ whole symbolic exchange set D (the symbolic mode of build_d), cell by cell
 through enumerate_cells restricted to the support cell, and the incremental
 chain ran at every refined witness.  Tests compare the solver's extended
 candidates against extended_candidates.
+
+The support cells come from SupportTable, build_support_tables,
+_support_planes and _argmins_extended, the library's support step before
+it split by argmin regions: every same-cardinality comparison hyperplane is
+inserted by reference_arrangement.enumerate_cells, and each cell reads its
+winners at its witness.  _support_planes no longer caches its planes on the
+solver's context.
 """
 
 from __future__ import annotations
@@ -16,24 +23,73 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from blocksel.arrangement import (
+import reference_arrangement
+from blocksel.linalg import LinearFunctional, QuadraticForm, extended_dim, linearize
+from blocksel.lp import strict_sign_witness
+from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
+from blocksel.separable import ValTable, _enumerate_patterns, chain_solve
+from blocksel.solver import (
+    DEFAULT_MAX_CELLS,
+    CandidateSet,
+    _context,
+    _difference_forms,
+    _strip_budget,
+)
+from reference_arrangement import (
     Cell,
     Hyperplane,
     merge_hyperplanes,
     predicted_cell_bound,
     sign_at,
 )
-from blocksel.linalg import LinearFunctional, QuadraticForm, extended_dim, linearize
-from blocksel.lp import strict_sign_witness
-from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
-from blocksel.separable import ValTable, _enumerate_patterns, chain_solve
-from blocksel.solver import (
-    CandidateSet,
-    _context,
-    _strip_budget,
-    _support_planes,
-    build_support_tables,
-)
+
+
+@dataclass(frozen=True)
+class SupportTable:
+    """Winning support per (block, cardinality) slot inside one cell."""
+
+    selections: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _argmins_extended(forms, point: Sequence[Fraction]) -> tuple:
+    """Winning support per (block, cardinality) at an extended-space point."""
+    table = []
+    for rows in forms:
+        per_size = tuple(
+            min(row, key=lambda sf: (linearize(sf[1]).eval(point), sf[0]))[0]
+            for row in rows
+        )
+        table.append(per_size)
+    return tuple(table)
+
+
+def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
+    """Hyperplanes of the same-cardinality comparisons in extended space."""
+    ctx = _context(base)
+    # A difference with no variable part keeps one sign: no surface to cross.
+    funcs = map(linearize, _difference_forms(ctx.forms))
+    return tuple(merge_hyperplanes([f for f in funcs if any(f.coeffs)]))
+
+
+def build_support_tables(
+    rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
+) -> tuple[list[Cell], list[SupportTable]]:
+    """Cells of the lifted comparison arrangement with their argmin tables.
+
+    The comparison surfaces are quadratic in lambda but linear over the
+    extended coordinates (lambda, then pairwise products), so cells come
+    from exact hyperplane enumeration there.  Within a cell every
+    comparison keeps one sign, fixing a winning support per
+    (block, cardinality) slot.
+    """
+    base = _strip_budget(rp)
+    planes = _support_planes(base)
+    cells = reference_arrangement.enumerate_cells(
+        planes, extended_dim(rp.k_prime), max_cells=max_cells
+    )
+    forms = _context(base).forms
+    tables = [SupportTable(_argmins_extended(forms, cell.witness)) for cell in cells]
+    return cells, tables
 
 
 @dataclass(frozen=True)

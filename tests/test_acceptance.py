@@ -14,13 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from blocksel.arrangement import (
-    Hyperplane,
-    enumerate_cells,
-    ext,
-    predicted_cell_bound,
-    sign_at,
-)
 from blocksel.linalg import (
     LinearFunctional,
     eval_form,
@@ -39,10 +32,17 @@ from blocksel.separable import (
     dp_solve,
 )
 from blocksel.solver import (
+    DEFAULT_MAX_CELLS,
+    _context,
     _strip_budget,
-    _support_planes,
-    build_support_tables,
+    _support_regions,
     solve,
+)
+from reference_arrangement import (
+    Hyperplane,
+    enumerate_cells,
+    ext,
+    predicted_cell_bound,
 )
 
 
@@ -339,8 +339,9 @@ def test_criterion_7_cell_closure_coverage():
     with criterion(7):
         rng = random.Random(707)
         for rp in coverage_problems():
-            cells, tables = build_support_tables(rp)
-            planes = _support_planes(_strip_budget(rp))
+            regions = _support_regions(
+                _context(_strip_budget(rp)), DEFAULT_MAX_CELLS
+            )
             pieces = []
             r0 = 0
             for blk in rp.blocks:
@@ -359,19 +360,16 @@ def test_criterion_7_cell_closure_coverage():
                     for _ in range(rp.k_prime)
                 )
                 point = ext(lam)
-                signs = [sign_at(hp.functional, point) for hp in planes]
                 expected, _ = fixed_lambda_opt(rp, lam)
                 hit = False
-                for cell, table in zip(cells, tables):
-                    if any(
-                        s != 0 and s != c for s, c in zip(signs, cell.signs)
-                    ):
+                for constraints, _, selections in regions:
+                    if any(s * f.eval(point) < 0 for f, s in constraints):
                         continue
                     hit = True
                     rows_vals = []
                     for i, (blk, b_piece, lam_pieces) in enumerate(pieces):
                         row = []
-                        for j, sup in enumerate(table.selections[i]):
+                        for j, sup in enumerate(selections[i]):
                             form = form_cache.get((i, sup))
                             if form is None:
                                 form = residual_quadratic(
@@ -382,7 +380,7 @@ def test_criterion_7_cell_closure_coverage():
                         rows_vals.append(tuple(row))
                     _, value = dp_solve(ValTable(tuple(rows_vals)), level)
                     assert value == expected
-                assert hit, "ext(lambda) missed every cell closure"
+                assert hit, "ext(lambda) missed every region closure"
 
 
 def test_criterion_8_budget_monotonicity_and_full_relaxation():

