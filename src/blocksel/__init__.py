@@ -20,9 +20,9 @@ from .model import (
     residual_norm2,
     validate,
 )
-from .oracle import brute_force, brute_force_levels, fixed_lambda_opt
-from .separable import ValTable, aug_set, build_d, chain_solve, dp_solve
+from .oracle import brute_force, brute_force_levels
 from .solver import (
+    aug_set,
     reduce,
     solve,
     solve_block,
@@ -39,14 +39,9 @@ __all__ = [
     "RatMatrix",
     "ReducedProblem",
     "Solution",
-    "ValTable",
     "aug_set",
     "brute_force",
     "brute_force_levels",
-    "build_d",
-    "chain_solve",
-    "dp_solve",
-    "fixed_lambda_opt",
     "format_rational",
     "make_solution",
     "parse_rational",

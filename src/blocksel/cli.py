@@ -1,10 +1,10 @@
 """Command line for the exact block-structured subset selector.
 
 Subcommands: solve an instance file, get the brute-force reference answer,
-compare the two, generate seeded random instances, and print a small
-timing table.  Instances travel as JSON documents (see load_instance for
-the schema); all reported indices are 1-based.  Exit codes: 0 success,
-1 input error, 2 budget exceeded, 3 compare mismatch.
+compare the two, and generate seeded random instances.  Instances travel as
+JSON documents (see load_instance for the schema); all reported indices are
+1-based.  Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 compare
+mismatch.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -390,40 +389,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-BENCH_CASES = (
-    ("diag-tall", "auto", dict(blocks=8, block_rows=1, block_cols=1, coupling=1, intercept=False, sigma=3, seed=11, spread=5)),
-    ("diag-conic", "auto", dict(blocks=6, block_rows=1, block_cols=1, coupling=2, intercept=False, sigma=2, seed=12, spread=5)),
-    ("blocks-cover", "auto", dict(blocks=3, block_rows=2, block_cols=2, coupling=1, intercept=True, sigma=2, seed=13, spread=3)),
-    ("blocks-lifted", "extended", dict(blocks=2, block_rows=2, block_cols=2, coupling=2, intercept=False, sigma=2, seed=14, spread=3)),
-)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        max_cells = _budget(args.max_cells, "BLOCKSEL_MAX_CELLS", DEFAULT_MAX_CELLS)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    print(f"{'name':<16}{'d':>4}{'sigma':>7}{'objective':>16}{'candidates':>12}{'seconds':>9}")
-    for name, method, params in BENCH_CASES:
-        instance = generate_instance(**params)
-        start = time.perf_counter()
-        try:
-            solution, report = solve_detailed(
-                instance, max_cells=max_cells, method=method
-            )
-        except BudgetExceededError as exc:
-            print(f"{name}: budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        elapsed = time.perf_counter() - start
-        scored = sum(entry["candidates"] for entry in report)
-        value = format_rational(solution.objective)
-        print(
-            f"{name:<16}{instance.d:>4}{instance.sigma:>7}{value:>16}{scored:>12}{elapsed:>9.3f}"
-        )
-    return EXIT_OK
-
-
 # --- entry point -------------------------------------------------------------
 
 
@@ -489,10 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pg.add_argument("-o", "--output", default="-", help="output file (default stdout)")
     pg.set_defaults(func=cmd_gen)
-
-    pb = sub.add_parser("bench", help="timing table over fixed seeded instances")
-    pb.add_argument("--max-cells", type=int, default=None, help=cells_help)
-    pb.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .linalg import QuadraticForm
@@ -207,7 +206,6 @@ def _y_view(conic: Conic) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     return ((c,), (e, b), (f, d, a))
 
 
-@lru_cache(maxsize=4096)
 def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:
     """Resultant of two conics with respect to y: an integer polynomial in x."""
     d1, d2 = _y_degree(c1), _y_degree(c2)

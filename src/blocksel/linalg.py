@@ -148,16 +148,6 @@ class QuadraticForm:
                 if self.p[i][j] != self.p[j][i]:
                     raise ValueError("P must be symmetric")
 
-    @classmethod
-    def zero(cls, dim: int) -> "QuadraticForm":
-        z = Fraction(0)
-        return cls(
-            dim,
-            tuple(tuple(z for _ in range(dim)) for _ in range(dim)),
-            tuple(z for _ in range(dim)),
-            z,
-        )
-
     def add(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check(other)
         return QuadraticForm(
@@ -271,9 +261,6 @@ class LinearFunctional:
         if len(point) != len(self.coeffs):
             raise ValueError("point has wrong dimension")
         return sum((c * x for c, x in zip(self.coeffs, point)), self.const)
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and all(c == 0 for c in self.coeffs)
 
 
 def quadratic_minimum(form: QuadraticForm) -> tuple[Fraction, tuple[Fraction, ...]]:

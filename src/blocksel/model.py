@@ -146,7 +146,7 @@ class BlockStructure:
     """Shape summary of the block-diagonal part.
 
     theta is the widest block; theta_bar = (theta-1)*theta*(theta+1)/2 is the
-    proximity radius used by the separable machinery.
+    proximity radius that bounds the chain's exchange steps (solver.aug_set).
     """
 
     h: int
@@ -227,10 +227,6 @@ class Instance:
     def d(self) -> int:
         """Number of selectable variables: block columns plus coupling columns."""
         return self.n_total + self.k
-
-    @property
-    def has_intercept(self) -> bool:
-        return self.intercept is not None
 
     def structure(self) -> BlockStructure:
         return BlockStructure(self.h, tuple(blk.cols for blk in self.blocks))

@@ -1,9 +1,10 @@
-"""Reference solvers that certify the main pipeline at small scale.
+"""Brute-force reference solvers that certify the main pipeline at small scale.
 
 Nothing here shares candidate generation with the solver module: brute
-force enumerates supports directly and the fixed-parameter reference only
-reuses the exact least squares and allocation primitives.  Agreement
-between the two stacks is what the test suite leans on.
+force enumerates every support directly and reuses only the exact least
+squares.  brute_force answers one budget, brute_force_levels every budget
+from one enumeration.  Agreement between the two stacks is what the test
+suite, the compare command and the benchmark lean on.
 """
 
 from __future__ import annotations
@@ -11,19 +12,17 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .linalg import eval_form, least_squares, residual_quadratic
+from .linalg import least_squares
 from .model import (
     BudgetExceededError,
     Instance,
     InvariantError,
-    ReducedProblem,
     Solution,
     make_solution,
     validate,
 )
-from .separable import ValTable, dp_solve
 
 
 def _all_columns(instance: Instance) -> list[tuple[Fraction, ...]]:
@@ -134,47 +133,3 @@ def brute_force_levels(
         out.append(make_solution(instance, x, mu, sup))
     return out
 
-
-def fixed_lambda_opt(
-    rp: ReducedProblem, lam: Sequence[Fraction]
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Optimal value and support of a subproblem at pinned parameters.
-
-    Builds the per-block table of best residuals per cardinality at lam and
-    solves the allocation by dynamic programming.  Independent of the
-    geometric candidate machinery, so it doubles as its referee.
-    """
-    if len(lam) != rp.k_prime:
-        raise ValueError("lambda must have one entry per free column")
-    offset = 0
-    rows_values: list[tuple[Fraction, ...]] = []
-    rows_supports: list[tuple[tuple[int, ...], ...]] = []
-    for blk in rp.blocks:
-        rows = range(offset, offset + blk.rows)
-        b_piece = tuple(rp.b[r] for r in rows)
-        lam_pieces = tuple(tuple(col[r] for r in rows) for col in rp.lambda_cols)
-        values: list[Fraction] = []
-        supports: list[tuple[int, ...]] = []
-        for j in range(blk.cols + 1):
-            best_val = None
-            best_sup: tuple[int, ...] = ()
-            for sup in itertools.combinations(range(blk.cols), j):
-                form = residual_quadratic(blk, b_piece, lam_pieces, sup)
-                val = eval_form(form, lam)
-                if best_val is None or (val, sup) < (best_val, best_sup):
-                    best_val, best_sup = val, sup
-            assert best_val is not None
-            values.append(best_val)
-            supports.append(best_sup)
-        rows_values.append(tuple(values))
-        rows_supports.append(tuple(supports))
-        offset += blk.rows
-    table = ValTable(tuple(rows_values))
-    level = min(rp.sigma_p, table.structure().n_total)
-    alloc, value = dp_solve(table, level)
-    support: list[int] = []
-    col_offset = 0
-    for i, blk in enumerate(rp.blocks):
-        support.extend(col_offset + c for c in rows_supports[i][alloc[i]])
-        col_offset += blk.cols
-    return value, tuple(sorted(support))

@@ -4,8 +4,8 @@ The conic cover needs, for a batch of low-degree polynomials, the sorted distinc
 real roots plus rational sample points strictly between consecutive roots.
 Roots are kept as exact objects: either a rational value or a squarefree
 integer polynomial with an isolating interval that can be refined on demand.
-Comparisons, deduplication and separator selection are all decided exactly;
-floats never influence a result.
+Root order, comparisons, deduplication and separator selection are all
+decided exactly; no float is ever computed.
 
 Polynomials are coefficient tuples in increasing degree order, so (c, b, a)
 is a x^2 + b x + c.  Positive scaling is ignored everywhere, which lets the
@@ -196,11 +196,6 @@ class AlgebraicNumber:
     def interval_root(cls, poly: IPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
         return cls(poly=poly, lo=lo, hi=hi)
 
-    def approx(self) -> float:
-        if self.value is not None:
-            return float(self.value)
-        return float((self.lo + self.hi) / 2)
-
     def refine(self) -> None:
         if self.value is not None:
             return
@@ -279,7 +274,11 @@ def _root_bound(p: IPoly) -> Fraction:
 
 
 def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
-    """All distinct real roots of a nonzero integer polynomial, sorted."""
+    """All distinct real roots of a nonzero integer polynomial, in increasing order.
+
+    Bisection emits the roots left to right, a rational midpoint root between
+    the roots of its two halves, so no sort is needed.
+    """
     p = ipoly_squarefree(ipoly_normalize(tuple(poly)))
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -303,7 +302,6 @@ def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
             return
         mid = (a + b) / 2
         if ipoly_eval_sign(p, mid) == 0:
-            roots.append(AlgebraicNumber.rational(mid))
             # Shrink a hole around mid until it isolates only that root.
             w = (b - a) / 4
             while True:
@@ -315,8 +313,8 @@ def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
                 ):
                     break
                 w /= 2
-            left = sturm_count(p, a, m_lo, chain)
-            recurse(a, m_lo, left)
+            recurse(a, m_lo, sturm_count(p, a, m_lo, chain))
+            roots.append(AlgebraicNumber.rational(mid))
             recurse(m_hi, b, sturm_count(p, m_hi, b, chain))
             return
         left = sturm_count(p, a, mid, chain)
@@ -324,21 +322,7 @@ def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
         recurse(mid, b, count - left)
 
     recurse(lo, hi, sturm_count(p, lo, hi, chain))
-    roots.sort(key=lambda r: r.approx())
-    # Approximate sort is fine here: isolation intervals of the same
-    # polynomial are pairwise disjoint, so midpoints order correctly once
-    # rational roots are inside no interval.  Guard with an exact pass.
-    for i in range(len(roots) - 1):
-        if roots[i].cmp(roots[i + 1]) >= 0:
-            roots.sort(key=_exact_sort_key(roots))
-            break
     return roots
-
-
-def _exact_sort_key(roots: list[AlgebraicNumber]):
-    import functools
-
-    return functools.cmp_to_key(lambda a, b: a.cmp(b))
 
 
 def _quadratic_roots(p: IPoly) -> list[AlgebraicNumber]:

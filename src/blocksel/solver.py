@@ -28,8 +28,11 @@ route() picks one of three candidate generators per subproblem:
   every (block, cardinality) slot has one winner, by the argmin of each
   slot's functionals; each support region is then split into the regions
   where the incremental allocation chain makes the same choices, found by
-  walking the chain as a tree with the same argmin step.  It has no
-  parameter-count limit and doubles as a cross-check.
+  walking the chain as a tree with the same argmin step.  A chain step
+  goes to one of the next-level allocations of aug_set, which remove at
+  most theta_bar units: by the proximity radius theta_bar of the block
+  structure, some optimal allocation one level up is always that close.
+  It has no parameter-count limit and doubles as a cross-check.
 
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
@@ -62,6 +65,7 @@ from .linalg import (
     residual_quadratic,
 )
 from .model import (
+    BlockStructure,
     BudgetExceededError,
     Instance,
     InvariantError,
@@ -71,7 +75,6 @@ from .model import (
     make_solution,
     validate,
 )
-from .separable import aug_set
 
 DEFAULT_MAX_CELLS = 200000
 # Bounds the cover path's pool work: in-budget allocations times distinct
@@ -632,6 +635,48 @@ def _support_regions(ctx: _Context, max_cells: int) -> list:
         it = iter(picks)
         selections = tuple(tuple(next(it) for _ in rows) for rows in ctx.forms)
         out.append((constraints, witness, selections))
+    return out
+
+
+def aug_set(
+    structure: BlockStructure,
+    j_source: Sequence[int],
+) -> list[tuple[int, ...]]:
+    """All next-level allocations reachable with decrease at most theta_bar.
+
+    Generated by direct recursion over per-block target cardinalities, with
+    partial sums pruned against the remaining capacity and the running
+    decrease pruned against the bound.  Output is sorted lexicographically.
+    """
+    if len(j_source) != structure.h:
+        raise ValueError("allocation length must match the structure")
+    for i, j in enumerate(j_source):
+        if j < 0 or j > structure.n_vec[i]:
+            raise ValueError("source allocation out of range")
+    bound = structure.theta_bar
+    h = structure.h
+    target_sum = sum(j_source) + 1
+    # Remaining capacity after block i, for pruning partial sums.
+    suffix = [0] * (h + 1)
+    for i in range(h - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + structure.n_vec[i]
+    out: list[tuple[int, ...]] = []
+    chosen = [0] * h
+
+    def recurse(i: int, total: int, dec: int) -> None:
+        if i == h:
+            out.append(tuple(chosen))
+            return
+        lo = max(0, target_sum - total - suffix[i + 1])
+        hi = min(structure.n_vec[i], target_sum - total)
+        for t in range(lo, hi + 1):
+            ndec = dec + (j_source[i] - t if t < j_source[i] else 0)
+            if ndec > bound:
+                continue
+            chosen[i] = t
+            recurse(i + 1, total + t, ndec)
+
+    recurse(0, 0, 0)
     return out
 
 

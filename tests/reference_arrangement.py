@@ -1,7 +1,8 @@
 """The hyperplane cell enumerator the lifted path used, kept as a reference.
 
 These are the former library helpers of blocksel.arrangement, unchanged
-apart from LinearFunctional.canonical, which is a free function here.  The
+apart from LinearFunctional.canonical and LinearFunctional.is_zero, which
+are free functions here.  The
 solver now splits lambda space only with arrangement.argmin_regions; tests
 use these to check the line cover, the cell-count identity and the
 reference of the lifted path.
@@ -17,6 +18,10 @@ from typing import Sequence
 from blocksel.linalg import LinearFunctional
 from blocksel.lp import strict_sign_witness
 from blocksel.model import BudgetExceededError, InvariantError
+
+
+def is_zero(functional: LinearFunctional) -> bool:
+    return functional.const == 0 and all(c == 0 for c in functional.coeffs)
 
 
 def canonical(functional: LinearFunctional) -> LinearFunctional:
@@ -68,7 +73,7 @@ class Hyperplane:
     functional: LinearFunctional
 
     def __post_init__(self) -> None:
-        if self.functional.is_zero():
+        if is_zero(self.functional):
             raise ValueError("hyperplane functional must be nonzero")
 
 
@@ -79,7 +84,7 @@ def merge_hyperplanes(functionals: Sequence[LinearFunctional]) -> list[Hyperplan
     """
     merged: dict[tuple, Hyperplane] = {}
     for functional in functionals:
-        if not functional.is_zero():
+        if not is_zero(functional):
             canon = canonical(functional)
             merged.setdefault((canon.coeffs, canon.const), Hyperplane(canon))
     return list(merged.values())

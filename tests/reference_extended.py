@@ -27,7 +27,6 @@ import reference_arrangement
 from blocksel.linalg import LinearFunctional, QuadraticForm, extended_dim, linearize
 from blocksel.lp import strict_sign_witness
 from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
-from blocksel.separable import ValTable, _enumerate_patterns, chain_solve
 from blocksel.solver import (
     DEFAULT_MAX_CELLS,
     CandidateSet,
@@ -42,6 +41,7 @@ from reference_arrangement import (
     predicted_cell_bound,
     sign_at,
 )
+from reference_separable import ValTable, _enumerate_patterns, chain_solve
 
 
 @dataclass(frozen=True)

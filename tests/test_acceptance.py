@@ -22,20 +22,13 @@ from blocksel.linalg import (
     residual_quadratic,
 )
 from blocksel.model import BlockStructure, Instance, ReducedProblem
-from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
-from blocksel.separable import (
-    ValTable,
-    aug_set,
-    build_d,
-    chain_solve,
-    d_pattern_bound,
-    dp_solve,
-)
+from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import (
     DEFAULT_MAX_CELLS,
     _context,
     _strip_budget,
     _support_regions,
+    aug_set,
     solve,
 )
 from reference_arrangement import (
@@ -43,6 +36,14 @@ from reference_arrangement import (
     enumerate_cells,
     ext,
     predicted_cell_bound,
+)
+from reference_separable import (
+    ValTable,
+    build_d,
+    chain_solve,
+    d_pattern_bound,
+    dp_solve,
+    fixed_lambda_opt,
 )
 
 

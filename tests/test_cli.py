@@ -125,14 +125,12 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
         (["oracle"], {"BLOCKSEL_MAX_ORACLE": "-3"}),
         (["compare", "--max-cells", "-2"], {}),
         (["compare"], {"BLOCKSEL_MAX_ORACLE": "-1"}),
-        (["bench", "--max-cells", "-1"], {}),
     ],
 )
 def test_negative_budgets_are_input_errors(tmp_path, capsys, monkeypatch, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    if argv[0] != "bench":
-        argv = argv + [write_doc(tmp_path)]
+    argv = argv + [write_doc(tmp_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "must be non-negative" in err
@@ -259,9 +257,3 @@ def test_gen_writes_stdout_by_default(capsys):
     assert isinstance(inst, Instance)
     assert inst.sigma == 1
 
-
-def test_bench_prints_a_table(capsys):
-    assert main(["bench"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].split() == ["name", "d", "sigma", "objective", "candidates", "seconds"]
-    assert len(out) == 1 + 4

@@ -130,7 +130,8 @@ def test_conic_from_form_normalizes():
 
 def test_conic_from_form_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        conic_from_form(QuadraticForm.zero(3))
+        z = Fraction(0)
+        conic_from_form(QuadraticForm(3, ((z, z, z),) * 3, (z, z, z), z))
 
 
 def test_vanishes_somewhere_cases():

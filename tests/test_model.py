@@ -110,5 +110,5 @@ def test_instance_counts():
         sigma=2,
     )
     assert (inst.h, inst.m_total, inst.n_total, inst.k, inst.d) == (2, 2, 3, 1, 4)
-    assert inst.has_intercept
+    assert inst.intercept is not None
     assert inst.structure().n_vec == (2, 1)

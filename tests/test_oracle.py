@@ -7,8 +7,9 @@ import pytest
 import blocksel.oracle as oracle
 from blocksel.linalg import least_squares
 from blocksel.model import BudgetExceededError, Instance, InvariantError, ReducedProblem
-from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
+from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import solve_block
+from reference_separable import fixed_lambda_opt
 
 
 def diag_instance(values, b, sigma):

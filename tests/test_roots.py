@@ -69,6 +69,18 @@ def test_cubic_mixed_roots():
     assert roots[1].cmp(roots[2]) == -1
 
 
+def test_rational_midpoint_root_lands_between_its_neighbours():
+    # x^3 - 2x: the first bisection midpoint, 0, is a root, and the roots
+    # -sqrt(2) and sqrt(2) come from the halves on either side of it.
+    roots = isolate_real_roots((0, -2, 0, 1))
+    assert len(roots) == 3
+    assert roots[1].value == 0
+    assert roots[0].cmp(roots[1]) == -1
+    assert roots[1].cmp(roots[2]) == -1
+    assert roots[0].cmp(AlgebraicNumber.rational(Fraction(-7, 5))) == -1
+    assert roots[2].cmp(AlgebraicNumber.rational(Fraction(7, 5))) == 1
+
+
 def test_sort_unique_merges_equal_roots():
     a = isolate_real_roots((-2, 0, 1))[1]
     b = isolate_real_roots((-2, 0, 1))[1]

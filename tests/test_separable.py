@@ -6,15 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blocksel.model import BlockStructure
-from blocksel.separable import (
+from blocksel.solver import aug_set
+from reference_separable import (
     ValTable,
-    aug_set,
     build_d,
     chain_solve,
     d_pattern_bound,
+    delta_value,
+    diag_greedy,
     dp_solve,
+    q_closeness,
 )
-from reference_separable import delta_value, diag_greedy, q_closeness
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6

@@ -10,7 +10,7 @@ import blocksel.solver as solver
 import reference_cover
 import reference_diagonal
 import reference_extended
-from reference_separable import diag_greedy
+from reference_separable import diag_greedy, fixed_lambda_opt
 from blocksel.cover import conic_cover_points
 from blocksel.linalg import (
     QuadraticForm,
@@ -26,7 +26,7 @@ from blocksel.model import (
     MethodRefusedError,
     ReducedProblem,
 )
-from blocksel.oracle import brute_force, brute_force_levels, fixed_lambda_opt
+from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import (
     finish,
     reduce,
