@@ -24,10 +24,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import QuadraticForm
 from .model import BudgetExceededError, InvariantError
 from .roots import (
-    IPoly,
     ipoly_normalize,
     isolate_real_roots,
     separating_samples,
@@ -43,22 +41,6 @@ Point2 = tuple[Fraction, Fraction]
 
 Conic = tuple[int, int, int, int, int, int]
 # (a, b, c, d, e, f) encoding a x^2 + b xy + c y^2 + d x + e y + f.
-
-
-def conic_from_form(form: QuadraticForm) -> Conic:
-    """Integer-normalized conic from a two-variable quadratic form."""
-    if form.dim != 2:
-        raise ValueError("expected a two-variable form")
-    raw = (
-        form.p[0][0],
-        2 * form.p[0][1],
-        form.p[1][1],
-        form.r[0],
-        form.r[1],
-        form.s0,
-    )
-    den = math.lcm(*(v.denominator for v in raw))
-    return primitive([int(v * den) for v in raw])  # type: ignore[return-value]
 
 
 def _unonneg(gamma: int, beta: int, alpha: int) -> bool:
@@ -230,18 +212,21 @@ def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:
     raise ValueError("resultant needs both members to involve y")
 
 
-def conic_cover_points(forms: Iterable[QuadraticForm]) -> list[Point2]:
+def conic_cover_points(conics: Iterable[Sequence[int]]) -> list[Point2]:
     """Witnesses hitting every open sign-invariant region of the family.
 
+    Each member is an integer (a, b, c, d, e, f), at any nonzero scale.
     Points come strip by strip, in increasing lambda_1.  A family without
     lambda_2 gets one point per strip, on the axis lambda_2 = 0, so it
-    also serves forms in fewer than two parameters, padded with zeros.
+    also serves curves in fewer than two parameters, padded with zeros.
     """
     family: list[Conic] = []
     seen: set[Conic] = set()
-    for form in forms:
-        conic = conic_from_form(form)
-        if all(v == 0 for v in conic):
+    for raw in conics:
+        if len(raw) != 6:
+            raise ValueError("a conic has six coefficients")
+        conic = primitive(raw)
+        if not any(conic):
             continue
         for part in split_rational_lines(conic):
             if not vanishes_somewhere(part):

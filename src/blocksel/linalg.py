@@ -3,18 +3,20 @@
 The free parameters (written lam here) are the coefficients that escape the
 cardinality budget after the coupling reduction: the intercept coefficient and
 the coupling coefficients pinned to the support.  Per-block residuals are
-quadratic forms in lam; comparisons between such forms become linear
-functionals on the extended coordinates (lam followed by all monomials
-lam_i * lam_j with i <= j), which is what the arrangement machinery consumes.
+quadratic forms in lam; comparisons between such forms are linear over the
+extended coordinates (lam followed by all monomials lam_i * lam_j with
+i <= j), so integer_rows writes each form once as an integer row over
+(1, extended coordinates), which is what every comparison consumes.
 
-All arithmetic is over fractions.Fraction; nothing here is approximate.
+All arithmetic is exact: over fractions.Fraction, or in integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import RatMatrix
 
@@ -148,39 +150,6 @@ class QuadraticForm:
                 if self.p[i][j] != self.p[j][i]:
                     raise ValueError("P must be symmetric")
 
-    def add(self, other: "QuadraticForm") -> "QuadraticForm":
-        self._check(other)
-        return QuadraticForm(
-            self.dim,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.p, other.p)
-            ),
-            tuple(a + b for a, b in zip(self.r, other.r)),
-            self.s0 + other.s0,
-        )
-
-    def sub(self, other: "QuadraticForm") -> "QuadraticForm":
-        return self.add(other.scale(Fraction(-1)))
-
-    def scale(self, factor: Fraction) -> "QuadraticForm":
-        return QuadraticForm(
-            self.dim,
-            tuple(tuple(factor * v for v in row) for row in self.p),
-            tuple(factor * v for v in self.r),
-            factor * self.s0,
-        )
-
-    def is_zero(self) -> bool:
-        return (
-            self.s0 == 0
-            and all(v == 0 for v in self.r)
-            and all(v == 0 for row in self.p for v in row)
-        )
-
-    def _check(self, other: "QuadraticForm") -> None:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-
 
 def eval_form(form: QuadraticForm, lam: Sequence[Fraction]) -> Fraction:
     """Exact evaluation of a quadratic form at a rational point."""
@@ -198,17 +167,6 @@ def eval_form(form: QuadraticForm, lam: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def affine_square_form(
-    dim: int, alpha0: Fraction, alpha: Sequence[Fraction], weight: Fraction
-) -> QuadraticForm:
-    """The form (alpha0 + alpha . lam)^2 * weight."""
-    p = [[weight * alpha[i] * alpha[j] for j in range(dim)] for i in range(dim)]
-    r = [2 * weight * alpha0 * alpha[i] for i in range(dim)]
-    return QuadraticForm(
-        dim, tuple(tuple(row) for row in p), tuple(r), weight * alpha0 * alpha0
-    )
-
-
 def residual_quadratic(
     block: RatMatrix,
     b_piece: Sequence[Fraction],
@@ -222,45 +180,23 @@ def residual_quadratic(
     lambda columns).  Works for any support, including rank-deficient ones.
     """
     dim = len(lambda_pieces)
-    cols = [block.column(c) for c in support]
-    basis = orthogonalize(cols)
-
     # |p|^2 expanded over lam.
-    p_mat = [
-        [_dot(lambda_pieces[i], lambda_pieces[j]) for j in range(dim)]
-        for i in range(dim)
-    ]
-    r_vec = [-2 * _dot(b_piece, lambda_pieces[i]) for i in range(dim)]
-    form = QuadraticForm(
-        dim,
-        tuple(tuple(row) for row in p_mat),
-        tuple(r_vec),
-        _dot(b_piece, b_piece),
-    )
-    # Subtract <p,u>^2 / <u,u> for each basis vector.
-    for u in basis:
+    p = [[_dot(a, c) for c in lambda_pieces] for a in lambda_pieces]
+    r = [-2 * _dot(b_piece, piece) for piece in lambda_pieces]
+    s0 = _dot(b_piece, b_piece)
+    # Subtract <p,u>^2 / <u,u> = (alpha0 + alpha . lam)^2 / <u,u> for each
+    # basis vector u.
+    for u in orthogonalize([block.column(c) for c in support]):
         uu = _dot(u, u)
         alpha0 = _dot(b_piece, u)
         alpha = [-_dot(piece, u) for piece in lambda_pieces]
-        form = form.sub(affine_square_form(dim, alpha0, alpha, Fraction(1) / uu))
-    return form
-
-
-@dataclass(frozen=True)
-class LinearFunctional:
-    """coeffs over the extended coordinates plus a constant term.
-
-    Extended coordinates for dimension q: (lam_1 .. lam_q) followed by the
-    monomials lam_i * lam_j in lexicographic order of (i, j) with i <= j.
-    """
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-
-    def eval(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.coeffs):
-            raise ValueError("point has wrong dimension")
-        return sum((c * x for c, x in zip(self.coeffs, point)), self.const)
+        s0 -= alpha0 * alpha0 / uu
+        for i in range(dim):
+            scaled = alpha[i] / uu
+            r[i] -= 2 * alpha0 * scaled
+            for j in range(dim):
+                p[i][j] -= scaled * alpha[j]
+    return QuadraticForm(dim, tuple(map(tuple, p)), tuple(r), s0)
 
 
 def quadratic_minimum(form: QuadraticForm) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -307,15 +243,26 @@ def extended_dim(k_prime: int) -> int:
     return k_prime + k_prime * (k_prime + 1) // 2
 
 
-def linearize(form: QuadraticForm) -> LinearFunctional:
-    """Rewrite a quadratic form as a linear functional on the extended coordinates.
+def integer_rows(forms: Sequence[QuadraticForm]) -> list[tuple[int, ...]]:
+    """Each form as one integer row over (1, extended coordinates).
 
-    Off-diagonal quadratic coefficients double because the monomial
-    lam_i * lam_j (i < j) appears once in the extended point but twice in
-    lam^T P lam.
+    A row lists the form's constant, its lam_i coefficients, then its
+    lam_i lam_j coefficients (i <= j, lexicographic), the off-diagonal ones
+    doubled because lam^T P lam counts lam_i lam_j twice.  All rows share
+    one positive scale, so their values at (1, lam, lam_i lam_j) order the
+    forms exactly as the forms' values at lam do.
     """
-    coeffs: list[Fraction] = list(form.r)
-    for i in range(form.dim):
-        for j in range(i, form.dim):
-            coeffs.append(form.p[i][j] if i == j else 2 * form.p[i][j])
-    return LinearFunctional(tuple(coeffs), form.s0)
+    raw = [
+        (
+            form.s0,
+            *form.r,
+            *(
+                form.p[i][j] if i == j else 2 * form.p[i][j]
+                for i in range(form.dim)
+                for j in range(i, form.dim)
+            ),
+        )
+        for form in forms
+    ]
+    scale = math.lcm(*(v.denominator for row in raw for v in row))
+    return [tuple(v.numerator * (scale // v.denominator) for v in row) for row in raw]

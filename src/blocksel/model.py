@@ -12,7 +12,7 @@ Indices are 0-based throughout the library; the CLI renders them 1-based.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 

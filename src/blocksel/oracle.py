@@ -71,7 +71,8 @@ def brute_force(instance: Instance, max_supports: int = 10**6) -> Solution:
             key = (res2, sup)
             if best is None or key < best[0]:
                 best = (key, coeffs)
-    assert best is not None
+    if best is None:
+        raise InvariantError("the empty support is always tried")
     (res2, sup), coeffs = best
     x = [Fraction(0)] * instance.d
     for idx, v in zip(sup, coeffs):
@@ -124,7 +125,8 @@ def brute_force_levels(
         if size < len(best_by_size) and best_by_size[size] is not None:
             if running is None or best_by_size[size][0] < running[0]:
                 running = best_by_size[size]
-        assert running is not None
+        if running is None:
+            raise InvariantError("every budget has at least the empty support")
         (res2, sup), coeffs = running
         x = [Fraction(0)] * instance.d
         for idx, v in zip(sup, coeffs):

@@ -199,7 +199,8 @@ class AlgebraicNumber:
     def refine(self) -> None:
         if self.value is not None:
             return
-        assert self.poly is not None and self.lo is not None and self.hi is not None
+        if self.poly is None or self.lo is None or self.hi is None:
+            raise InvariantError("an interval root lacks its polynomial or interval")
         mid = (self.lo + self.hi) / 2
         s = ipoly_eval_sign(self.poly, mid)
         if s == 0:
@@ -247,7 +248,8 @@ class AlgebraicNumber:
             if other.hi <= self.lo:
                 return 1
             if not common_checked:
-                assert self.poly is not None and other.poly is not None
+                if self.poly is None or other.poly is None:
+                    raise InvariantError("an interval root lacks its polynomial")
                 g = ipoly_gcd(self.poly, other.poly)
                 common = g if ipoly_degree(g) >= 1 else None
                 common_checked = True
@@ -279,9 +281,13 @@ def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
     Bisection emits the roots left to right, a rational midpoint root between
     the roots of its two halves, so no sort is needed.
     """
-    p = ipoly_squarefree(ipoly_normalize(tuple(poly)))
+    p = ipoly_primitive(ipoly_normalize(tuple(poly)))
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
+    # A line has one root and _quadratic_roots reports a double root once,
+    # so only cubics and beyond need their repeated factors divided out.
+    if ipoly_degree(p) >= 3:
+        p = ipoly_squarefree(p)
     if ipoly_degree(p) == 0:
         return []
     if ipoly_degree(p) == 1:

@@ -22,11 +22,11 @@ route() picks one of three candidate generators per subproblem:
 * cover: every other subproblem with at most two free parameters.  Argmin
   profiles are read at the witnesses of one conic cover of the plane; the
   allocation work is bounded by MAX_PROFILE_UNIONS.
-* extended: three or more free parameters.  The comparisons are lifted to
-  linear functionals over the coordinates (lambda, pairwise products of
-  lambda), and the space is split exactly into support regions, where
-  every (block, cardinality) slot has one winner, by the argmin of each
-  slot's functionals; each support region is then split into the regions
+* extended: three or more free parameters.  The comparisons are linear
+  over the coordinates (lambda, pairwise products of lambda), and the
+  space is split exactly into support regions, where every
+  (block, cardinality) slot has one winner, by the argmin of each slot's
+  integer rows; each support region is then split into the regions
   where the incremental allocation chain makes the same choices, found by
   walking the chain as a tree with the same argmin step.  A chain step
   goes to one of the next-level allocations of aug_set, which remove at
@@ -37,10 +37,10 @@ route() picks one of three candidate generators per subproblem:
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
 
-Everything that does not depend on sigma' (residual forms, argmin
-profiles, rankings, candidate values) lives in one context per
-subproblem, held in a cache of MAX_CONTEXTS entries so that a sigma sweep
-over the same data reuses it.
+Everything that does not depend on sigma' (residual forms and their
+integer rows, argmin profiles, rankings, candidate values) lives in one
+context per subproblem, held in a cache of MAX_CONTEXTS entries so that a
+sigma sweep over the same data reuses it.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ from typing import Iterable, Sequence
 from .arrangement import argmin_regions
 from .cover import conic_cover_points, primitive
 from .linalg import (
-    LinearFunctional,
     QuadraticForm,
     extended_dim,
+    integer_rows,
     least_squares,
-    linearize,
     quadratic_minimum,
     residual_quadratic,
 )
@@ -186,15 +185,18 @@ def _support_forms(base: ReducedProblem, pieces):
 class _Context:
     """Sigma-independent data of one subproblem, shared by every budget.
 
-    The residual forms, their lookup table and the column offsets are built
-    up front; the cover profiles and diagonal rankings are filled in by the
-    first path that needs them, and candidate values as candidates get
-    scored.
+    The residual forms, their integer rows, the forms' lookup table and the
+    column offsets are built up front; the cover profiles and diagonal
+    rankings are filled in by the first path that needs them, and candidate
+    values as candidates get scored.  rows mirrors forms: entry [i][j]
+    lists (support, row) for block i, size j, every row from one
+    integer_rows call, so all of them share one scale.
     """
 
     base: ReducedProblem
     pieces: tuple
     forms: tuple
+    rows: tuple
     lookup: tuple[dict, ...]
     offsets: tuple[int, ...]
     values: dict = field(default_factory=dict)
@@ -208,88 +210,61 @@ def _context(base: ReducedProblem) -> _Context:
     """The context of a budget-stripped subproblem, built on first use."""
     pieces = _row_pieces(base)
     forms = _support_forms(base, pieces)
-    lookup = tuple({sup: form for row in rows for sup, form in row} for rows in forms)
-    return _Context(base, pieces, forms, lookup, _col_offsets(base.blocks))
-
-
-def _difference_forms(forms) -> list[QuadraticForm]:
-    """Nonzero residual differences of same-cardinality supports per block."""
-    out = []
-    for rows in forms:
-        for row in rows:
-            for (_, f1), (_, f2) in itertools.combinations(row, 2):
-                diff = f1.sub(f2)
-                if not diff.is_zero():
-                    out.append(diff)
-    return out
-
-
-def _in_plane(form: QuadraticForm) -> QuadraticForm:
-    """A form in at most two parameters, with zero coefficients up to two."""
-    pad = (Fraction(0),) * (2 - form.dim)
-    return QuadraticForm(
-        2,
-        tuple(row + pad for row in form.p) + ((Fraction(0),) * 2,) * len(pad),
-        form.r + pad,
-        form.s0,
+    flat = iter(
+        integer_rows([form for per_size in forms for slot in per_size for _, form in slot])
     )
+    rows = tuple(
+        tuple(tuple((sup, next(flat)) for sup, _ in slot) for slot in per_size)
+        for per_size in forms
+    )
+    lookup = tuple(
+        {sup: form for slot in per_size for sup, form in slot} for per_size in forms
+    )
+    return _Context(base, pieces, forms, rows, lookup, _col_offsets(base.blocks))
 
 
-def _cover_witnesses(forms, k: int) -> tuple[tuple[Fraction, ...], ...]:
+def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:
+    """The (a, b, c, d, e, f) of a row in k = 1 or 2 parameters, in the plane."""
+    if k == 1:
+        const, l1, l11 = row
+        return (l11, 0, 0, l1, 0, const)
+    const, l1, l2, l11, l12, l22 = row
+    return (l11, l12, l22, l1, l2, const)
+
+
+def _cover_witnesses(rows, k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rational lambda points hitting every sign region of the differences.
 
-    The differences are read in the plane, so one conic cover serves every
-    k <= 2; a region of the plane is a region of lambda space times the
-    missing coordinates, so the points cut back to k coordinates still hit
-    every region.  Below two parameters no member involves lambda_2, so
-    the cover gives one point per strip and the cut points stay distinct.
-    Without parameters the differences are constants, and the empty point
-    is the one witness.
+    The differences of same-cardinality rows are read in the plane, so one
+    conic cover serves every k <= 2; a region of the plane is a region of
+    lambda space times the missing coordinates, so the points cut back to
+    k coordinates still hit every region.  Below two parameters no member
+    involves lambda_2, so the cover gives one point per strip and the cut
+    points stay distinct.  Without parameters the differences are
+    constants, and the empty point is the one witness.
     """
     if k > 2:
         raise ValueError("witness covers require at most two free parameters")
     if k == 0:
         return ((),)
-    points = conic_cover_points(_in_plane(diff) for diff in _difference_forms(forms))
-    return tuple(point[:k] for point in points)
-
-
-def _integer_rows(forms) -> tuple:
-    """The forms of _support_forms as integer coefficient lists.
-
-    Each form's coefficients on 1, lam_i and lam_i lam_j (i <= j), as
-    linearize orders them, are scaled by one positive common denominator,
-    so comparing scaled values orders supports exactly as comparing the
-    forms does.  Entry [i][j] lists (coefficients, support) for block i,
-    size j.
-    """
-    linear = tuple(
-        tuple(tuple((linearize(form), sup) for sup, form in row) for row in rows)
-        for rows in forms
+    conics = (
+        _plane_conic(tuple(map(operator.sub, r1, r2)), k)
+        for per_size in rows
+        for slot in per_size
+        for (_, r1), (_, r2) in itertools.combinations(slot, 2)
     )
-    funcs = [func for rows in linear for row in rows for func, _ in row]
-    scale = math.lcm(*(v.denominator for f in funcs for v in (f.const, *f.coeffs)))
-    return tuple(
-        tuple(
-            tuple(
-                ([int(v * scale) for v in (func.const, *func.coeffs)], sup)
-                for func, sup in row
-            )
-            for row in rows
-        )
-        for rows in linear
-    )
+    return tuple(point[:k] for point in conic_cover_points(conics))
 
 
-def _argmins_at(int_rows, witness: Sequence[Fraction]) -> tuple:
+def _argmins_at(rows, witness: Sequence[Fraction]) -> tuple:
     """Winning support per (block, cardinality) at a lambda point.
 
     With den the witness's common denominator and c = den * witness, each
-    form's value times den^2 (and the common scale of int_rows) is the dot
-    product of its integer coefficients with the monomials den^2, den c_i
-    and c_i c_j.  The witness never lies on a nonzero difference surface,
-    so ties happen only between supports with identical forms; those break
-    to the lexicographically smallest support.
+    form's value times den^2 (and the common scale of the rows) is the dot
+    product of its row with the monomials den^2, den c_i and c_i c_j.  The
+    witness never lies on a nonzero difference surface, so ties happen only
+    between supports with identical forms; those break to the
+    lexicographically smallest support.
     """
     den = math.lcm(*(x.denominator for x in witness))
     coords = [x.numerator * (den // x.denominator) for x in witness]
@@ -298,22 +273,18 @@ def _argmins_at(int_rows, witness: Sequence[Fraction]) -> tuple:
         monomials.extend(ci * cj for cj in coords[i:])
     return tuple(
         tuple(
-            min(
-                (sum(map(operator.mul, coeffs, monomials)), sup)
-                for coeffs, sup in row
-            )[1]
-            for row in rows
+            min((sum(map(operator.mul, row, monomials)), sup) for sup, row in slot)[1]
+            for slot in per_size
         )
-        for rows in int_rows
+        for per_size in rows
     )
 
 
 def _cover_profiles(ctx: _Context) -> tuple:
     """Distinct argmin profiles over the cover witnesses, computed once."""
     if ctx.profiles is None:
-        witnesses = _cover_witnesses(ctx.forms, ctx.base.k_prime)
-        int_rows = _integer_rows(ctx.forms)
-        ctx.profiles = tuple({_argmins_at(int_rows, w) for w in witnesses})
+        witnesses = _cover_witnesses(ctx.rows, ctx.base.k_prime)
+        ctx.profiles = tuple({_argmins_at(ctx.rows, w) for w in witnesses})
         ctx.witness_count = len(witnesses)
     return ctx.profiles
 
@@ -603,24 +574,23 @@ def _support_regions(ctx: _Context, max_cells: int) -> list:
 
     The residual comparisons are quadratic in lambda but linear over the
     extended coordinates (lambda, then pairwise products).  Each
-    (block, cardinality) slot groups its supports by linearized form and
-    keeps the first of each group, the lexicographically smallest; starting
-    from the whole space, every region is split by argmin_regions over the
-    slot's group functionals, so a slot with one group splits nothing.
-    Returns (constraints, witness, selections) per region, selections[i][j]
-    being the winning support of block i at size j.  Regions count against
+    (block, cardinality) slot groups its supports by integer row and keeps
+    the first of each group, the lexicographically smallest; starting from
+    the whole space, every region is split by argmin_regions over the
+    slot's group rows, so a slot with one group splits nothing.  Returns
+    (constraints, witness, selections) per region, selections[i][j] being
+    the winning support of block i at size j.  Regions count against
     max_cells as they grow.
     """
     regions = [([], (Fraction(0),) * extended_dim(ctx.base.k_prime), ())]
-    for rows in ctx.forms:
-        for row in rows:
-            groups: dict[LinearFunctional, tuple[int, ...]] = {}
-            for sup, form in row:
-                groups.setdefault(linearize(form), sup)
-            funcs = list(groups)
+    for per_size in ctx.rows:
+        for slot in per_size:
+            groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for sup, row in slot:
+                groups.setdefault(row, sup)
             split = []
             for constraints, witness, picks in regions:
-                children = argmin_regions(funcs, constraints, witness)
+                children = argmin_regions(list(groups), constraints, witness)
                 for sup, child in zip(groups.values(), children):
                     if child is not None:
                         split.append((*child, picks + (sup,)))
@@ -633,7 +603,7 @@ def _support_regions(ctx: _Context, max_cells: int) -> list:
     out = []
     for constraints, witness, picks in regions:
         it = iter(picks)
-        selections = tuple(tuple(next(it) for _ in rows) for rows in ctx.forms)
+        selections = tuple(tuple(next(it) for _ in rows) for rows in ctx.rows)
         out.append((constraints, witness, selections))
     return out
 
@@ -685,7 +655,7 @@ def _extended_candidates(
 ) -> tuple[CandidateSet, int]:
     """Candidates and chain-region count from the extended-space regions.
 
-    In each support region the winning supports fix a value functional per
+    In each support region the winning supports fix an integer row per
     (block, cardinality) slot.  The incremental chain climbs from the zero
     allocation to level min(sigma', n), each step to the cheapest target of
     aug_set, ties to the lexicographically smallest; a step's exchange
@@ -702,16 +672,15 @@ def _extended_candidates(
     level = min(rp.sigma_p, rp.n_total)
     regions = 0
     candidates: CandidateSet = set()
+    row_of = [dict(pair for slot in per_size for pair in slot) for per_size in ctx.rows]
     for root, start, selections in _support_regions(ctx, max_cells):
         slots = [
-            [linearize(ctx.lookup[i][sup]) for sup in per_size]
+            [row_of[i][sup] for sup in per_size]
             for i, per_size in enumerate(selections)
         ]
 
-        def total(alloc: tuple[int, ...]) -> LinearFunctional:
-            parts = [row[j] for row, j in zip(slots, alloc)]
-            coeffs = tuple(map(sum, zip(*(f.coeffs for f in parts))))
-            return LinearFunctional(coeffs, sum(f.const for f in parts))
+        def total(alloc: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(map(sum, zip(*(row[j] for row, j in zip(slots, alloc)))))
 
         stack = [(root, start, (0,) * len(slots))]
         while stack:
@@ -730,7 +699,7 @@ def _extended_candidates(
                 continue
             # aug_set lists targets in lexicographic order, so each group of
             # identical totals keeps its smallest target.
-            groups: dict[LinearFunctional, tuple[int, ...]] = {}
+            groups: dict[tuple[int, ...], tuple[int, ...]] = {}
             for target in aug_set(structure, alloc):
                 groups.setdefault(total(target), target)
             children = argmin_regions(list(groups), region, witness)

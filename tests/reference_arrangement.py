@@ -2,10 +2,18 @@
 
 These are the former library helpers of blocksel.arrangement, unchanged
 apart from LinearFunctional.canonical and LinearFunctional.is_zero, which
-are free functions here.  The
-solver now splits lambda space only with arrangement.argmin_regions; tests
-use these to check the line cover, the cell-count identity and the
-reference of the lifted path.
+are free functions here.  The solver now splits lambda space only with
+arrangement.argmin_regions; tests use these to check the line cover, the
+cell-count identity and the reference of the lifted path.
+
+The library now writes every comparison as an integer row (see
+linalg.integer_rows), so the Fraction types the references are written
+in live here too: LinearFunctional and linearize, formerly in
+blocksel.linalg and unchanged; form_add, form_sub and form_is_zero, the
+former QuadraticForm methods add, sub and is_zero; row_value, an integer
+row's value at a point; and strict_sign_witness, which takes normals,
+offsets and signs as lp.strict_sign_witness once did and hands it the
+signed integer rows of signed_rows.
 """
 
 from __future__ import annotations
@@ -15,9 +23,97 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from blocksel.linalg import LinearFunctional
-from blocksel.lp import strict_sign_witness
+from blocksel import lp
+from blocksel.linalg import QuadraticForm
 from blocksel.model import BudgetExceededError, InvariantError
+
+
+@dataclass(frozen=True)
+class LinearFunctional:
+    """coeffs over the extended coordinates plus a constant term.
+
+    Extended coordinates for dimension q: (lam_1 .. lam_q) followed by the
+    monomials lam_i * lam_j in lexicographic order of (i, j) with i <= j.
+    """
+
+    coeffs: tuple[Fraction, ...]
+    const: Fraction
+
+    def eval(self, point: Sequence[Fraction]) -> Fraction:
+        if len(point) != len(self.coeffs):
+            raise ValueError("point has wrong dimension")
+        return sum((c * x for c, x in zip(self.coeffs, point)), self.const)
+
+
+def linearize(form: QuadraticForm) -> LinearFunctional:
+    """Rewrite a quadratic form as a linear functional on the extended coordinates.
+
+    Off-diagonal quadratic coefficients double because the monomial
+    lam_i * lam_j (i < j) appears once in the extended point but twice in
+    lam^T P lam.
+    """
+    coeffs: list[Fraction] = list(form.r)
+    for i in range(form.dim):
+        for j in range(i, form.dim):
+            coeffs.append(form.p[i][j] if i == j else 2 * form.p[i][j])
+    return LinearFunctional(tuple(coeffs), form.s0)
+
+
+def form_add(first: QuadraticForm, second: QuadraticForm, factor: int = 1) -> QuadraticForm:
+    """first + factor * second."""
+    if first.dim != second.dim:
+        raise ValueError("dimension mismatch")
+    return QuadraticForm(
+        first.dim,
+        tuple(
+            tuple(a + factor * b for a, b in zip(ra, rb))
+            for ra, rb in zip(first.p, second.p)
+        ),
+        tuple(a + factor * b for a, b in zip(first.r, second.r)),
+        first.s0 + factor * second.s0,
+    )
+
+
+def form_sub(first: QuadraticForm, second: QuadraticForm) -> QuadraticForm:
+    return form_add(first, second, -1)
+
+
+def form_is_zero(form: QuadraticForm) -> bool:
+    return (
+        form.s0 == 0
+        and all(v == 0 for v in form.r)
+        and all(v == 0 for row in form.p for v in row)
+    )
+
+
+def row_value(row: Sequence[int], point: Sequence[Fraction]) -> Fraction:
+    """An integer row's value at a point: row . (1, point)."""
+    return row[0] + sum((a * x for a, x in zip(row[1:], point)), Fraction(0))
+
+
+def signed_rows(
+    normals: Sequence[Sequence[Fraction]],
+    offsets: Sequence[Fraction],
+    signs: Sequence[int],
+) -> list[tuple[int, ...]]:
+    """The integer rows s_i (c_i, a_i), each scaled by its own denominators."""
+    rows = []
+    for w, c0, s in zip(normals, offsets, signs):
+        if s == 0:
+            raise ValueError("strict witness needs nonzero signs")
+        values = [Fraction(v) * s for v in (c0, *w)]
+        scale = math.lcm(*(v.denominator for v in values))
+        rows.append(tuple(int(v * scale) for v in values))
+    return rows
+
+
+def strict_sign_witness(
+    normals: Sequence[Sequence[Fraction]],
+    offsets: Sequence[Fraction],
+    signs: Sequence[int],
+):
+    """A point with sign(normals[i] . x + offsets[i]) == signs[i], or None."""
+    return lp.strict_sign_witness(signed_rows(normals, offsets, signs))
 
 
 def is_zero(functional: LinearFunctional) -> bool:

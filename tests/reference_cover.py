@@ -7,6 +7,10 @@ callers filter the budget-free pool by their own sigma'.  With one free
 parameter the witnesses come from the former one-dimensional root sweep,
 sweep_1d, also kept unchanged.  Tests compare the solver's candidates and
 integer argmins against them.
+
+conic_from_form is the former blocksel.cover helper, unchanged: the cover
+now takes integer conics, and the references and tests that build
+QuadraticForms turn them into conics with it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from blocksel.cover import conic_cover_points
+from blocksel.cover import Conic, conic_cover_points, primitive
 from blocksel.linalg import QuadraticForm, eval_form, residual_quadratic
 from blocksel.model import BudgetExceededError, ReducedProblem
 from blocksel.roots import (
@@ -28,6 +32,23 @@ from blocksel.roots import (
     sort_unique_roots,
 )
 from blocksel.solver import MAX_PROFILE_UNIONS
+from reference_arrangement import form_is_zero, form_sub
+
+
+def conic_from_form(form: QuadraticForm) -> Conic:
+    """Integer-normalized conic from a two-variable quadratic form."""
+    if form.dim != 2:
+        raise ValueError("expected a two-variable form")
+    raw = (
+        form.p[0][0],
+        2 * form.p[0][1],
+        form.p[1][1],
+        form.r[0],
+        form.r[1],
+        form.s0,
+    )
+    den = math.lcm(*(v.denominator for v in raw))
+    return primitive([int(v * den) for v in raw])  # type: ignore[return-value]
 
 
 def _col_offsets(blocks: Sequence) -> tuple[int, ...]:
@@ -75,8 +96,8 @@ def _difference_forms(base: ReducedProblem) -> list[QuadraticForm]:
     for rows in _support_forms(base):
         for row in rows:
             for (_, f1), (_, f2) in itertools.combinations(row, 2):
-                diff = f1.sub(f2)
-                if not diff.is_zero():
+                diff = form_sub(f1, f2)
+                if not form_is_zero(diff):
                     out.append(diff)
     return out
 
@@ -92,7 +113,7 @@ def _cover_witnesses(base: ReducedProblem) -> tuple[tuple[Fraction, ...], ...]:
         _, samples = sweep_1d(diffs)
         return tuple((s,) for s in samples)
     if k == 2:
-        return tuple(conic_cover_points(diffs))
+        return tuple(conic_cover_points(map(conic_from_form, diffs)))
     raise ValueError("witness covers require at most two free parameters")
 
 

@@ -13,7 +13,8 @@ _support_planes and _argmins_extended, the library's support step before
 it split by argmin regions: every same-cardinality comparison hyperplane is
 inserted by reference_arrangement.enumerate_cells, and each cell reads its
 winners at its witness.  _support_planes no longer caches its planes on the
-solver's context.
+solver's context.  _difference_forms is the former solver helper, which
+the cover path used before it read differences of integer rows.
 """
 
 from __future__ import annotations
@@ -24,22 +25,21 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import reference_arrangement
-from blocksel.linalg import LinearFunctional, QuadraticForm, extended_dim, linearize
-from blocksel.lp import strict_sign_witness
+from blocksel.linalg import QuadraticForm, extended_dim
 from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
-from blocksel.solver import (
-    DEFAULT_MAX_CELLS,
-    CandidateSet,
-    _context,
-    _difference_forms,
-    _strip_budget,
-)
+from blocksel.solver import DEFAULT_MAX_CELLS, CandidateSet, _context, _strip_budget
 from reference_arrangement import (
     Cell,
     Hyperplane,
+    LinearFunctional,
+    form_add,
+    form_is_zero,
+    form_sub,
+    linearize,
     merge_hyperplanes,
     predicted_cell_bound,
     sign_at,
+    strict_sign_witness,
 )
 from reference_separable import ValTable, _enumerate_patterns, chain_solve
 
@@ -61,6 +61,18 @@ def _argmins_extended(forms, point: Sequence[Fraction]) -> tuple:
         )
         table.append(per_size)
     return tuple(table)
+
+
+def _difference_forms(forms) -> list[QuadraticForm]:
+    """Nonzero residual differences of same-cardinality supports per block."""
+    out = []
+    for rows in forms:
+        for row in rows:
+            for (_, f1), (_, f2) in itertools.combinations(row, 2):
+                diff = form_sub(f1, f2)
+                if not form_is_zero(diff):
+                    out.append(diff)
+    return out
 
 
 def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
@@ -127,8 +139,8 @@ def build_d_symbolic(
         q = sum(f - t for _, f, t in changes if t < f)
         form: Optional[QuadraticForm] = None
         for i, f, t in changes:
-            step = forms[i][t].sub(forms[i][f])
-            form = step if form is None else form.add(step)
+            step = form_sub(forms[i][t], forms[i][f])
+            form = step if form is None else form_add(form, step)
         assert form is not None
         key = _coefficients_key(form)
         if key in seen:
@@ -247,8 +259,8 @@ def extended_candidates(
         sources: list[LinearFunctional] = []
         for e1, e2 in itertools.combinations(exchanges, 2):
             assert e1.form is not None and e2.form is not None
-            diff = e1.form.sub(e2.form)
-            if diff.is_zero():
+            diff = form_sub(e1.form, e2.form)
+            if form_is_zero(diff):
                 continue
             func = linearize(diff)
             if all(c == 0 for c in func.coeffs):

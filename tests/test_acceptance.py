@@ -6,22 +6,13 @@ criteria with a stated wall-clock budget enforce it.
 """
 
 import itertools
-import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
-from blocksel.linalg import (
-    LinearFunctional,
-    eval_form,
-    least_squares,
-    linearize,
-    residual_quadratic,
-)
-from blocksel.model import BlockStructure, Instance, ReducedProblem
+from blocksel.linalg import eval_form, least_squares, residual_quadratic
+from blocksel.model import Instance, ReducedProblem
 from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import (
     DEFAULT_MAX_CELLS,
@@ -33,9 +24,13 @@ from blocksel.solver import (
 )
 from reference_arrangement import (
     Hyperplane,
+    LinearFunctional,
     enumerate_cells,
     ext,
+    form_is_zero,
+    form_sub,
     predicted_cell_bound,
+    row_value,
 )
 from reference_separable import (
     ValTable,
@@ -245,7 +240,7 @@ def test_criterion_5_counting_bounds():
                 ):
                     f1 = residual_quadratic(blk, b_piece, lam_pieces, s1)
                     f2 = residual_quadratic(blk, b_piece, lam_pieces, s2)
-                    if not f1.sub(f2).is_zero():
+                    if not form_is_zero(form_sub(f1, f2)):
                         count += 1
             assert count <= 2 ** (2 * n_i)
         # Generic arrangements hit the exact cell-count identity.
@@ -364,7 +359,7 @@ def test_criterion_7_cell_closure_coverage():
                 expected, _ = fixed_lambda_opt(rp, lam)
                 hit = False
                 for constraints, _, selections in regions:
-                    if any(s * f.eval(point) < 0 for f, s in constraints):
+                    if any(row_value(r, point) < 0 for r in constraints):
                         continue
                     hit = True
                     rows_vals = []

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,14 +7,15 @@ from hypothesis import strategies as st
 import blocksel.arrangement as arrangement
 import reference_arrangement
 from blocksel.arrangement import argmin_regions
-from blocksel.linalg import LinearFunctional
 from blocksel.model import BudgetExceededError, InvariantError
 from reference_arrangement import (
     Hyperplane,
+    LinearFunctional,
     enumerate_cells,
     ext,
     merge_hyperplanes,
     predicted_cell_bound,
+    row_value,
     sign_at,
 )
 
@@ -105,27 +105,27 @@ def test_a_cell_with_no_side_of_a_plane_through_its_witness_is_refused(monkeypat
 
 
 def _strictly_inside(region, point):
-    return all(sign_at(f, point) == s for f, s in region)
+    return all(row_value(row, point) > 0 for row in region)
 
 
 def test_argmin_regions_split_the_line_by_the_smallest_functional():
     # On the line: x is smallest for x < 0, -x for x > 0; 0 never is.
-    funcs = [functional((1,), 0), functional((-1,), 0), functional((0,), 0)]
-    found = argmin_regions(funcs, [], (Fraction(2),))
+    rows = [(0, 1), (0, -1), (0, 0)]
+    found = argmin_regions(rows, [], (Fraction(2),))
     assert found[2] is None
     for i, want in ((0, -1), (1, 1)):
         region, point = found[i]
-        assert sign_at(funcs[0], point) == want
+        assert (point[0] > 0) - (point[0] < 0) == want
         assert _strictly_inside(region, point)
         assert all(
-            funcs[i].eval(point) < f.eval(point) for j, f in enumerate(funcs) if j != i
+            row_value(rows[i], point) < row_value(r, point) for j, r in enumerate(rows) if j != i
         )
 
 
 def test_argmin_regions_respect_the_base_polyhedron():
-    funcs = [functional((1,), 0), functional((-1,), 0)]
-    base = [(functional((1,), -1), 1)]  # x > 1
-    found = argmin_regions(funcs, base, (Fraction(3),))
+    rows = [(0, 1), (0, -1)]
+    base = [(-1, 1)]  # x > 1
+    found = argmin_regions(rows, base, (Fraction(3),))
     assert found[0] is None
     region, point = found[1]
     assert region[0] == base[0] and point == (Fraction(3),)
@@ -142,10 +142,10 @@ def test_argmin_regions_settle_inherited_and_constant_cases_without_a_program(
         return real(*args)
 
     monkeypatch.setattr(arrangement, "strict_sign_witness", counting)
-    # x + 1 is below x + 2 everywhere; only the third functional needs a
-    # program, because it loses at the witness x = 0 but wins for x < -1.
-    funcs = [functional((1,), 1), functional((1,), 2), functional((2,), 2)]
-    found = argmin_regions(funcs, [], (Fraction(0),))
+    # x + 1 is below x + 2 everywhere; only the third row needs a program,
+    # because it loses at the witness x = 0 but wins for x < -1.
+    rows = [(1, 1), (2, 1), (2, 2)]
+    found = argmin_regions(rows, [], (Fraction(0),))
     assert found[0][1] == (Fraction(0),)
     assert found[1] is None
     assert found[2] is not None and found[2][1][0] < -1

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 from blocksel.cover import (
     MAX_CONICS,
     conic_cover_points,
-    conic_from_form,
     split_rational_lines,
     vanishes_somewhere,
 )
-from blocksel.linalg import LinearFunctional, QuadraticForm
+from blocksel.linalg import QuadraticForm
 from blocksel.model import BudgetExceededError
 from blocksel.roots import ipoly_normalize, isolate_real_roots, sort_unique_roots
-from reference_arrangement import enumerate_cells, merge_hyperplanes, sign_at
+from reference_arrangement import (
+    LinearFunctional,
+    enumerate_cells,
+    merge_hyperplanes,
+    sign_at,
+)
+from reference_cover import conic_from_form
 
 coords = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=2
@@ -41,6 +46,11 @@ def form2(a, b, c, d, e, f):
     )
 
 
+def cover(forms):
+    """conic_cover_points on the conics of two-variable forms."""
+    return conic_cover_points([conic_from_form(form) for form in forms])
+
+
 def conic_value(conic, point):
     a, b, c, d, e, f = conic
     x, y = point
@@ -63,20 +73,20 @@ def line_form(f):
 
 
 def test_single_line_both_sides():
-    pts = conic_cover_points([line_form(functional((1, -1), 0))])
+    pts = cover([line_form(functional((1, -1), 0))])
     signs = {sign(p[0] - p[1]) for p in pts}
     assert signs == {1, -1}
 
 
 def test_empty_line_family():
-    assert conic_cover_points([]) == [(0, 0)]
-    assert conic_cover_points([line_form(functional((0, 0), 5))]) == [(0, 0)]
+    assert cover([]) == [(0, 0)]
+    assert cover([line_form(functional((0, 0), 5))]) == [(0, 0)]
 
 
 def test_line_cover_rejects_wrong_dimension():
-    one_var = QuadraticForm(1, ((Fraction(0),),), (Fraction(1),), Fraction(0))
+    # The row (0, 1, 0) of lambda_1 in one parameter is not yet a conic.
     with pytest.raises(ValueError):
-        conic_cover_points([one_var])
+        conic_cover_points([(0, 1, 0)])
 
 
 def test_line_cover_hits_every_cell():
@@ -88,7 +98,7 @@ def test_line_cover_hits_every_cell():
     ]
     planes = merge_hyperplanes(funcs)
     cells = enumerate_cells(planes, 2)
-    pts = conic_cover_points([line_form(f) for f in funcs])
+    pts = cover([line_form(f) for f in funcs])
     realized = {
         tuple(sign_at(hp.functional, pt) for hp in planes) for pt in pts
     }
@@ -109,7 +119,7 @@ def test_line_cover_matches_arrangement(raw):
     funcs = [functional((a, b), c) for a, b, c in raw]
     planes = merge_hyperplanes(funcs)
     cells = enumerate_cells(planes, 2)
-    pts = conic_cover_points([line_form(f) for f in funcs])
+    pts = cover([line_form(f) for f in funcs])
     for f in funcs:
         for pt in pts:
             assert f.eval(pt) != 0
@@ -169,7 +179,7 @@ def test_split_axes_product():
 def test_conic_cover_circle_and_line():
     circle = form2(1, 0, 1, 0, 0, -1)
     line = form2(0, 0, 0, -1, 1, 0)
-    pts = conic_cover_points([circle, line])
+    pts = cover([circle, line])
     family = [conic_from_form(circle), conic_from_form(line)]
     realized = {
         tuple(sign(conic_value(c, pt)) for c in family) for pt in pts
@@ -178,31 +188,36 @@ def test_conic_cover_circle_and_line():
 
 
 def test_conic_cover_parabola():
-    pts = conic_cover_points([form2(-1, 0, 0, 0, 1, 0)])
+    pts = cover([form2(-1, 0, 0, 0, 1, 0)])
     values = {sign(conic_value((1, 0, 0, 0, -1, 0), pt)) for pt in pts}
     assert values == {1, -1}
 
 
+def test_conic_cover_reads_conics_at_any_scale():
+    circle = (1, 0, 1, 0, 0, -1)
+    assert conic_cover_points([(-3, 0, -3, 0, 0, 3)]) == conic_cover_points([circle])
+
+
 def test_conic_cover_drops_never_vanishing():
-    pts = conic_cover_points([form2(1, 0, 1, 0, 0, 1)])
+    pts = cover([form2(1, 0, 1, 0, 0, 1)])
     assert pts == [(0, 0)]
 
 
 def test_conic_cover_budget():
     forms = [form2(0, 0, 0, 0, 1, -i) for i in range(MAX_CONICS + 1)]
     with pytest.raises(BudgetExceededError):
-        conic_cover_points(forms)
+        cover(forms)
 
 
 def test_conic_cover_budget_counts_only_members_with_y():
     # Members without y pair up in no resultant: one point per strip.
     forms = [form1(0, 1, -i) for i in range(MAX_CONICS + 1)]
-    assert len(conic_cover_points(forms)) == MAX_CONICS + 2
+    assert len(cover(forms)) == MAX_CONICS + 2
 
 
 def test_y_free_single_comparison():
     # (1 - x)^2 - x^2 = 1 - 2 x
-    pts = conic_cover_points([form1(0, -2, 1)])
+    pts = cover([form1(0, -2, 1)])
     assert len(pts) == 2
     assert pts[0][0] < Fraction(1, 2) < pts[1][0]
     assert {y for _, y in pts} == {0}
@@ -211,18 +226,18 @@ def test_y_free_single_comparison():
 def test_y_free_diagonal_breakpoints():
     # b = (1, 0), coupling (1, -1): lines 1 - x, -x, and their
     # difference and sum 1 - 2 x and 1 (a dropped constant).
-    pts = conic_cover_points([form1(0, -1, 1), form1(0, -1, 0), form1(0, -2, 1)])
+    pts = cover([form1(0, -1, 1), form1(0, -1, 0), form1(0, -2, 1)])
     xs = [x for x, _ in pts]
     assert len(xs) == 4
     assert xs[0] < 0 < xs[1] < Fraction(1, 2) < xs[2] < 1 < xs[3]
 
 
 def test_y_free_definite_form_has_no_breakpoints():
-    assert conic_cover_points([form1(1, 0, 1)]) == [(0, 0)]
+    assert cover([form1(1, 0, 1)]) == [(0, 0)]
 
 
 def test_y_free_constant_form_contributes_nothing():
-    assert conic_cover_points([form1(0, 0, 7)]) == [(0, 0)]
+    assert cover([form1(0, 0, 7)]) == [(0, 0)]
 
 
 @given(
@@ -240,7 +255,7 @@ def test_y_free_signs_constant_per_interval(raw_forms):
         poly = ipoly_normalize([int(v * den) for v in reversed(coeffs)])
         if len(poly) > 1:
             roots.extend(isolate_real_roots(poly))
-    pts = conic_cover_points(forms)
+    pts = cover(forms)
     assert len(pts) == len(sort_unique_roots(roots)) + 1
     assert [x for x, _ in pts] == sorted({x for x, _ in pts})
     for pt in pts:
@@ -268,7 +283,7 @@ def test_conic_cover_is_strict_and_complete(raw):
         for part in split_rational_lines(conic):
             if vanishes_somewhere(part) and part not in family:
                 family.append(part)
-    pts = conic_cover_points(forms)
+    pts = cover(forms)
     for c in family:
         for pt in pts:
             assert conic_value(c, pt) != 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,18 +7,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blocksel.linalg import (
-    LinearFunctional,
     QuadraticForm,
     eval_form,
     extended_dim,
+    integer_rows,
     least_squares,
-    linearize,
     orthogonalize,
     quadratic_minimum,
     residual_quadratic,
 )
 from blocksel.model import RatMatrix
-from reference_arrangement import canonical, is_zero
+from reference_arrangement import (
+    LinearFunctional,
+    canonical,
+    ext,
+    form_is_zero,
+    row_value,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -107,7 +113,7 @@ def test_residual_quadratic_empty_support():
 def test_residual_quadratic_full_square_block():
     blk = RatMatrix.from_rows([[1]])
     form = residual_quadratic(blk, (frac(1),), [(frac(1),)], (0,))
-    assert form.is_zero()
+    assert form_is_zero(form)
 
 
 def test_residual_quadratic_column_block():
@@ -160,44 +166,84 @@ def test_residual_quadratic_matches_least_squares(k, n, data):
     assert eval_form(form, lam) == res2
 
 
+def symmetric_form(k, entries, r, s0):
+    p = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            p[i][j] = p[j][i] = Fraction(entries[i][j])
+    return QuadraticForm(k, tuple(map(tuple, p)), tuple(map(Fraction, r)), Fraction(s0))
+
+
 def test_linearize_univariate():
     form = QuadraticForm(1, ((frac(1),),), (frac(-2),), frac(1))
-    func = linearize(form)
-    # Extended coordinates are (lam, lam^2).
-    assert func.coeffs == (-2, 1)
-    assert func.const == 1
+    # Rows read (1, lam, lam^2).
+    assert integer_rows([form]) == [(1, -2, 1)]
 
 
 def test_linearize_zero_form():
     z = Fraction(0)
-    assert is_zero(linearize(QuadraticForm(2, ((z, z), (z, z)), (z, z), z)))
+    assert integer_rows([QuadraticForm(2, ((z, z), (z, z)), (z, z), z)]) == [(0,) * 6]
 
 
 def test_linearize_merges_off_diagonal():
     half = Fraction(1, 2)
     form = QuadraticForm(2, ((frac(0), half), (half, frac(0))), (frac(0), frac(0)), frac(0))
-    func = linearize(form)
-    # Coordinates: lam1, lam2, lam1^2, lam1 lam2, lam2^2.
-    assert func.coeffs == (0, 0, 0, 1, 0)
+    # Coordinates: 1, lam1, lam2, lam1^2, lam1 lam2, lam2^2.
+    assert integer_rows([form]) == [(0, 0, 0, 0, 1, 0)]
+
+
+def test_integer_rows_order_the_coefficients():
+    # s0 = 1; r = (2, 3, 4); P has diagonal 5, 6, 7 and off-diagonal 8, 9, 10.
+    form = symmetric_form(3, [[5, 8, 9], [0, 6, 10], [0, 0, 7]], (2, 3, 4), 1)
+    # 1 | lam1 lam2 lam3 | lam1^2 lam1lam2 lam1lam3 lam2^2 lam2lam3 lam3^2
+    assert integer_rows([form]) == [(1, 2, 3, 4, 5, 16, 18, 6, 20, 7)]
+    assert len(integer_rows([form])[0]) == 1 + extended_dim(3)
+
+
+def test_integer_rows_share_one_positive_scale():
+    halves = symmetric_form(1, [[Fraction(1, 2)]], (Fraction(-1, 3),), 0)
+    one = symmetric_form(1, [[0]], (0,), 1)
+    assert integer_rows([halves, one]) == [(0, -2, 3), (6, 0, 0)]
+    assert integer_rows([]) == []
 
 
 @given(st.integers(1, 2), st.data())
 def test_linearize_consistent_with_eval(k, data):
     entries = data.draw(vecs(k, k))
-    p = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            v = Fraction(entries[i][j])
-            p[i][j] = v
-            p[j][i] = v
-    r = tuple(Fraction(v) for v in data.draw(st.lists(rationals, min_size=k, max_size=k)))
-    form = QuadraticForm(k, tuple(tuple(row) for row in p), r, data.draw(rationals))
+    r = data.draw(st.lists(rationals, min_size=k, max_size=k))
+    form = symmetric_form(k, entries, r, data.draw(rationals))
     lam = tuple(Fraction(v) for v in data.draw(st.lists(rationals, min_size=k, max_size=k)))
-    point = list(lam)
-    for i in range(k):
-        for j in range(i, k):
-            point.append(lam[i] * lam[j])
-    assert linearize(form).eval(point) == eval_form(form, lam)
+    # The constant form 1 reads the common scale off its own row.
+    row, one = integer_rows([form, symmetric_form(k, [[0] * k] * k, [0] * k, 1)])
+    assert row_value(row, ext(lam)) == one[0] * eval_form(form, lam)
+
+
+def test_integer_rows_order_supports_as_eval_form():
+    rng = random.Random(2018)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for k in range(4):
+        for _ in range(40):
+            forms = [
+                symmetric_form(
+                    k,
+                    [[entry() for _ in range(k)] for _ in range(k)],
+                    [entry() for _ in range(k)],
+                    entry(),
+                )
+                for _ in range(4)
+            ]
+            forms.append(forms[0])
+            rows = integer_rows(forms)
+            for _ in range(5):
+                lam = tuple(entry() for _ in range(k))
+                by_row = [row_value(row, ext(lam)) for row in rows]
+                by_form = [eval_form(form, lam) for form in forms]
+                for i, j in itertools.combinations(range(len(forms)), 2):
+                    assert (by_row[i] < by_row[j]) == (by_form[i] < by_form[j])
+                    assert (by_row[i] == by_row[j]) == (by_form[i] == by_form[j])
 
 
 def test_quadratic_minimum_shifted_square():

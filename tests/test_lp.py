@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import reference_lp
 from blocksel.lp import strict_sign_witness
+from reference_arrangement import signed_rows
 
 coords = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=3
@@ -13,39 +14,24 @@ coords = st.fractions(
 
 
 def test_open_quadrant_witness():
-    point = strict_sign_witness(
-        [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))],
-        [Fraction(0), Fraction(0)],
-        [1, 1],
-    )
+    point = strict_sign_witness([(0, 1, 0), (0, 0, 1)])
     assert point is not None
     assert point[0] > 0 and point[1] > 0
 
 
 def test_contradictory_signs_infeasible():
-    assert (
-        strict_sign_witness(
-            [(Fraction(1),), (Fraction(1),)],
-            [Fraction(0), Fraction(0)],
-            [1, -1],
-        )
-        is None
-    )
+    assert strict_sign_witness([(0, 1), (0, -1)]) is None
 
 
 def test_thin_slab():
     # 0 < x < 1/1000: feasible but narrow.
-    point = strict_sign_witness(
-        [(Fraction(1),), (Fraction(1),)],
-        [Fraction(0), Fraction(-1, 1000)],
-        [1, -1],
-    )
+    point = strict_sign_witness([(0, 1), (1, -1000)])
     assert point is not None
     assert 0 < point[0] < Fraction(1, 1000)
 
 
 def test_no_constraints_returns_origin():
-    assert strict_sign_witness([], [], []) == []
+    assert strict_sign_witness([]) == []
 
 
 @given(
@@ -71,7 +57,7 @@ def test_witness_matches_interior_point_signs(dim, raw_normals, raw_center):
         normals.append(w)
         offsets.append(offs)
         signs.append(s)
-    point = strict_sign_witness(normals, offsets, signs)
+    point = strict_sign_witness(signed_rows(normals, offsets, signs))
     assert point is not None
     for w, c0, s in zip(normals, offsets, signs):
         value = sum(a * b for a, b in zip(w, point)) + c0
@@ -101,22 +87,24 @@ def _random_system(rng, dim):
 
 
 def test_seeded_sweep_agrees_with_the_two_phase_reference():
-    # Each system is solved again with every row appended at a positive
-    # multiple; a repeated row enters the program once, so the point is
-    # the same.
+    # Each system's rows carry their signs.  It is solved again with every
+    # row appended at a positive multiple; a repeated row enters the
+    # program once, so the point is the same.
     rng = random.Random(20181)
     factors = random.Random(20182)
     answers = {True: 0, False: 0}
     for _ in range(600):
         normals, offsets, signs = _random_system(rng, rng.randint(1, 4))
-        point = strict_sign_witness(normals, offsets, signs)
+        point = strict_sign_witness(signed_rows(normals, offsets, signs))
         want = reference_lp.strict_sign_witness(normals, offsets, signs)
         assert (point is None) == (want is None)
         scaled = [Fraction(factors.randint(1, 5), factors.randint(1, 3)) for _ in signs]
         repeated = strict_sign_witness(
-            normals + [[f * v for v in w] for f, w in zip(scaled, normals)],
-            offsets + [f * c0 for f, c0 in zip(scaled, offsets)],
-            signs + signs,
+            signed_rows(
+                normals + [[f * v for v in w] for f, w in zip(scaled, normals)],
+                offsets + [f * c0 for f, c0 in zip(scaled, offsets)],
+                signs + signs,
+            )
         )
         assert repeated == point
         answers[point is not None] += 1

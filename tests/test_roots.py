@@ -60,6 +60,29 @@ def test_isolate_repeated_root_once():
     assert roots[0].value == 1
 
 
+def test_isolate_negative_lead_double_root_once():
+    # -(x - 1)^2: the content and sign are divided out before the quadratic.
+    roots = isolate_real_roots((-1, 2, -1))
+    assert [r.value for r in roots] == [1]
+
+
+def test_cubics_with_repeated_factors_fall_to_lower_degree():
+    # (x - 1)^3 keeps the line x - 1 after the squarefree step.
+    (root,) = isolate_real_roots((-1, 3, -3, 1))
+    assert root.value == 1
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2 keeps the quadratic (x - 1)(x + 2).
+    roots = isolate_real_roots((2, -3, 0, 1))
+    assert [r.value for r in roots] == [-2, 1]
+
+
+def test_an_interval_root_without_its_polynomial_is_an_invariant_error():
+    lost = AlgebraicNumber(lo=Fraction(0), hi=Fraction(1))
+    with pytest.raises(InvariantError):
+        lost.refine()
+    with pytest.raises(InvariantError):
+        lost.cmp(AlgebraicNumber(lo=Fraction(1, 2), hi=Fraction(2)))
+
+
 def test_cubic_mixed_roots():
     # (x^2 - 2)(x - 1) = x^3 - x^2 - 2x + 2
     roots = isolate_real_roots((2, -2, -1, 1))

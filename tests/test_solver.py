@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -12,13 +11,7 @@ import reference_diagonal
 import reference_extended
 from reference_separable import diag_greedy, fixed_lambda_opt
 from blocksel.cover import conic_cover_points
-from blocksel.linalg import (
-    QuadraticForm,
-    eval_form,
-    least_squares,
-    linearize,
-    residual_quadratic,
-)
+from blocksel.linalg import QuadraticForm, least_squares, residual_quadratic
 from blocksel.model import (
     BudgetExceededError,
     Instance,
@@ -26,7 +19,7 @@ from blocksel.model import (
     MethodRefusedError,
     ReducedProblem,
 )
-from blocksel.oracle import brute_force, brute_force_levels
+from blocksel.oracle import brute_force
 from blocksel.solver import (
     finish,
     reduce,
@@ -35,6 +28,8 @@ from blocksel.solver import (
     solve_detailed,
     solve_diagonal,
 )
+from reference_arrangement import linearize
+from reference_cover import conic_from_form
 
 
 def rp_1x1(values, b, lambda_cols=(), tags=(), sigma_p=0):
@@ -497,7 +492,7 @@ def test_edge_rankings_match_rankings_at_cover_witnesses():
         ]
         hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
         expected = set()
-        for x, y in conic_cover_points(lines):
+        for x, y in conic_cover_points(map(conic_from_form, lines)):
             values = [(u0 * x + u1 * y + c) ** 2 for (u0, u1), c in funcs]
             expected.add(tuple(sorted(hittable, key=lambda i: (-values[i], i))))
         assert set(solver._diag_rankings(solver._context(rp))) == expected
@@ -749,9 +744,13 @@ def test_integer_argmins_match_fraction_argmins():
     rng = random.Random(12)
     for trial in range(24):
         base = random_cover_rp(rng, k=trial % 3)
-        int_rows = solver._integer_rows(solver._context(base).forms)
-        for w in reference_cover._cover_witnesses(base):
-            assert solver._argmins_at(int_rows, w) == reference_cover._argmins_at(base, w)
+        rows = solver._context(base).rows
+        witnesses = reference_cover._cover_witnesses(base)
+        if base.k_prime == 2:
+            # Row differences map to the conics of the form differences.
+            assert solver._cover_witnesses(rows, 2) == witnesses
+        for w in witnesses:
+            assert solver._argmins_at(rows, w) == reference_cover._argmins_at(base, w)
 
 
 def test_cover_solves_past_the_old_profile_union_budget():
