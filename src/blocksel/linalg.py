@@ -1,12 +1,16 @@
-"""Exact rational linear algebra and quadratic forms in the free parameters.
+"""Exact rational least squares, and residual forms as integer rows.
 
 The free parameters (written lam here) are the coefficients that escape the
 cardinality budget after the coupling reduction: the intercept coefficient and
 the coupling coefficients pinned to the support.  Per-block residuals are
 quadratic forms in lam; comparisons between such forms are linear over the
 extended coordinates (lam followed by all monomials lam_i * lam_j with
-i <= j), so integer_rows writes each form once as an integer row over
-(1, extended coordinates), which is what every comparison consumes.
+i <= j), so residual_quadratic writes each form once as an integer row over
+(1, extended coordinates) with a positive scale, which is what every
+comparison consumes, and quadratic_minimum takes the exact minimum of such a
+row.  Both rest on one kernel, eliminate: fraction-free symmetric
+elimination of an integer positive-semidefinite matrix (Bareiss, Math.
+Comp. 1968).
 
 All arithmetic is exact: over fractions.Fraction, or in integers.
 """
@@ -14,38 +18,17 @@ All arithmetic is exact: over fractions.Fraction, or in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .model import RatMatrix
+from .model import InvariantError, RatMatrix
 
 Vector = tuple[Fraction, ...]
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def orthogonalize(vectors: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Gram-Schmidt without normalization.
-
-    Returns an orthogonal (not orthonormal) basis of the span.  Vectors that
-    are dependent on their predecessors are dropped, in input order, so the
-    result is deterministic and square roots never appear.
-    """
-    basis: list[Vector] = []
-    for v in vectors:
-        u = [Fraction(x) for x in v]
-        for w in basis:
-            ww = _dot(w, w)
-            coeff = _dot(u, w) / ww
-            if coeff:
-                for i in range(len(u)):
-                    u[i] -= coeff * w[i]
-        if any(u):
-            basis.append(tuple(u))
-    return basis
 
 
 def solve_linear_system(
@@ -131,40 +114,37 @@ def least_squares(
     return x, res2
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """value(lam) = lam^T P lam + r . lam + s0, with P symmetric, all exact."""
+def eliminate(matrix: list[list[int]], count: int) -> tuple[list[list[int]], int]:
+    """Fraction-free symmetric elimination of the first count variables.
 
-    dim: int
-    p: tuple[tuple[Fraction, ...], ...]
-    r: tuple[Fraction, ...]
-    s0: Fraction
-
-    def __post_init__(self) -> None:
-        if len(self.p) != self.dim or any(len(row) != self.dim for row in self.p):
-            raise ValueError("P must be dim x dim")
-        if len(self.r) != self.dim:
-            raise ValueError("r must have length dim")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.p[i][j] != self.p[j][i]:
-                    raise ValueError("P must be symmetric")
-
-
-def eval_form(form: QuadraticForm, lam: Sequence[Fraction]) -> Fraction:
-    """Exact evaluation of a quadratic form at a rational point."""
-    if len(lam) != form.dim:
-        raise ValueError("point has wrong dimension")
-    total = form.s0
-    for i in range(form.dim):
-        li = lam[i]
-        if li:
-            total += form.r[i] * li
-            row = form.p[i]
-            for j in range(form.dim):
-                if row[j] and lam[j]:
-                    total += row[j] * li * lam[j]
-    return total
+    matrix is an integer positive-semidefinite matrix, reduced in place:
+    step k replaces every entry (i, j) with i, j > k by
+    (p m_ij - m_ik m_kj) / d, with p = m_kk the pivot and d the previous
+    one, and the division is exact (Bareiss, Math. Comp. 1968); row k keeps
+    the entries it pivoted with.  A zero pivot is skipped, since under
+    semidefiniteness its row is zero; a zero pivot with a nonzero row raises
+    InvariantError.  Returns the trailing block, which is d times the Schur
+    complement of the eliminated variables, and d, the last nonzero pivot
+    (1 if there is none).
+    """
+    size = len(matrix)
+    d = 1
+    for k in range(count):
+        prow = matrix[k]
+        p = prow[k]
+        if p == 0:
+            if any(prow[k + 1 :]):
+                raise InvariantError(
+                    f"zero pivot {k} with a nonzero row: the matrix is not semidefinite"
+                )
+            continue
+        tail = prow[k + 1 :]
+        for i in range(k + 1, size):
+            row = matrix[i]
+            f = row[k]
+            row[k + 1 :] = [(p * x - f * y) // d for x, y in zip(row[k + 1 :], tail)]
+        d = p
+    return [row[count:] for row in matrix[count:]], d
 
 
 def residual_quadratic(
@@ -172,97 +152,67 @@ def residual_quadratic(
     b_piece: Sequence[Fraction],
     lambda_pieces: Sequence[Sequence[Fraction]],
     support: Sequence[int],
-) -> QuadraticForm:
+) -> tuple[tuple[int, ...], int]:
     """Squared distance from p(lam) = b - sum_l lambda_l * col_l to span(A[:, support]).
 
-    The projection is carried by an orthogonal basis of the selected columns,
-    so the result is an exact quadratic form in lam (dimension = number of
-    lambda columns).  Works for any support, including rank-deficient ones.
+    Returned as (row, scale): the distance at lam is
+    row . (1, lam, lam_i lam_j for i <= j) / scale, with scale > 0.  The
+    columns [A_S | Lambda | -b], scaled to integers by one factor L, have a
+    Gram matrix G with z^T G z = L^2 |A_S x + Lambda lam - b|^2 at
+    z = (x, lam, 1); eliminating x leaves the trailing block T over
+    (lam, 1), d L^2 times the residual's form, with d the last pivot.  The
+    row reads T's constant, the lam_i terms 2 T_i1, then T_ii and, for
+    i < j, 2 T_ij (lam^T P lam counts lam_i lam_j twice).  Works for any
+    support, including rank-deficient ones.
     """
-    dim = len(lambda_pieces)
-    # |p|^2 expanded over lam.
-    p = [[_dot(a, c) for c in lambda_pieces] for a in lambda_pieces]
-    r = [-2 * _dot(b_piece, piece) for piece in lambda_pieces]
-    s0 = _dot(b_piece, b_piece)
-    # Subtract <p,u>^2 / <u,u> = (alpha0 + alpha . lam)^2 / <u,u> for each
-    # basis vector u.
-    for u in orthogonalize([block.column(c) for c in support]):
-        uu = _dot(u, u)
-        alpha0 = _dot(b_piece, u)
-        alpha = [-_dot(piece, u) for piece in lambda_pieces]
-        s0 -= alpha0 * alpha0 / uu
-        for i in range(dim):
-            scaled = alpha[i] / uu
-            r[i] -= 2 * alpha0 * scaled
-            for j in range(dim):
-                p[i][j] -= scaled * alpha[j]
-    return QuadraticForm(dim, tuple(map(tuple, p)), tuple(r), s0)
+    cols = [block.column(c) for c in support] + [*lambda_pieces, b_piece]
+    factor = math.lcm(*(v.denominator for col in cols for v in col))
+    ints = [[v.numerator * (factor // v.denominator) for v in col] for col in cols]
+    ints[-1] = [-v for v in ints[-1]]
+    size = len(ints)
+    gram = [[0] * size for _ in range(size)]
+    for i, u in enumerate(ints):
+        for j in range(i, size):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, u, ints[j]))
+    trail, pivot = eliminate(gram, len(support))
+    k = len(lambda_pieces)
+    row = [trail[k][k], *(2 * trail[i][k] for i in range(k))]
+    for i in range(k):
+        row.append(trail[i][i])
+        row.extend(2 * trail[i][j] for j in range(i + 1, k))
+    return tuple(row), pivot * factor * factor
 
 
-def quadratic_minimum(form: QuadraticForm) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact global minimum of a positive-semidefinite quadratic form.
+def quadratic_minimum(
+    row: Sequence[int], k: int, scale: int
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact global minimum of row . (1, lam, lam_i lam_j) / scale over lam.
 
-    Solves the stationarity system 2 P lam = -r by elimination, setting free
-    variables to zero.  The forms minimized here are sums of squared
-    residuals, so they are bounded below and the system is consistent;
-    an inconsistent system raises ValueError.
+    row must be a semidefinite form over (lam, 1), such as a sum of
+    residual_quadratic rows at one scale.  It is written as the integer
+    matrix B = 2 A over (lam, 1), A the form's symmetric matrix; eliminating
+    the k lam pivots leaves E = d * 2 * scale * minimum, d the last pivot.
+    The minimizer comes by back substitution through the pivot rows, with
+    free variables (zero pivots) set to zero.  A form that is not
+    semidefinite raises InvariantError.
     """
-    dim = form.dim
-    if dim == 0:
-        return form.s0, ()
-    rows = [
-        [2 * form.p[i][j] for j in range(dim)] + [-form.r[i]] for i in range(dim)
-    ]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(dim):
-        pivot = next((r for r in range(rank, dim) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(dim):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, dim):
-        if rows[r][dim] != 0:
-            raise ValueError("quadratic form is unbounded below")
-    lam = [Fraction(0)] * dim
-    for r, col in enumerate(pivot_cols):
-        lam[col] = rows[r][dim]
-    point = tuple(lam)
-    return eval_form(form, point), point
+    b = [[0] * (k + 1) for _ in range(k + 1)]
+    b[k][k] = 2 * row[0]
+    terms = iter(row[1 + k :])
+    for i in range(k):
+        b[i][k] = b[k][i] = row[1 + i]
+        b[i][i] = 2 * next(terms)
+        for j in range(i + 1, k):
+            b[i][j] = b[j][i] = next(terms)
+    ((energy,),), pivot = eliminate(b, k)
+    lam = [Fraction(0)] * k
+    for i in reversed(range(k)):
+        if b[i][i]:
+            rest = b[i][k] + sum(b[i][j] * lam[j] for j in range(i + 1, k))
+            lam[i] = Fraction(-rest, b[i][i])
+    return Fraction(energy, 2 * pivot * scale), tuple(lam)
 
 
 def extended_dim(k_prime: int) -> int:
     """Number of extended coordinates for k_prime free parameters."""
     return k_prime + k_prime * (k_prime + 1) // 2
-
-
-def integer_rows(forms: Sequence[QuadraticForm]) -> list[tuple[int, ...]]:
-    """Each form as one integer row over (1, extended coordinates).
-
-    A row lists the form's constant, its lam_i coefficients, then its
-    lam_i lam_j coefficients (i <= j, lexicographic), the off-diagonal ones
-    doubled because lam^T P lam counts lam_i lam_j twice.  All rows share
-    one positive scale, so their values at (1, lam, lam_i lam_j) order the
-    forms exactly as the forms' values at lam do.
-    """
-    raw = [
-        (
-            form.s0,
-            *form.r,
-            *(
-                form.p[i][j] if i == j else 2 * form.p[i][j]
-                for i in range(form.dim)
-                for j in range(i, form.dim)
-            ),
-        )
-        for form in forms
-    ]
-    scale = math.lcm(*(v.denominator for row in raw for v in row))
-    return [tuple(v.numerator * (scale // v.denominator) for v in row) for row in raw]

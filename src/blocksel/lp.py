@@ -64,11 +64,19 @@ def strict_sign_witness(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction
             sign[col] = -1
             for row in tab:
                 row[col] = -row[col]
-        # A free basic variable never leaves.
-        pivot = min(
-            (r for r in range(m) if tab[r][col] > 0 and basis[r] >= free),
-            key=lambda r: (Fraction(tab[r][-1], tab[r][col]), basis[r]),
-        )
+        # Ratio test: the least tab[r][-1] / tab[r][col], ties to the lowest
+        # basic variable, compared by cross-multiplication since the
+        # pivot-column entries are positive.  A free basic variable never
+        # leaves.
+        pivot = -1
+        for r in range(m):
+            x = tab[r][col]
+            if x > 0 and basis[r] >= free:
+                if pivot >= 0:
+                    lhs, rhs = tab[r][-1] * tab[pivot][col], tab[pivot][-1] * x
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[pivot]):
+                        continue
+                pivot = r
         p, prow = tab[pivot][col], tab[pivot]
         for r in range(m):
             if r != pivot:

@@ -51,11 +51,12 @@ def parse_rational(value: RationalLike) -> Fraction:
     Strings may be integer literals ("-3"), fractions ("5/7"), or decimal
     literals ("0.25", "1e-3"), all read exactly.  A decimal literal whose
     exponent alone passes the digit limit raises ValueError before the
-    number is built (see _check_exponent).
+    number is built (see _check_exponent), and so do booleans and a zero
+    denominator.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
@@ -63,7 +64,10 @@ def parse_rational(value: RationalLike) -> Fraction:
             raise ValueError("empty rational literal")
         if "e" in text or "E" in text:
             _check_exponent(text)
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot parse rational from {value!r}")
 
 
@@ -95,8 +99,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _entries(value, what: str):
+    """value itself, refused when it is a string or a JSON object (a dict).
+
+    Both iterate, so a string "12" would otherwise read as the vector [1, 2].
+    """
+    if isinstance(value, (str, bytes, dict)):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _freeze_vector(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(e) for e in entries)
+    return tuple(parse_rational(e) for e in _entries(entries, "a vector"))
 
 
 @dataclass(frozen=True)
@@ -109,12 +123,12 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RatMatrix":
-        if not rows:
+        if not _entries(rows, "a matrix"):
             raise ValueError("matrix needs at least one row")
-        ncols = len(rows[0])
+        ncols = len(_entries(rows[0], "a matrix row"))
         flat: list[Fraction] = []
         for row in rows:
-            if len(row) != ncols:
+            if len(_entries(row, "a matrix row")) != ncols:
                 raise ValueError("ragged rows in matrix")
             flat.extend(parse_rational(e) for e in row)
         return cls(len(rows), ncols, tuple(flat))

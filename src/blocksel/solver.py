@@ -9,8 +9,14 @@ moves.  Those comparisons are quadratic in lambda; the solver covers all
 their sign regions with rational witness points, reads off the winning
 supports at each witness, and forms candidate supports as unions over
 the cardinality allocations that fit the budget sigma'.  finish() then
-minimizes each candidate's residual form over lambda in closed form and
-keeps the best.
+minimizes each candidate's residual over lambda in closed form and keeps
+the best.
+
+Each support's residual is held as one integer row over (1, lambda,
+lambda_i lambda_j), all rows of a subproblem at one positive scale
+(linalg.residual_quadratic); comparisons read these rows, and a
+candidate's residual is the integer sum of its blocks' rows, minimized by
+linalg.quadratic_minimum.
 
 route() picks one of three candidate generators per subproblem:
 
@@ -37,8 +43,8 @@ route() picks one of three candidate generators per subproblem:
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
 
-Everything that does not depend on sigma' (residual forms and their
-integer rows, argmin profiles, rankings, candidate values) lives in one
+Everything that does not depend on sigma' (residual rows, argmin
+profiles, rankings, candidate values) lives in one
 context per subproblem, held in a cache of MAX_CONTEXTS entries so that a
 sigma sweep over the same data reuses it.
 """
@@ -55,14 +61,7 @@ from typing import Iterable, Sequence
 
 from .arrangement import argmin_regions
 from .cover import conic_cover_points, primitive
-from .linalg import (
-    QuadraticForm,
-    extended_dim,
-    integer_rows,
-    least_squares,
-    quadratic_minimum,
-    residual_quadratic,
-)
+from .linalg import extended_dim, least_squares, quadratic_minimum, residual_quadratic
 from .model import (
     BlockStructure,
     BudgetExceededError,
@@ -165,39 +164,23 @@ def _row_pieces(base: ReducedProblem):
     return tuple(pieces)
 
 
-def _support_forms(base: ReducedProblem, pieces):
-    """All residual forms: entry [i][j] lists (support, form) for block i, size j."""
-    out = []
-    for i, blk in enumerate(base.blocks):
-        b_piece, lam_pieces = pieces[i]
-        by_size = []
-        for j in range(blk.cols + 1):
-            row = tuple(
-                (sup, residual_quadratic(blk, b_piece, lam_pieces, sup))
-                for sup in itertools.combinations(range(blk.cols), j)
-            )
-            by_size.append(row)
-        out.append(tuple(by_size))
-    return tuple(out)
-
-
 @dataclass
 class _Context:
     """Sigma-independent data of one subproblem, shared by every budget.
 
-    The residual forms, their integer rows, the forms' lookup table and the
-    column offsets are built up front; the cover profiles and diagonal
-    rankings are filled in by the first path that needs them, and candidate
-    values as candidates get scored.  rows mirrors forms: entry [i][j]
-    lists (support, row) for block i, size j, every row from one
-    integer_rows call, so all of them share one scale.
+    The residual rows and the column offsets are built up front; the cover
+    profiles and diagonal rankings are filled in by the first path that
+    needs them, and candidate values as candidates get scored.  Entry
+    rows[i][j] lists (support, row) for block i, size j, and row_of[i] maps
+    each support of block i to its row.  Every row shares the positive
+    scale: a support's residual at lam is row . (1, lam, lam_i lam_j) / scale.
     """
 
     base: ReducedProblem
     pieces: tuple
-    forms: tuple
     rows: tuple
-    lookup: tuple[dict, ...]
+    row_of: tuple[dict, ...]
+    scale: int
     offsets: tuple[int, ...]
     values: dict = field(default_factory=dict)
     witness_count: int = 0
@@ -207,20 +190,42 @@ class _Context:
 
 @lru_cache(maxsize=MAX_CONTEXTS)
 def _context(base: ReducedProblem) -> _Context:
-    """The context of a budget-stripped subproblem, built on first use."""
+    """The context of a budget-stripped subproblem, built on first use.
+
+    Each support's (row, scale) comes from residual_quadratic; the rows are
+    brought to the lcm of the scales and divided by the gcd of that common
+    scale and all their entries, so they share one integer scale.
+    """
     pieces = _row_pieces(base)
-    forms = _support_forms(base, pieces)
-    flat = iter(
-        integer_rows([form for per_size in forms for slot in per_size for _, form in slot])
+    raw = [
+        [
+            [
+                (sup, *residual_quadratic(blk, b_piece, lam_pieces, sup))
+                for sup in itertools.combinations(range(blk.cols), j)
+            ]
+            for j in range(blk.cols + 1)
+        ]
+        for blk, (b_piece, lam_pieces) in zip(base.blocks, pieces)
+    ]
+    flat = [entry for per_size in raw for slot in per_size for entry in slot]
+    common = math.lcm(*(scale for _, _, scale in flat))
+    g = math.gcd(
+        common, *(v * (common // scale) for _, row, scale in flat for v in row)
     )
     rows = tuple(
-        tuple(tuple((sup, next(flat)) for sup, _ in slot) for slot in per_size)
-        for per_size in forms
+        tuple(
+            tuple(
+                (sup, tuple(v * (common // scale) // g for v in row))
+                for sup, row, scale in slot
+            )
+            for slot in per_size
+        )
+        for per_size in raw
     )
-    lookup = tuple(
-        {sup: form for slot in per_size for sup, form in slot} for per_size in forms
+    row_of = tuple(
+        dict(pair for slot in per_size for pair in slot) for per_size in rows
     )
-    return _Context(base, pieces, forms, rows, lookup, _col_offsets(base.blocks))
+    return _Context(base, pieces, rows, row_of, common // g, _col_offsets(base.blocks))
 
 
 def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:
@@ -260,10 +265,10 @@ def _argmins_at(rows, witness: Sequence[Fraction]) -> tuple:
     """Winning support per (block, cardinality) at a lambda point.
 
     With den the witness's common denominator and c = den * witness, each
-    form's value times den^2 (and the common scale of the rows) is the dot
-    product of its row with the monomials den^2, den c_i and c_i c_j.  The
-    witness never lies on a nonzero difference surface, so ties happen only
-    between supports with identical forms; those break to the
+    support's residual times den^2 (and the common scale of the rows) is
+    the dot product of its row with the monomials den^2, den c_i and
+    c_i c_j.  The witness never lies on a nonzero difference surface, so
+    ties happen only between supports with identical rows; those break to the
     lexicographically smallest support.
     """
     den = math.lcm(*(x.denominator for x in witness))
@@ -338,34 +343,28 @@ def _candidate_value(
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact minimum over lambda of one candidate's residual form.
 
-    The form is the entry-wise sum of the blocks' forms, built once.
+    The form's row is the integer sum of the blocks' rows at the context's
+    scale; its minimum and minimizer are computed once.
     """
     hit = ctx.values.get(chi)
     if hit is None:
         offsets = ctx.offsets
-        forms = [
-            lookup[
+        rows = [
+            row_of[
                 tuple(c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1])
             ]
-            for i, lookup in enumerate(ctx.lookup)
+            for i, row_of in enumerate(ctx.row_of)
         ]
-        total = QuadraticForm(
-            ctx.base.k_prime,
-            tuple(
-                tuple(map(sum, zip(*rows))) for rows in zip(*(f.p for f in forms))
-            ),
-            tuple(map(sum, zip(*(f.r for f in forms)))),
-            sum(f.s0 for f in forms),
-        )
-        hit = ctx.values[chi] = quadratic_minimum(total)
+        total = tuple(map(sum, zip(*rows)))
+        hit = ctx.values[chi] = quadratic_minimum(total, ctx.base.k_prime, ctx.scale)
     return hit
 
 
 def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolution:
     """Best subproblem solution over the candidate supports.
 
-    Each candidate's residual form is minimized over lambda in closed form;
-    the empty support always participates.  Ties prefer the
+    Each candidate's summed residual row is minimized over lambda in closed
+    form; the empty support always participates.  Ties prefer the
     lexicographically smallest support.  Only the winner gets its block
     coefficients rebuilt, by per-block least squares at the winning lambda.
     """
@@ -672,10 +671,9 @@ def _extended_candidates(
     level = min(rp.sigma_p, rp.n_total)
     regions = 0
     candidates: CandidateSet = set()
-    row_of = [dict(pair for slot in per_size for pair in slot) for per_size in ctx.rows]
     for root, start, selections in _support_regions(ctx, max_cells):
         slots = [
-            [row_of[i][sup] for sup in per_size]
+            [ctx.row_of[i][sup] for sup in per_size]
             for i, per_size in enumerate(selections)
         ]
 

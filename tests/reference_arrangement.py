@@ -7,7 +7,7 @@ arrangement.argmin_regions; tests use these to check the line cover, the
 cell-count identity and the reference of the lifted path.
 
 The library now writes every comparison as an integer row (see
-linalg.integer_rows), so the Fraction types the references are written
+linalg.residual_quadratic), so the Fraction types the references are written
 in live here too: LinearFunctional and linearize, formerly in
 blocksel.linalg and unchanged; form_add, form_sub and form_is_zero, the
 former QuadraticForm methods add, sub and is_zero; row_value, an integer
@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from blocksel import lp
-from blocksel.linalg import QuadraticForm
 from blocksel.model import BudgetExceededError, InvariantError
+from reference_forms import QuadraticForm
 
 
 @dataclass(frozen=True)

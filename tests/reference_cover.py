@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from blocksel.cover import Conic, conic_cover_points, primitive
-from blocksel.linalg import QuadraticForm, eval_form, residual_quadratic
 from blocksel.model import BudgetExceededError, ReducedProblem
 from blocksel.roots import (
     AlgebraicNumber,
@@ -33,6 +32,7 @@ from blocksel.roots import (
 )
 from blocksel.solver import MAX_PROFILE_UNIONS
 from reference_arrangement import form_is_zero, form_sub
+from reference_forms import QuadraticForm, eval_form, residual_quadratic
 
 
 def conic_from_form(form: QuadraticForm) -> Conic:

@@ -14,7 +14,9 @@ it split by argmin regions: every same-cardinality comparison hyperplane is
 inserted by reference_arrangement.enumerate_cells, and each cell reads its
 winners at its witness.  _support_planes no longer caches its planes on the
 solver's context.  _difference_forms is the former solver helper, which
-the cover path used before it read differences of integer rows.
+the cover path used before it read differences of integer rows.  The
+residual forms and their lookup come from reference_forms._support_forms,
+since the solver's context holds only integer rows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import reference_arrangement
-from blocksel.linalg import QuadraticForm, extended_dim
+from blocksel.linalg import extended_dim
 from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
 from blocksel.solver import DEFAULT_MAX_CELLS, CandidateSet, _context, _strip_budget
 from reference_arrangement import (
@@ -41,6 +43,7 @@ from reference_arrangement import (
     sign_at,
     strict_sign_witness,
 )
+from reference_forms import QuadraticForm, _support_forms
 from reference_separable import ValTable, _enumerate_patterns, chain_solve
 
 
@@ -79,7 +82,7 @@ def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
     """Hyperplanes of the same-cardinality comparisons in extended space."""
     ctx = _context(base)
     # A difference with no variable part keeps one sign: no surface to cross.
-    funcs = map(linearize, _difference_forms(ctx.forms))
+    funcs = map(linearize, _difference_forms(_support_forms(base, ctx.pieces)))
     return tuple(merge_hyperplanes([f for f in funcs if any(f.coeffs)]))
 
 
@@ -99,7 +102,7 @@ def build_support_tables(
     cells = reference_arrangement.enumerate_cells(
         planes, extended_dim(rp.k_prime), max_cells=max_cells
     )
-    forms = _context(base).forms
+    forms = _support_forms(base, _context(base).pieces)
     tables = [SupportTable(_argmins_extended(forms, cell.witness)) for cell in cells]
     return cells, tables
 
@@ -245,7 +248,10 @@ def extended_candidates(
     planes = _support_planes(ctx.base)
     cells, tables = build_support_tables(rp, max_cells=max_cells)
     regions = 0
-    lookup = ctx.lookup
+    lookup = [
+        {sup: form for slot in per_size for sup, form in slot}
+        for per_size in _support_forms(ctx.base, ctx.pieces)
+    ]
     offsets = ctx.offsets
     structure = rp.structure()
     level = min(rp.sigma_p, rp.n_total)

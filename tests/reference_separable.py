@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from blocksel.linalg import eval_form, residual_quadratic
 from blocksel.model import BlockStructure, ReducedProblem
 from blocksel.solver import aug_set
+from reference_forms import eval_form, residual_quadratic
 
 
 @dataclass(frozen=True)

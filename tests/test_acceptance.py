@@ -11,7 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from blocksel.linalg import eval_form, least_squares, residual_quadratic
+import reference_forms
+from blocksel.linalg import least_squares, residual_quadratic
 from blocksel.model import Instance, ReducedProblem
 from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import (
@@ -238,8 +239,10 @@ def test_criterion_5_counting_bounds():
                 for s1, s2 in itertools.combinations(
                     itertools.combinations(range(n_i), j), 2
                 ):
-                    f1 = residual_quadratic(blk, b_piece, lam_pieces, s1)
-                    f2 = residual_quadratic(blk, b_piece, lam_pieces, s2)
+                    f1, f2 = (
+                        reference_forms.residual_quadratic(blk, b_piece, lam_pieces, sup)
+                        for sup in (s1, s2)
+                    )
                     if not form_is_zero(form_sub(f1, f2)):
                         count += 1
             assert count <= 2 ** (2 * n_i)
@@ -280,7 +283,7 @@ def test_criterion_6_residual_forms_match_least_squares():
                 for j in range(n_i + 1)
                 for sup in itertools.combinations(range(n_i), j)
             ]
-            forms = {
+            rows = {
                 sup: residual_quadratic(blk, b_piece, lam_pieces, sup)
                 for sup in supports
             }
@@ -295,7 +298,8 @@ def test_criterion_6_residual_forms_match_least_squares():
                         target[r] -= coeff * piece[r]
                 for sup in supports:
                     _, res2 = least_squares([blk.column(c) for c in sup], target)
-                    assert eval_form(forms[sup], lam) == res2
+                    row, scale = rows[sup]
+                    assert row_value(row, ext(lam)) / scale == res2
 
 
 def coverage_problems():
@@ -368,11 +372,11 @@ def test_criterion_7_cell_closure_coverage():
                         for j, sup in enumerate(selections[i]):
                             form = form_cache.get((i, sup))
                             if form is None:
-                                form = residual_quadratic(
+                                form = reference_forms.residual_quadratic(
                                     blk, b_piece, lam_pieces, sup
                                 )
                                 form_cache[(i, sup)] = form
-                            row.append(eval_form(form, lam))
+                            row.append(reference_forms.eval_form(form, lam))
                         rows_vals.append(tuple(row))
                     _, value = dp_solve(ValTable(tuple(rows_vals)), level)
                     assert value == expected

@@ -180,6 +180,50 @@ def test_hostile_inputs_exit_1_without_output(tmp_path, capsys, argv, text, need
     assert needle in captured.err
 
 
+def malformed_doc(**fields):
+    doc = {"blocks": [[["1"]], [["2"]]], "coupling": [["1", "1"]], "b": ["1", "2"], "sigma": 1}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        (malformed_doc(b="12"), "a vector must be a list"),
+        (malformed_doc(coupling=["34"]), "a vector must be a list"),
+        (malformed_doc(intercept="11"), "a vector must be a list"),
+        (malformed_doc(b={"1": "0", "2": "0"}), "a vector must be a list"),
+        (malformed_doc(b=[True, "2"]), "cannot parse rational from True"),
+        (malformed_doc(blocks=[[[False]], [["2"]]]), "cannot parse rational from False"),
+        (malformed_doc(b=["1/0", "2"]), "zero denominator"),
+        (malformed_doc(blocks=[{"a": 1}, [["2"]]]), "a matrix must be a list"),
+        (malformed_doc(blocks=["1", [["2"]]]), "a matrix must be a list"),
+        (malformed_doc(blocks=[[{"a": 1}], [["2"]]]), "a matrix row must be a list"),
+    ],
+    ids=[
+        "b-string",
+        "coupling-string",
+        "intercept-string",
+        "b-object",
+        "b-true",
+        "block-false",
+        "zero-denominator",
+        "block-object",
+        "block-string",
+        "row-object",
+    ],
+)
+def test_malformed_documents_exit_1_with_one_error_line(monkeypatch, capsys, text, needle):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["solve", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
 def test_compare_pass(tmp_path, capsys):
     assert main(["compare", write_doc(tmp_path)]) == 0
     out = capsys.readouterr().out

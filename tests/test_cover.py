@@ -11,7 +11,6 @@ from blocksel.cover import (
     split_rational_lines,
     vanishes_somewhere,
 )
-from blocksel.linalg import QuadraticForm
 from blocksel.model import BudgetExceededError
 from blocksel.roots import ipoly_normalize, isolate_real_roots, sort_unique_roots
 from reference_arrangement import (
@@ -21,6 +20,7 @@ from reference_arrangement import (
     sign_at,
 )
 from reference_cover import conic_from_form
+from reference_forms import QuadraticForm
 
 coords = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=2

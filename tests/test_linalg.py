@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,23 +7,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blocksel.solver as solver
+import reference_forms
 from blocksel.linalg import (
-    QuadraticForm,
-    eval_form,
+    eliminate,
     extended_dim,
-    integer_rows,
     least_squares,
-    orthogonalize,
     quadratic_minimum,
     residual_quadratic,
 )
-from blocksel.model import RatMatrix
+from blocksel.model import InvariantError, RatMatrix, ReducedProblem
 from reference_arrangement import (
     LinearFunctional,
     canonical,
     ext,
-    form_is_zero,
+    form_add,
     row_value,
+)
+from reference_forms import (
+    QuadraticForm,
+    _support_forms,
+    eval_form,
+    integer_rows,
+    orthogonalize,
 )
 
 rationals = st.fractions(
@@ -32,6 +39,11 @@ rationals = st.fractions(
 
 def frac(v):
     return Fraction(v)
+
+
+def row_form_value(row, scale, lam):
+    """A residual row's value at lam, divided by its scale."""
+    return row_value(row, ext(lam)) / scale
 
 
 def vecs(length, count):
@@ -101,30 +113,31 @@ def test_least_squares_normal_equations(data):
 
 def test_residual_quadratic_empty_support():
     blk = RatMatrix.from_rows([[1]])
-    form = residual_quadratic(blk, (frac(1),), [(frac(1),)], ())
+    row, scale = residual_quadratic(blk, (frac(1),), [(frac(1),)], ())
     # (1 - lam)^2
-    assert eval_form(form, (frac(0),)) == 1
-    assert eval_form(form, (frac(1),)) == 0
-    assert form.p == ((1,),)
-    assert form.r == (-2,)
-    assert form.s0 == 1
+    assert row_form_value(row, scale, (frac(0),)) == 1
+    assert row_form_value(row, scale, (frac(1),)) == 0
+    # Constant, lam, lam^2.
+    assert row == (1, -2, 1)
+    assert scale == 1
 
 
 def test_residual_quadratic_full_square_block():
     blk = RatMatrix.from_rows([[1]])
-    form = residual_quadratic(blk, (frac(1),), [(frac(1),)], (0,))
-    assert form_is_zero(form)
+    row, scale = residual_quadratic(blk, (frac(1),), [(frac(1),)], (0,))
+    assert not any(row)
+    assert scale > 0
 
 
 def test_residual_quadratic_column_block():
     blk = RatMatrix.from_rows([[1], [1]])
-    form = residual_quadratic(blk, (frac(0), frac(2)), [(frac(1), frac(0))], (0,))
+    row, scale = residual_quadratic(blk, (frac(0), frac(2)), [(frac(1), frac(0))], (0,))
     # (lam^2 + 4 lam + 4) / 2, zero at lam = -2.
-    assert eval_form(form, (frac(-2),)) == 0
+    assert row_form_value(row, scale, (frac(-2),)) == 0
     for lam in (frac(-2), frac(0), frac(1), frac(3)):
         target = (-lam, frac(2))
         _, res2 = least_squares([blk.column(0)], target)
-        assert eval_form(form, (lam,)) == res2
+        assert row_form_value(row, scale, (lam,)) == res2
 
 
 def test_eval_form_at_zero_is_constant_term():
@@ -156,14 +169,14 @@ def test_residual_quadratic_matches_least_squares(k, n, data):
     support = tuple(
         sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
     )
-    form = residual_quadratic(blk, b_piece, pieces, support)
+    row, scale = residual_quadratic(blk, b_piece, pieces, support)
     lam = tuple(Fraction(v) for v in data.draw(st.lists(rationals, min_size=k, max_size=k)))
     target = list(b_piece)
     for coeff, piece in zip(lam, pieces):
         for i in range(m):
             target[i] -= coeff * piece[i]
     _, res2 = least_squares([blk.column(c) for c in support], target)
-    assert eval_form(form, lam) == res2
+    assert row_form_value(row, scale, lam) == res2
 
 
 def symmetric_form(k, entries, r, s0):
@@ -247,22 +260,22 @@ def test_integer_rows_order_supports_as_eval_form():
 
 
 def test_quadratic_minimum_shifted_square():
-    # (lam - 2)^2 = lam^2 - 4 lam + 4
-    form = QuadraticForm(1, ((frac(1),),), (frac(-4),), frac(4))
-    value, point = quadratic_minimum(form)
+    # (lam - 2)^2 = lam^2 - 4 lam + 4, as the row (4, -4, 1).
+    value, point = quadratic_minimum((4, -4, 1), 1, 1)
     assert value == 0
     assert point == (2,)
 
 
 def test_quadratic_minimum_strictly_positive():
-    form = QuadraticForm(1, ((frac(1),),), (frac(0),), frac(1))
-    assert quadratic_minimum(form) == (1, (0,))
+    assert quadratic_minimum((1, 0, 1), 1, 1) == (1, (0,))
+    # The same form at scale 3 reads a third of it.
+    assert quadratic_minimum((1, 0, 1), 1, 3) == (Fraction(1, 3), (0,))
 
 
 def test_quadratic_minimum_unbounded_raises():
-    form = QuadraticForm(1, ((frac(0),),), (frac(1),), frac(0))
-    with pytest.raises(ValueError):
-        quadratic_minimum(form)
+    # lam alone is not semidefinite over (lam, 1).
+    with pytest.raises(InvariantError):
+        quadratic_minimum((0, 1, 0), 1, 1)
 
 
 def test_extended_dim():
@@ -277,3 +290,104 @@ def test_functional_canonical():
     canon = canonical(func)
     assert canon.coeffs == (1, -2)
     assert canon.const == 3
+
+
+def test_eliminate_skips_zero_pivot_rows():
+    # The second variable repeats the first, so its pivot and row vanish.
+    matrix = [[2, 2, 1], [2, 2, 1], [1, 1, 3]]
+    trail, pivot = eliminate(matrix, 2)
+    assert pivot == 2
+    # 2 * (3 - 1 * 1 / 2)
+    assert trail == [[5]]
+
+
+def test_eliminate_refuses_zero_pivot_with_nonzero_row():
+    with pytest.raises(InvariantError):
+        eliminate([[0, 1], [1, 1]], 1)
+    with pytest.raises(InvariantError):
+        eliminate([[1, 0, 0], [0, 0, 2], [0, 2, 1]], 2)
+
+
+def test_residual_quadratic_wide_block_zero_pivot():
+    # A 1x2 block spans the line at support (0, 1): its second column is a
+    # zero pivot, and every residual vanishes.
+    blk = RatMatrix.from_rows([[2, 3]])
+    row, scale = residual_quadratic(blk, (frac(5),), [(frac(1),)], (0, 1))
+    assert not any(row)
+    assert scale > 0
+
+
+def test_residual_quadratic_repeated_column_zero_pivot():
+    # Column 1 repeats column 0, so support (0, 1) projects as (0,) does.
+    blk = RatMatrix.from_rows([[1, 1], [Fraction(1, 2), Fraction(1, 2)]])
+    b_piece = (frac(1), frac(3))
+    pieces = [(frac(0), frac(1)), (frac(2), Fraction(-1, 3))]
+    both, both_scale = residual_quadratic(blk, b_piece, pieces, (0, 1))
+    one, one_scale = residual_quadratic(blk, b_piece, pieces, (0,))
+    for lam in ((frac(0), frac(0)), (frac(1), Fraction(-2, 3)), (frac(-3), frac(5))):
+        value = row_form_value(both, both_scale, lam)
+        assert value == row_form_value(one, one_scale, lam)
+        target = [b - lam[0] * p - lam[1] * q for b, p, q in zip(b_piece, *pieces)]
+        assert value == least_squares([blk.column(0)], target)[1]
+
+
+def test_quadratic_minimum_zero_coupling_column():
+    # A zero coupling column leaves lam_2 without a pivot; it is set to 0.
+    blk = RatMatrix.from_rows([[1], [2]])
+    pieces = [(frac(1), frac(1)), (frac(0), frac(0))]
+    row, scale = residual_quadratic(blk, (frac(1), frac(4)), pieces, ())
+    value, lam = quadratic_minimum(row, 2, scale)
+    # |(1, 4) - lam_1 (1, 1)|^2 is least at lam_1 = 5/2.
+    assert lam == (Fraction(5, 2), 0)
+    assert value == Fraction(9, 2)
+
+
+def _random_problem(rng, k):
+    def entry():
+        return Fraction(rng.choice((0, 0, 1, -1, 2, -3)), rng.randint(1, 3))
+
+    shapes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    blocks = []
+    for rows, cols in shapes:
+        columns = [[entry() for _ in range(rows)] for _ in range(cols)]
+        if cols > 1 and rng.random() < 0.3:
+            columns[-1] = list(columns[0])
+        blocks.append(RatMatrix.from_rows([list(r) for r in zip(*columns)]))
+    m = sum(blk.rows for blk in blocks)
+    lambda_cols = [tuple(entry() for _ in range(m)) for _ in range(k)]
+    return ReducedProblem(
+        blocks=tuple(blocks),
+        b=tuple(entry() for _ in range(m)),
+        lambda_cols=tuple(lambda_cols),
+        tags=tuple(range(k)),
+        sigma_p=0,
+    )
+
+
+def test_context_rows_and_minima_match_reference_forms():
+    rng = random.Random(1968)
+    for k in range(4):
+        for _ in range(12):
+            base = _random_problem(rng, k)
+            ctx = solver._context(base)
+            forms = _support_forms(base, ctx.pieces)
+            flat_forms = [f for per_size in forms for slot in per_size for _, f in slot]
+            flat_rows = [r for per_size in ctx.rows for slot in per_size for _, r in slot]
+            reference = integer_rows(flat_forms)
+            # One positive factor maps the reference rows onto the context's.
+            pairs = [(a, b) for ref, new in zip(reference, flat_rows) for a, b in zip(ref, new)]
+            nonzero = [(a, b) for a, b in pairs if a]
+            factor = Fraction(nonzero[0][1], nonzero[0][0]) if nonzero else 0
+            assert factor > 0 or not nonzero
+            assert all(b == factor * a for a, b in pairs)
+            lookup = [{sup: f for slot in per_size for sup, f in slot} for per_size in forms]
+            for _ in range(6):
+                picks = [rng.choice(list(by_support)) for by_support in lookup]
+                total_row = tuple(
+                    map(sum, zip(*(ctx.row_of[i][sup] for i, sup in enumerate(picks))))
+                )
+                total = functools.reduce(
+                    form_add, (lookup[i][sup] for i, sup in enumerate(picks))
+                )
+                expected = reference_forms.quadratic_minimum(total)
+                assert quadratic_minimum(total_row, k, ctx.scale) == expected

@@ -11,7 +11,7 @@ import reference_diagonal
 import reference_extended
 from reference_separable import diag_greedy, fixed_lambda_opt
 from blocksel.cover import conic_cover_points
-from blocksel.linalg import QuadraticForm, least_squares, residual_quadratic
+from blocksel.linalg import least_squares
 from blocksel.model import (
     BudgetExceededError,
     Instance,
@@ -30,6 +30,7 @@ from blocksel.solver import (
 )
 from reference_arrangement import linearize
 from reference_cover import conic_from_form
+from reference_forms import QuadraticForm, residual_quadratic
 
 
 def rp_1x1(values, b, lambda_cols=(), tags=(), sigma_p=0):
