@@ -55,6 +55,8 @@ def load_instance(text: str) -> Instance:
         doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("top-level value must be an object")
     missing = [name for name in ("blocks", "coupling", "b", "sigma") if name not in doc]

@@ -31,86 +31,46 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def solve_linear_system(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction]:
-    """Solve a nonsingular square system exactly.
-
-    Fraction-free style elimination with full pivoting: at every step the
-    largest-magnitude entry of the remaining submatrix is chosen as pivot,
-    which keeps the elimination deterministic and robust to zero pivots.
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    col_perm = list(range(n))
-    for step in range(n):
-        best_r, best_c, best_val = -1, -1, Fraction(0)
-        for r in range(step, n):
-            for c in range(step, n):
-                v = abs(a[r][c])
-                if v > best_val:
-                    best_r, best_c, best_val = r, c, v
-        if best_val == 0:
-            raise ValueError("singular system")
-        a[step], a[best_r] = a[best_r], a[step]
-        if best_c != step:
-            for row in a:
-                row[step], row[best_c] = row[best_c], row[step]
-            col_perm[step], col_perm[best_c] = col_perm[best_c], col_perm[step]
-        piv = a[step][step]
-        for r in range(step + 1, n):
-            factor = a[r][step] / piv
-            if factor:
-                for c in range(step, n + 1):
-                    a[r][c] -= factor * a[step][c]
-    x = [Fraction(0)] * n
-    for step in range(n - 1, -1, -1):
-        acc = a[step][n]
-        for c in range(step + 1, n):
-            acc -= a[step][c] * x[c]
-        x[step] = acc / a[step][step]
-    out = [Fraction(0)] * n
-    for pos, orig in enumerate(col_perm):
-        out[orig] = x[pos]
-    return out
-
-
 def least_squares(
     columns: Sequence[Sequence[Fraction]], y: Sequence[Fraction]
 ) -> tuple[list[Fraction], Fraction]:
     """Exact least squares min |A x - y|^2 over the given columns.
 
+    One Gram-Schmidt pass writes the kept columns as U R, U orthogonal and
+    R unit upper triangular from the recorded projection coefficients; y's
+    coefficients c on U give x by back substitution through R x = c.
     Dependent columns (in input order) receive coefficient 0, which makes the
     minimizer deterministic even when A is rank deficient.  Returns the
     coefficient vector and the exact squared residual.
     """
     kept: list[int] = []
-    basis: list[Vector] = []
+    basis: list[tuple[Vector, Fraction]] = []
+    above: list[list[Fraction]] = []  # above[j][i]: R entry (i, j), i < j
     for idx, col in enumerate(columns):
         u = [Fraction(x) for x in col]
-        for w in basis:
-            coeff = _dot(u, w) / _dot(w, w)
+        coeffs = []
+        for w, ww in basis:
+            coeff = _dot(u, w) / ww
+            coeffs.append(coeff)
             if coeff:
                 for i in range(len(u)):
                     u[i] -= coeff * w[i]
         if any(u):
             kept.append(idx)
-            basis.append(tuple(u))
-    x = [Fraction(0)] * len(columns)
-    if kept:
-        gram = [
-            [_dot(columns[i], columns[j]) for j in kept] for i in kept
-        ]
-        rhs = [_dot(columns[i], y) for i in kept]
-        sol = solve_linear_system(gram, rhs)
-        for pos, idx in enumerate(kept):
-            x[idx] = sol[pos]
+            basis.append((tuple(u), _dot(u, u)))
+            above.append(coeffs)
     res2 = _dot(y, y)
-    for w in basis:
+    z = []
+    for w, ww in basis:
         proj = _dot(y, w)
-        if proj:
-            res2 -= proj * proj / _dot(w, w)
+        z.append(proj / ww)
+        res2 -= proj * z[-1]
+    for j in range(len(z) - 1, 0, -1):
+        for i, r in enumerate(above[j]):
+            z[i] -= r * z[j]
+    x = [Fraction(0)] * len(columns)
+    for idx, v in zip(kept, z):
+        x[idx] = v
     return x, res2
 
 

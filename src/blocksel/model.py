@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -52,7 +50,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     literals ("0.25", "1e-3"), all read exactly.  A decimal literal whose
     exponent alone passes the digit limit raises ValueError before the
     number is built (see _check_exponent), and so do booleans and a zero
-    denominator.
+    denominator.  An error message quotes at most the first 40 characters
+    of the value.
     """
     if isinstance(value, Fraction):
         return value
@@ -67,8 +66,13 @@ def parse_rational(value: RationalLike) -> Fraction:
         try:
             return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(f"cannot parse rational from {value!r}")
+            raise ValueError(f"zero denominator in {text[:40]!r}") from None
+        except ValueError as exc:
+            # Fraction's message for a malformed literal repeats all of it.
+            if str(exc).startswith("Invalid literal"):
+                raise ValueError(f"invalid rational literal {text[:40]!r}") from None
+            raise
+    raise ValueError(f"cannot parse rational from {repr(value)[:40]}")
 
 
 def _check_exponent(text: str) -> None:

@@ -21,10 +21,11 @@ linalg.quadratic_minimum.
 route() picks one of three candidate generators per subproblem:
 
 * diagonal: all blocks 1x1 and at most two free parameters.  The optimal
-  support is a top slice of the coordinates ranked by |b'(lambda)|, so one
-  candidate per ranking suffices, whatever sigma'; rankings are read off
-  the edges of a line arrangement in the plane, walking each line once in
-  integers and re-sorting only the coordinates whose lines cross it.
+  support is the top sigma' coordinates by |b'(lambda)|, so the
+  candidates are the top sets over the regions of lambda space.  They are
+  read off the edges of a line arrangement in the plane, walking each
+  line once in integers; each side of the line keeps only its top set,
+  which changes where the sigma'-th and (sigma'+1)-th coordinates swap.
 * cover: every other subproblem with at most two free parameters.  Argmin
   profiles are read at the witnesses of one conic cover of the plane; the
   allocation work is bounded by MAX_PROFILE_UNIONS.
@@ -44,9 +45,9 @@ With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
 
 Everything that does not depend on sigma' (residual rows, argmin
-profiles, rankings, candidate values) lives in one
-context per subproblem, held in a cache of MAX_CONTEXTS entries so that a
-sigma sweep over the same data reuses it.
+profiles, candidate values) lives in one context per subproblem, held in
+a cache of MAX_CONTEXTS entries so that a sigma sweep over the same data
+reuses it.
 """
 
 from __future__ import annotations
@@ -169,11 +170,11 @@ class _Context:
     """Sigma-independent data of one subproblem, shared by every budget.
 
     The residual rows and the column offsets are built up front; the cover
-    profiles and diagonal rankings are filled in by the first path that
-    needs them, and candidate values as candidates get scored.  Entry
-    rows[i][j] lists (support, row) for block i, size j, and row_of[i] maps
-    each support of block i to its row.  Every row shares the positive
-    scale: a support's residual at lam is row . (1, lam, lam_i lam_j) / scale.
+    profiles are filled in by the first cover solve, and candidate values
+    as candidates get scored.  Entry rows[i][j] lists (support, row) for
+    block i, size j, and row_of[i] maps each support of block i to its row.
+    Every row shares the positive scale: a support's residual at lam is
+    row . (1, lam, lam_i lam_j) / scale.
     """
 
     base: ReducedProblem
@@ -185,7 +186,6 @@ class _Context:
     values: dict = field(default_factory=dict)
     witness_count: int = 0
     profiles: tuple | None = None
-    rankings: tuple | None = None
 
 
 @lru_cache(maxsize=MAX_CONTEXTS)
@@ -409,29 +409,28 @@ def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolutio
 # --- diagonal specialization ------------------------------------------------
 
 
-def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
-    """Orderings of the hittable coordinates over the regions of lambda space.
+def _diag_top_sets(ctx: _Context, top: int) -> CandidateSet:
+    """Top sets of the hittable coordinates over the regions of lambda space.
 
-    Coordinates sort by squared adjusted right side |b'(lambda)|^2,
+    Coordinates rank by squared adjusted right side |b'(lambda)|^2,
     descending, index ascending; coordinates with a zero diagonal entry are
-    left out.  Orderings change only across the pairwise difference and sum
-    lines of the hittable b' functionals, where |b'_i| = |b'_j|.  The
-    functionals get zero coefficients up to two parameters, so lambda space
-    is read as the plane: every region of the line arrangement has an edge
-    on some line, so the orderings just off each edge, on both sides, give
-    them all.  Each merged line keeps the coordinates of the pairs it
-    carries, and lines are grouped by primitive direction, so a line is
-    walked only against the lines that cross it (none below two free
-    parameters); see _line_rankings.  Without any line every ordering is
-    constant, and the line lambda_2 = 0 reads it.  More than two free
-    parameters raise ValueError.  Computed once per context.
+    left out, and a top set holds the first min(top, hittable) of them.
+    Rankings change only across the pairwise difference and sum lines of
+    the hittable b' functionals, where |b'_i| = |b'_j|.  The functionals
+    get zero coefficients up to two parameters, so lambda space is read as
+    the plane: every region of the line arrangement has an edge on some
+    line, so the top sets just off each edge, on both sides, give them all.
+    Each merged line keeps the coordinates of the pairs it carries, and
+    lines are grouped by primitive direction, so a line is walked only
+    against the lines that cross it (none below two free parameters); see
+    _line_top_sets.  Without any line every ranking is constant, and the
+    line lambda_2 = 0 reads it.  More than two free parameters raise
+    ValueError.
     """
-    if ctx.rankings is not None:
-        return ctx.rankings
     k = ctx.base.k_prime
     if k > 2:
         raise ValueError(
-            f"diagonal rankings take at most two free parameters, not {k}"
+            f"diagonal top sets take at most two free parameters, not {k}"
         )
     # b'_i(lambda) = b_i - sum_l lambda_l col_l[i] as (p, q, r) for
     # p lambda_1 + q lambda_2 + r, all scaled by one positive integer, which
@@ -453,7 +452,7 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
     directions: dict[tuple[int, ...], list] = {}
     for line, coords in (carried or {(0, 1, 0): set()}).items():
         directions.setdefault(primitive(line[:2]), []).append((line, coords))
-    rankings: set[tuple[int, ...]] = set()
+    top_sets: CandidateSet = set()
     for direction, group in directions.items():
         crossing = [
             entry
@@ -462,13 +461,12 @@ def _diag_rankings(ctx: _Context) -> tuple[tuple[int, ...], ...]:
             for entry in entries
         ]
         for line, _ in group:
-            rankings.update(_line_rankings(line, crossing, int_funcs, hittable))
-    ctx.rankings = tuple(sorted(rankings))
-    return ctx.rankings
+            top_sets.update(_line_top_sets(line, crossing, int_funcs, hittable, top))
+    return top_sets
 
 
-def _line_rankings(line, crossing, int_funcs, hittable) -> set[tuple[int, ...]]:
-    """Orderings just off each edge of one line, on both sides.
+def _line_top_sets(line, crossing, int_funcs, hittable, top) -> CandidateSet:
+    """Top sets just off each edge of one line, on both sides, as sorted tuples.
 
     The line a x + b y + c = 0 is walked as P(t) = base + t (-b, a); the
     lines of crossing, each with the coordinates of the pairs it carries,
@@ -478,16 +476,18 @@ def _line_rankings(line, crossing, int_funcs, hittable) -> set[tuple[int, ...]]:
     at (K + 1) / M and the first edge at (K_0 - 1) / M: every anchor shares
     the denominator M.  Along the normal n = (a, b), a functional with
     value v at that point and slope s = f . n has square
-    v^2 + 2 e v s + e^2 s^2 at offset e n, so for small e > 0 the ordering
+    v^2 + 2 e v s + e^2 s^2 at offset e n, so for small e > 0 the ranking
     on the + side compares (v^2, v s, s^2) lexicographically and on the -
     side (v^2, -v s, s^2).  Values are scaled by one positive integer per
     point, which keeps every comparison.
 
-    Both orderings are sorted once, at the first edge.  Past a crossing
-    only the coordinates of the lines through it are sorted again, into
-    the positions they held: every other coordinate has a different |b'|
-    there, so its order against them stays.  Lines and int_funcs entries
-    are integer triples (a, b, c) of a x + b y + c.
+    Each side sorts once, at the first edge, and keeps its first top
+    coordinates as the set inside.  Past a crossing the coordinates C of
+    the lines through it keep the ranks they held, since every other
+    coordinate has a different |b'| there; so if n of C were inside, the
+    best n of C, ranked just past the crossing, are inside now.  Only a
+    side with 0 < n < |C| can change, and only it ranks C.  Lines and
+    int_funcs entries are integer triples (a, b, c) of a x + b y + c.
     """
     a, b, c = line
     g = b if b != 0 else a  # base has denominator g
@@ -513,55 +513,40 @@ def _line_rankings(line, crossing, int_funcs, hittable) -> set[tuple[int, ...]]:
         s = p * a + q * b
         rows[i] = (sign * at_base * w, (q * a - p * b) * mag, s, -s * s)
 
-    def keys(coords, u):
-        plus, minus = [], []
+    def ranked(coords, u, side):
+        keys = []
         for i in coords:
             big_a, big_b, s, ss = rows[i]
             v = big_a + big_b * u
-            vv, vs = -v * v, v * s
-            plus.append((vv, -vs, ss, i))
-            minus.append((vv, vs, ss, i))
-        plus.sort()
-        minus.sort()
-        return plus, minus
+            keys.append((-v * v, -side * v * s, ss, i))
+        return [key[3] for key in sorted(keys)]
 
-    sides = []
-    for ordered in keys(hittable, u):
-        order = [key[3] for key in ordered]
-        sides.append((order, {i: slot for slot, i in enumerate(order)}))
-    out = {tuple(order) for order, _ in sides}
+    sides = [(side, set(ranked(hittable, u, side)[:top])) for side in (1, -1)]
+    out = {tuple(sorted(inside)) for _, inside in sides}
     for at in sorted(swaps):
         coords = swaps[at]
-        for (order, slot_of), ordered in zip(sides, keys(coords, at + 1)):
-            moved = False
-            for slot, key in zip(sorted(slot_of[i] for i in coords), ordered):
-                i = key[3]
-                if order[slot] != i:
-                    order[slot] = i
-                    slot_of[i] = slot
-                    moved = True
-            if moved:
-                out.add(tuple(order))
+        for side, inside in sides:
+            n = len(coords & inside)
+            if 0 < n < len(coords):
+                inside -= coords
+                inside.update(ranked(coords, at + 1, side)[:n])
+                out.add(tuple(sorted(inside)))
     return out
 
 
 def solve_diagonal(rp: ReducedProblem) -> tuple[CandidateSet, RpSolution]:
     """Candidates and optimum for an all-1x1 subproblem with k' <= 2.
 
-    At any lambda the optimal support is a top slice of the coordinates
-    ordered by |b'(lambda)|, restricted to nonzero diagonal entries: each
-    inclusion removes that coordinate's squared residual.  One candidate
-    per witness ordering suffices.  Other blocks, or more than two free
-    parameters, raise ValueError.
+    At any lambda the optimal support is the top sigma' coordinates by
+    |b'(lambda)|, restricted to nonzero diagonal entries: each inclusion
+    removes that coordinate's squared residual.  The candidates are the
+    top sets over the regions of lambda space, one per region.  Other
+    blocks, or more than two free parameters, raise ValueError.
     """
     for blk in rp.blocks:
         if blk.rows != 1 or blk.cols != 1:
             raise ValueError("solve_diagonal requires 1x1 blocks")
-    ctx = _context(_strip_budget(rp))
-    candidates: CandidateSet = set()
-    for ranking in _diag_rankings(ctx):
-        take = min(rp.sigma_p, len(ranking))
-        candidates.add(tuple(sorted(ranking[:take])))
+    candidates = _diag_top_sets(_context(_strip_budget(rp)), rp.sigma_p)
     return candidates, finish(candidates, rp)
 
 
@@ -720,7 +705,7 @@ def route(rp: ReducedProblem, method: str = "auto") -> str:
     """The candidate generator solve_block runs on one subproblem.
 
     Under "auto" and "diagonal", a subproblem whose blocks are all 1x1 and
-    that has at most two free parameters takes the diagonal ranking; every
+    that has at most two free parameters takes the diagonal top sets; every
     other subproblem takes cover up to two free parameters and extended
     beyond.  "diagonal" therefore names the 1x1 route and is refused when a
     block is not 1x1; "cover" is refused beyond two free parameters;
@@ -756,16 +741,17 @@ def solve_block(
     """Candidates and optimum for one reduced subproblem.
 
     route() picks the generator for method.  A stats dict, when given,
-    receives the path taken and its region count: distinct rankings on
-    the diagonal path, witnesses on cover, chain regions (the leaves of
-    the chain tree, summed over the support regions) on extended.
+    receives the path taken and its region count: distinct top sets on
+    the diagonal path, so one candidate per region; witnesses on cover;
+    chain regions (the leaves of the chain tree, summed over the support
+    regions) on extended.
     """
     path = route(rp, method)
-    ctx = _context(_strip_budget(rp))
     if path == "diagonal":
         candidates, sol = solve_diagonal(rp)
-        regions = len(_diag_rankings(ctx))
+        regions = len(candidates)
     elif path == "cover":
+        ctx = _context(_strip_budget(rp))
         candidates = _cover_pool(ctx, min(rp.sigma_p, rp.n_total))
         regions = ctx.witness_count
         sol = finish(candidates, rp)

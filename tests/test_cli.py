@@ -199,6 +199,9 @@ def malformed_doc(**fields):
         (malformed_doc(blocks=[{"a": 1}, [["2"]]]), "a matrix must be a list"),
         (malformed_doc(blocks=["1", [["2"]]]), "a matrix must be a list"),
         (malformed_doc(blocks=[[{"a": 1}], [["2"]]]), "a matrix row must be a list"),
+        (malformed_doc(blocks=[]).replace("[]", "[" * 1000 + "]" * 1000), "nested too deeply"),
+        (malformed_doc(blocks=[]).replace("[]", "[" * 100000 + "]" * 100000), "nested too deeply"),
+        (malformed_doc(b=["x" * 200000, "2"]), "invalid rational literal 'xxxx"),
     ],
     ids=[
         "b-string",
@@ -211,6 +214,9 @@ def malformed_doc(**fields):
         "block-object",
         "block-string",
         "row-object",
+        "nested-1000",
+        "nested-100000",
+        "long-entry",
     ],
 )
 def test_malformed_documents_exit_1_with_one_error_line(monkeypatch, capsys, text, needle):
@@ -221,6 +227,7 @@ def test_malformed_documents_exit_1_with_one_error_line(monkeypatch, capsys, tex
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert len(captured.err) < 200
     assert needle in captured.err
 
 

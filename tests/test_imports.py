@@ -1,4 +1,5 @@
-"""Every name a library or test module imports is referenced in it."""
+"""Every name a library or test module imports is referenced in it, and
+every module-level name of the library is read by the library."""
 
 import ast
 from pathlib import Path
@@ -6,17 +7,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/blocksel/*.py"), *ROOT.glob("tests/*.py")])
+LIBRARY = sorted(ROOT.glob("src/blocksel/*.py"))
+MODULES = sorted([*LIBRARY, *ROOT.glob("tests/*.py")])
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by import statements that nothing else in source reads.
+def _names(tree: ast.AST) -> tuple[dict[str, int], set[str]]:
+    """The names tree imports, with their lines, and the names it reads.
 
-    A name counts as read when it appears as an identifier, or inside a
-    string that parses as an expression: quoted annotations and the
-    entries of __all__.
+    A name counts as read when it appears as an identifier that is not
+    assigned to, or inside a string that parses as an expression: quoted
+    annotations and the entries of __all__.
     """
-    tree = ast.parse(source)
     imported: dict[str, int] = {}
     used: set[str] = set()
     for node in ast.walk(tree):
@@ -27,7 +28,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 if alias.name != "*":
                     imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
@@ -35,7 +36,38 @@ def unused_imports(source: str) -> list[str]:
             except (SyntaxError, ValueError):
                 continue
             used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return imported, used
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that nothing else in source reads."""
+    imported, used = _names(ast.parse(source))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and assigned names no module reads.
+
+    sources maps module names to their text.  Besides the reads of
+    _names, a name counts as read when a module imports it or takes an
+    attribute of that name.
+    """
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{module}.{node.name} (line {node.lineno})"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        defined[target.id] = f"{module}.{target.id} (line {node.lineno})"
+        imported, used = _names(tree)
+        read.update(imported, used)
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    return sorted(where for name, where in defined.items() if name not in read)
 
 
 def test_the_check_sees_unused_and_used_names():
@@ -53,3 +85,15 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_dead_name_check_sees_unread_definitions():
+    sources = {
+        "a": "import b\nLIMIT = 3\nAlias = int\ndef f():\n    return b.g(LIMIT)\n",
+        "b": "from a import f\n__all__ = ['Kept']\nclass Kept: ...\ndef g(x):\n    x = h\ndef h(): ...\ndef lost(): ...\n",
+    }
+    assert dead_names(sources) == ["a.Alias (line 3)", "b.lost (line 7)"]
+
+
+def test_every_library_name_is_read_by_the_library():
+    assert dead_names({path.stem: path.read_text() for path in LIBRARY}) == []

@@ -95,12 +95,32 @@ def test_least_squares_rank_deficient_zeroes_dropped_column():
     assert x == [1, 0]
 
 
-@given(st.integers(1, 3).flatmap(lambda m: st.tuples(vecs(m, 2), st.lists(rationals, min_size=m, max_size=m))))
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.tuples(
+            vecs(m, 2),
+            st.lists(rationals, min_size=m, max_size=m),
+            st.integers(1, 2),
+            rationals,
+            rationals,
+            st.integers(0, 2),
+        )
+    )
+)
 def test_least_squares_normal_equations(data):
-    cols, y = data
-    cols = [[Fraction(v) for v in c] for c in cols]
+    # One or two drawn columns, then a zero column inserted among them and
+    # a combination of them last: 3-4 columns, the last two forced
+    # dependent on earlier ones.
+    base, y, count, a, b, at = data
+    cols = [[Fraction(v) for v in c] for c in base[:count]]
+    combo = [a * u + b * v for u, v in zip(cols[0], cols[-1])]
+    at = min(at, count)
+    cols.insert(at, [Fraction(0)] * len(y))
+    cols.append(combo)
     y = [Fraction(v) for v in y]
     x, res2 = least_squares(cols, y)
+    assert x[at] == 0
+    assert x[-1] == 0
     resid = list(y)
     for coeff, col in zip(x, cols):
         for i in range(len(resid)):

@@ -30,6 +30,14 @@ def test_thin_slab():
     assert 0 < point[0] < Fraction(1, 1000)
 
 
+def test_ratio_ties_leave_by_the_lowest_basic_variable():
+    # Rows c + a . x > 0.  The ratio test ties here, and Bland's rule sends
+    # the lowest basic variable out; sending the highest instead ends at
+    # (3/5, 2/5).
+    rows = [(0, 2, -2), (1, 0, 1), (2, 2, -1), (1, 0, -2), (1, -2, 1)]
+    assert strict_sign_witness(rows) == [0, Fraction(-1, 2)]
+
+
 def test_no_constraints_returns_origin():
     assert strict_sign_witness([]) == []
 

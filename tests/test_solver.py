@@ -469,9 +469,10 @@ def test_lifted_path_matches_brute_force_on_general_blocks():
 
 def test_edge_rankings_match_rankings_at_cover_witnesses():
     # Reference: read each ordering at a strict witness of every region of
-    # the difference and sum lines, from the independent conic cover.  With
-    # fewer than two free parameters the lines are lifted into the plane
-    # with zero coefficients on the missing ones.
+    # the difference and sum lines, from the independent conic cover, and
+    # cut it to its top set at every top.  With fewer than two free
+    # parameters the lines are lifted into the plane with zero
+    # coefficients on the missing ones.
     rng = random.Random(43)
     zero = (Fraction(0), Fraction(0))
     for trial in range(60):
@@ -496,7 +497,10 @@ def test_edge_rankings_match_rankings_at_cover_witnesses():
         for x, y in conic_cover_points(map(conic_from_form, lines)):
             values = [(u0 * x + u1 * y + c) ** 2 for (u0, u1), c in funcs]
             expected.add(tuple(sorted(hittable, key=lambda i: (-values[i], i))))
-        assert set(solver._diag_rankings(solver._context(rp))) == expected
+        ctx = solver._context(rp)
+        for top in range(h + 2):
+            tops = {tuple(sorted(ranking[:top])) for ranking in expected}
+            assert solver._diag_top_sets(ctx, top) == tops
 
 
 def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
@@ -531,7 +535,10 @@ def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
             tags=("mu",) * intercept + tuple(range(pinned)),
         )
         ctx = solver._context(rp)
-        assert solver._diag_rankings(ctx) == reference_diagonal.diag_rankings(ctx)
+        rankings = reference_diagonal.diag_rankings(ctx)
+        for top in range(h + 2):
+            tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
+            assert solver._diag_top_sets(ctx, top) == tops
 
 
 def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch):
