@@ -1,25 +1,26 @@
-"""Rational witness points covering two-parameter sign arrangements.
+"""Rational witness points for the sign conditions of two-parameter families.
 
 The cover path of the solver needs, for a family of curves in the
-(lambda_1, lambda_2) plane, a finite set of rational points that hits every
-open region on which all family members keep a constant sign.
-conic_cover_points does this for families of degree-at-most-2 curves
-(lines included) by cylindrical decomposition.  Critical lambda_1 values
-(discriminants, leading coefficients, vertical components, pairwise
-resultants) split the axis into strips; inside a strip every curve is a
-union of non-crossing graphs over lambda_1, so sweeping one rational
-vertical line per strip reaches every region.
+(lambda_1, lambda_2) plane, a finite set of rational points that realizes
+every sign vector the family takes on an open region.  conic_cover_points
+does this for families of degree-at-most-2 curves (lines included) by
+cylindrical decomposition.  Critical lambda_1 values (discriminants,
+leading coefficients, vertical components, pairwise resultants) split the
+axis into strips; inside a strip every curve is a union of non-crossing
+graphs over lambda_1, so one rational vertical line per strip meets every
+region.  Each interval of that line is labelled with its sign vector,
+and only a label not seen before gets a point, so the points are exactly
+one per realized sign condition (Basu, Pollack & Roy, Algorithms in Real
+Algebraic Geometry).
 
 Every returned point avoids the zero set of every family member that
 vanishes anywhere, so comparisons made at a witness are strict.  Members
 that never vanish are dropped: they cannot change sign or create ties.
-The generator may return extra points (several per region, or in regions
-no optimum uses); downstream consumers only collect candidate supports per
-point, so extras cost time, never correctness.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -28,6 +29,7 @@ from .model import BudgetExceededError, InvariantError
 from .roots import (
     ipoly_normalize,
     isolate_real_roots,
+    sample_between,
     separating_samples,
     sort_unique_roots,
 )
@@ -213,12 +215,14 @@ def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:
 
 
 def conic_cover_points(conics: Iterable[Sequence[int]]) -> list[Point2]:
-    """Witnesses hitting every open sign-invariant region of the family.
+    """One witness per sign vector the family takes on an open region.
 
-    Each member is an integer (a, b, c, d, e, f), at any nonzero scale.
-    Points come strip by strip, in increasing lambda_1.  A family without
-    lambda_2 gets one point per strip, on the axis lambda_2 = 0, so it
-    also serves curves in fewer than two parameters, padded with zeros.
+    Each member is an integer (a, b, c, d, e, f), at any nonzero scale;
+    sign vectors are read over the members' rational components that
+    vanish somewhere.  Points come strip by strip, in increasing lambda_1.
+    A family without lambda_2 gets at most one point per strip, on the
+    axis lambda_2 = 0, so it also serves curves in fewer than two
+    parameters, padded with zeros.
     """
     family: list[Conic] = []
     seen: set[Conic] = set()
@@ -271,17 +275,47 @@ def conic_cover_points(conics: Iterable[Sequence[int]]) -> list[Point2]:
             if len(res) > 1:
                 criticals.extend(isolate_real_roots(res))
 
-    strip_xs = separating_samples(sort_unique_roots(criticals))
+    # Each interval of a strip's sample line is labelled with its sign
+    # vector, one bit per family member; a label gets one point, in the
+    # first interval that shows it.
+    labels: set[int] = set()
     points: list[Point2] = []
-    for w in strip_xs:
-        roots = []
-        for conic in positives:
-            a, b, c, d, e, f = conic
-            coeffs = (a * w * w + d * w + f, b * w + e, c)
-            den = math.lcm(*(v.denominator for v in coeffs))
-            poly = ipoly_normalize(tuple(int(v * den) for v in coeffs))
+    for w in separating_samples(sort_unique_roots(criticals)):
+        # Coefficients in y at w = n / m, scaled by m^2 > 0 to integers.
+        # Above every root a member has the sign of its leading coefficient,
+        # and crossing a root flips it: w avoids every discriminant root,
+        # so all roots are simple.  A member without y is its constant.
+        n, m = w.numerator, w.denominator
+        label = 0
+        tagged = []
+        for bit, (a, b, c, d, e, f) in enumerate(family):
+            const = (a * n + d * m) * n + f * m * m
+            slope = b * n + e * m
+            if (c or slope or const) > 0:
+                label |= 1 << bit
+            poly = ipoly_normalize((const, slope * m, c * m * m))
             if len(poly) > 1:
-                roots.extend(isolate_real_roots(poly))
-        for y in separating_samples(sort_unique_roots(roots)):
-            points.append((w, y))
+                tagged.extend((root, bit) for root in isolate_real_roots(poly))
+        tagged.sort(key=_ROOT_ORDER)
+        above = None
+        for root, bit in reversed(tagged):
+            if label not in labels:
+                labels.add(label)
+                points.append((w, sample_between(root, above)))
+            label ^= 1 << bit
+            above = root
+        if label not in labels:
+            labels.add(label)
+            points.append((w, sample_between(None, above)))
     return points
+
+
+def _distinct_roots(x, y) -> int:
+    order = x[0].cmp(y[0])
+    if order == 0:
+        # w avoids every resultant root, so no two members meet on its line.
+        raise InvariantError("two members share a root inside a strip")
+    return order
+
+
+_ROOT_ORDER = functools.cmp_to_key(_distinct_roots)

@@ -64,46 +64,42 @@ def ipoly_eval_sign(p: IPoly, point: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _frac_polys_to_int(coeffs: Sequence[Fraction]) -> IPoly:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return ipoly_normalize(tuple(int(c * den) for c in coeffs))
+def _pseudo_divmod(a: IPoly, b: IPoly) -> tuple[IPoly, IPoly]:
+    """Integer q and r with |lead(b)|^s a = q b + r and deg r < deg b.
 
-
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    db = len(b) - 1
+    Each step scales the running remainder by |lead(b)| and cancels its top
+    term, so q and r are positive multiples of the rational quotient and
+    remainder: Sturm chains keep their signs, and no Fraction is built.
+    """
     lead = b[-1]
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db or not rem:
-            break
-        shift = len(rem) - 1 - db
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i in range(db + 1):
-            rem[shift + i] -= factor * b[i]
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
+    mag, sign = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    rem = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        top = rem.pop() * sign
+        if top:
+            if mag != 1:
+                rem = [c * mag for c in rem]
+                quo = [c * mag for c in quo]
+            quo[shift] = top
+            for i in range(db):
+                rem[shift + i] -= top * b[i]
+    return ipoly_normalize(quo), ipoly_normalize(rem)
 
 
 def ipoly_gcd(p: IPoly, q: IPoly) -> IPoly:
-    """Primitive gcd of two integer polynomials (Euclid over the rationals)."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    while any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not any(a):
-        return ()
-    return ipoly_primitive(_frac_polys_to_int(a))
+    """Primitive gcd of two integer polynomials, positive lead.
+
+    A primitive remainder sequence (Brown, J. ACM 1971): each pseudo-
+    remainder loses its content before the next division, so the integers
+    stay as small as the gcd's.
+    """
+    a = ipoly_primitive(ipoly_normalize(p))
+    b = ipoly_primitive(ipoly_normalize(q))
+    while b:
+        a, b = b, ipoly_primitive(_pseudo_divmod(a, b)[1])
+    return a
 
 
 def ipoly_squarefree(p: IPoly) -> IPoly:
@@ -114,10 +110,10 @@ def ipoly_squarefree(p: IPoly) -> IPoly:
     g = ipoly_gcd(p, ipoly_derivative(p))
     if len(g) <= 1:
         return p
-    quo, rem = _poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in g])
-    if any(rem):
+    quo, rem = _pseudo_divmod(p, g)
+    if rem:
         raise InvariantError("gcd must divide the polynomial")
-    return ipoly_primitive(_frac_polys_to_int(quo))
+    return ipoly_primitive(quo)
 
 
 def _positive_scale(p: IPoly) -> IPoly:
@@ -136,13 +132,11 @@ def _positive_scale(p: IPoly) -> IPoly:
 
 def _sturm_chain(p: IPoly) -> list[IPoly]:
     chain: list[IPoly] = [p, ipoly_derivative(p)]
-    while len(chain[-1]) > 0 and ipoly_degree(chain[-1]) > 0:
-        a = [Fraction(c) for c in chain[-2]]
-        b = [Fraction(c) for c in chain[-1]]
-        _, r = _poly_divmod(a, b)
-        if not any(r):
+    while len(chain[-1]) > 1:
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not r:
             break
-        chain.append(_positive_scale(_frac_polys_to_int([-c for c in r])))
+        chain.append(_positive_scale(tuple(-c for c in r)))
     return [c for c in chain if c]
 
 
@@ -371,19 +365,28 @@ def sort_unique_roots(roots: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
     return unique
 
 
+def sample_between(
+    below: Optional[AlgebraicNumber], above: Optional[AlgebraicNumber]
+) -> Fraction:
+    """A rational strictly between two sorted distinct roots; None is unbounded.
+
+    Both roots are refined as needed until their isolating intervals are
+    disjoint.
+    """
+    if below is None:
+        return Fraction(0) if above is None else above.lo - 1
+    if above is None:
+        return below.hi + 1
+    while not below.hi < above.lo:
+        below.refine()
+        above.refine()
+    return (below.hi + above.lo) / 2
+
+
 def separating_samples(sorted_roots: list[AlgebraicNumber]) -> list[Fraction]:
     """Rational points: one strictly below, between, and above the given roots.
 
-    The roots must be sorted, distinct, and are refined as needed so that
-    consecutive isolating intervals are disjoint.
+    The roots must be sorted and distinct.
     """
-    if not sorted_roots:
-        return [Fraction(0)]
-    samples: list[Fraction] = [sorted_roots[0].lo - 1]
-    for left, right in zip(sorted_roots, sorted_roots[1:]):
-        while not left.hi < right.lo:
-            left.refine()
-            right.refine()
-        samples.append(Fraction(left.hi + right.lo, 2))
-    samples.append(sorted_roots[-1].hi + 1)
-    return samples
+    bounds = [None, *sorted_roots, None]
+    return [sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

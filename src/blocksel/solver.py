@@ -238,15 +238,15 @@ def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _cover_witnesses(rows, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational lambda points hitting every sign region of the differences.
+    """Rational lambda points, one per sign condition of the differences.
 
     The differences of same-cardinality rows are read in the plane, so one
     conic cover serves every k <= 2; a region of the plane is a region of
     lambda space times the missing coordinates, so the points cut back to
-    k coordinates still hit every region.  Below two parameters no member
-    involves lambda_2, so the cover gives one point per strip and the cut
-    points stay distinct.  Without parameters the differences are
-    constants, and the empty point is the one witness.
+    k coordinates still realize every sign condition.  Below two
+    parameters no member involves lambda_2, so the cover gives at most one
+    point per strip and the cut points stay distinct.  Without parameters
+    the differences are constants, and the empty point is the one witness.
     """
     if k > 2:
         raise ValueError("witness covers require at most two free parameters")
@@ -286,7 +286,12 @@ def _argmins_at(rows, witness: Sequence[Fraction]) -> tuple:
 
 
 def _cover_profiles(ctx: _Context) -> tuple:
-    """Distinct argmin profiles over the cover witnesses, computed once."""
+    """Distinct argmin profiles over the cover witnesses, computed once.
+
+    A sign condition of the differences fixes every slot's winner, so each
+    profile is read at one witness per sign condition; witness_count
+    records how many distinct sign conditions that is.
+    """
     if ctx.profiles is None:
         witnesses = _cover_witnesses(ctx.rows, ctx.base.k_prime)
         ctx.profiles = tuple({_argmins_at(ctx.rows, w) for w in witnesses})
@@ -414,7 +419,25 @@ def _diag_top_sets(ctx: _Context, top: int) -> CandidateSet:
 
     Coordinates rank by squared adjusted right side |b'(lambda)|^2,
     descending, index ascending; coordinates with a zero diagonal entry are
-    left out, and a top set holds the first min(top, hittable) of them.
+    left out, and a top set holds the first min(top, hittable) of them.  At
+    top 0, or at a top that takes every hittable coordinate, that set is
+    the same in every region, so nothing is walked; otherwise see
+    _walk_top_sets.  More than two free parameters raise ValueError.
+    """
+    k = ctx.base.k_prime
+    if k > 2:
+        raise ValueError(
+            f"diagonal top sets take at most two free parameters, not {k}"
+        )
+    hittable = [i for i, blk in enumerate(ctx.base.blocks) if blk.at(0, 0) != 0]
+    if top == 0 or top >= len(hittable):
+        return {tuple(hittable[:top])}
+    return _walk_top_sets(ctx, hittable, top)
+
+
+def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet:
+    """Top sets over the regions of the plane, read off a line arrangement.
+
     Rankings change only across the pairwise difference and sum lines of
     the hittable b' functionals, where |b'_i| = |b'_j|.  The functionals
     get zero coefficients up to two parameters, so lambda space is read as
@@ -424,14 +447,9 @@ def _diag_top_sets(ctx: _Context, top: int) -> CandidateSet:
     lines are grouped by primitive direction, so a line is walked only
     against the lines that cross it (none below two free parameters); see
     _line_top_sets.  Without any line every ranking is constant, and the
-    line lambda_2 = 0 reads it.  More than two free parameters raise
-    ValueError.
+    line lambda_2 = 0 reads it.
     """
     k = ctx.base.k_prime
-    if k > 2:
-        raise ValueError(
-            f"diagonal top sets take at most two free parameters, not {k}"
-        )
     # b'_i(lambda) = b_i - sum_l lambda_l col_l[i] as (p, q, r) for
     # p lambda_1 + q lambda_2 + r, all scaled by one positive integer, which
     # keeps every comparison of squared values.
@@ -441,7 +459,6 @@ def _diag_top_sets(ctx: _Context, top: int) -> CandidateSet:
     ]
     scale = math.lcm(*(v.denominator for f in funcs for v in f))
     int_funcs = [tuple(int(v * scale) for v in f) for f in funcs]
-    hittable = [i for i, blk in enumerate(ctx.base.blocks) if blk.at(0, 0) != 0]
     carried: dict[tuple[int, ...], set[int]] = {}
     for i, j in itertools.combinations(hittable, 2):
         (p1, q1, r1), (p2, q2, r2) = int_funcs[i], int_funcs[j]
@@ -742,7 +759,8 @@ def solve_block(
 
     route() picks the generator for method.  A stats dict, when given,
     receives the path taken and its region count: distinct top sets on
-    the diagonal path, so one candidate per region; witnesses on cover;
+    the diagonal path, so one candidate per region; witnesses on cover,
+    one per distinct sign condition of the comparison surfaces;
     chain regions (the leaves of the chain tree, summed over the support
     regions) on extended.
     """

@@ -11,6 +11,11 @@ integer argmins against them.
 conic_from_form is the former blocksel.cover helper, unchanged: the cover
 now takes integer conics, and the references and tests that build
 QuadraticForms turn them into conics with it.
+
+conic_cover_points is the former blocksel.cover function, unchanged: it
+samples every interval of every strip's sample line, where the library
+now keeps one point per sign vector.  The witnesses above come from it.
+split_family lists the components over which both read sign vectors.
 """
 
 from __future__ import annotations
@@ -19,10 +24,20 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from blocksel.cover import Conic, conic_cover_points, primitive
-from blocksel.model import BudgetExceededError, ReducedProblem
+from blocksel.cover import (
+    MAX_CONICS,
+    Conic,
+    Point2,
+    _disc_in_y,
+    _resultant_in_y,
+    _y_degree,
+    primitive,
+    split_rational_lines,
+    vanishes_somewhere,
+)
+from blocksel.model import BudgetExceededError, InvariantError, ReducedProblem
 from blocksel.roots import (
     AlgebraicNumber,
     ipoly_normalize,
@@ -49,6 +64,94 @@ def conic_from_form(form: QuadraticForm) -> Conic:
     )
     den = math.lcm(*(v.denominator for v in raw))
     return primitive([int(v * den) for v in raw])  # type: ignore[return-value]
+
+
+def conic_cover_points(conics: Iterable[Sequence[int]]) -> list[Point2]:
+    """Witnesses hitting every open sign-invariant region of the family.
+
+    Each member is an integer (a, b, c, d, e, f), at any nonzero scale.
+    Points come strip by strip, in increasing lambda_1.  A family without
+    lambda_2 gets one point per strip, on the axis lambda_2 = 0, so it
+    also serves curves in fewer than two parameters, padded with zeros.
+    """
+    family: list[Conic] = []
+    seen: set[Conic] = set()
+    for raw in conics:
+        if len(raw) != 6:
+            raise ValueError("a conic has six coefficients")
+        conic = primitive(raw)
+        if not any(conic):
+            continue
+        for part in split_rational_lines(conic):
+            if not vanishes_somewhere(part):
+                continue
+            if part not in seen:
+                seen.add(part)
+                family.append(part)
+    if not family:
+        return [(Fraction(0), Fraction(0))]
+    # Only members that involve y pair up in resultants and get solved on
+    # every strip; a member without y is a nonzero constant on each strip.
+    positives = [c for c in family if _y_degree(c) >= 1]
+    if len(positives) > MAX_CONICS:
+        raise BudgetExceededError(
+            f"{len(positives)} conics involve lambda_2, over the limit of {MAX_CONICS}"
+        )
+
+    criticals = []
+    for conic in family:
+        deg = _y_degree(conic)
+        if deg == 2:
+            disc = ipoly_normalize(_disc_in_y(conic))
+            if not disc:
+                raise InvariantError("a kept quadratic-in-y conic has zero discriminant")
+            if len(disc) > 1:
+                criticals.extend(isolate_real_roots(disc))
+        elif deg == 1:
+            lead = ipoly_normalize((conic[4], conic[1]))  # e + b x
+            if len(lead) > 1:
+                criticals.extend(isolate_real_roots(lead))
+        else:
+            vertical = ipoly_normalize((conic[5], conic[3], conic[0]))
+            if not vertical:
+                raise InvariantError("a zero conic reached the family")
+            if len(vertical) > 1:
+                criticals.extend(isolate_real_roots(vertical))
+    for i in range(len(positives)):
+        for j in range(i + 1, len(positives)):
+            res = _resultant_in_y(positives[i], positives[j])
+            if not res:
+                raise InvariantError("two distinct components have zero resultant")
+            if len(res) > 1:
+                criticals.extend(isolate_real_roots(res))
+
+    strip_xs = separating_samples(sort_unique_roots(criticals))
+    points: list[Point2] = []
+    for w in strip_xs:
+        roots = []
+        for conic in positives:
+            a, b, c, d, e, f = conic
+            coeffs = (a * w * w + d * w + f, b * w + e, c)
+            den = math.lcm(*(v.denominator for v in coeffs))
+            poly = ipoly_normalize(tuple(int(v * den) for v in coeffs))
+            if len(poly) > 1:
+                roots.extend(isolate_real_roots(poly))
+        for y in separating_samples(sort_unique_roots(roots)):
+            points.append((w, y))
+    return points
+
+
+def split_family(conics: Iterable[Sequence[int]]) -> list[Conic]:
+    """The rational components of the conics that vanish somewhere, once each."""
+    family: list[Conic] = []
+    for conic in conics:
+        conic = primitive(conic)
+        if not any(conic):
+            continue
+        for part in split_rational_lines(conic):
+            if vanishes_somewhere(part) and part not in family:
+                family.append(part)
+    return family
 
 
 def _col_offsets(blocks: Sequence) -> tuple[int, ...]:

@@ -5,21 +5,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blocksel.cover as cover_module
 from blocksel.cover import (
     MAX_CONICS,
     conic_cover_points,
     split_rational_lines,
     vanishes_somewhere,
 )
-from blocksel.model import BudgetExceededError
-from blocksel.roots import ipoly_normalize, isolate_real_roots, sort_unique_roots
+from blocksel.model import BudgetExceededError, InvariantError
+from blocksel.roots import (
+    ipoly_normalize,
+    isolate_real_roots,
+    separating_samples,
+    sort_unique_roots,
+)
 from reference_arrangement import (
     LinearFunctional,
     enumerate_cells,
     merge_hyperplanes,
     sign_at,
 )
-from reference_cover import conic_from_form
+import reference_cover
+from reference_cover import conic_from_form, split_family
 from reference_forms import QuadraticForm
 
 coords = st.fractions(
@@ -215,6 +222,14 @@ def test_conic_cover_budget_counts_only_members_with_y():
     assert len(cover(forms)) == MAX_CONICS + 2
 
 
+def test_members_meeting_on_a_sample_line_are_an_invariant_error(monkeypatch):
+    # Without their resultant root, the lines y = x and y = -x meet on the
+    # only sample line, x = 0, where a sign vector cannot be told apart.
+    monkeypatch.setattr(cover_module, "_resultant_in_y", lambda c1, c2: (1,))
+    with pytest.raises(InvariantError, match="share a root"):
+        conic_cover_points([(0, 0, 0, 1, -1, 0), (0, 0, 0, 1, 1, 0)])
+
+
 def test_y_free_single_comparison():
     # (1 - x)^2 - x^2 = 1 - 2 x
     pts = cover([form1(0, -2, 1)])
@@ -248,6 +263,9 @@ def test_y_free_constant_form_contributes_nothing():
     )
 )
 def test_y_free_signs_constant_per_interval(raw_forms):
+    # The forms' signs are constant between consecutive distinct roots, so
+    # the sign vectors over the intervals, read at independent separating
+    # samples, are every sign condition; the cover has one point for each.
     forms = [form1(a, b, c) for a, b, c in raw_forms]
     roots = []
     for coeffs in raw_forms:
@@ -255,12 +273,66 @@ def test_y_free_signs_constant_per_interval(raw_forms):
         poly = ipoly_normalize([int(v * den) for v in reversed(coeffs)])
         if len(poly) > 1:
             roots.extend(isolate_real_roots(poly))
+
+    def signs(x):
+        return tuple(sign(a * x * x + b * x + c) for a, b, c in raw_forms)
+
+    family = split_family([conic_from_form(form) for form in forms])
+
+    def component_signs(x):
+        return tuple(sign(conic_value(c, (x, 0))) for c in family)
+
+    samples = separating_samples(sort_unique_roots(roots))
     pts = cover(forms)
-    assert len(pts) == len(sort_unique_roots(roots)) + 1
     assert [x for x, _ in pts] == sorted({x for x, _ in pts})
+    assert {y for _, y in pts} == {0}
     for pt in pts:
-        for a, b, c in raw_forms:
-            assert a * pt[0] ** 2 + b * pt[0] + c != 0
+        assert 0 not in signs(pt[0])
+    assert {signs(x) for x, _ in pts} == {signs(x) for x in samples}
+    # Sign vectors are told apart over the forms' components: the square
+    # x^2 keeps one sign where its component x has two.
+    got = [component_signs(x) for x, _ in pts]
+    assert len(set(got)) == len(got)
+    assert set(got) == {component_signs(x) for x in samples}
+
+
+def line_family(params):
+    """Lines a x + b y + c, without y when params is 1."""
+    b = small_ints if params == 2 else st.just(0)
+    return st.lists(
+        st.tuples(small_ints, b, small_ints).map(lambda t: (0, 0, 0, *t)),
+        min_size=1,
+        max_size=5,
+    )
+
+
+def conic_family(params):
+    """Conics a x^2 + b xy + c y^2 + d x + e y + f, without y when params is 1."""
+    y = small_ints if params == 2 else st.just(0)
+    return st.lists(
+        st.tuples(small_ints, y, y, small_ints, y, small_ints),
+        min_size=1,
+        max_size=3 if params == 2 else 4,
+    )
+
+
+@pytest.mark.parametrize("make", [line_family, conic_family])
+@pytest.mark.parametrize("params", [1, 2])
+@given(data=st.data())
+def test_one_point_per_sign_condition_of_the_reference(make, params, data):
+    # The reference samples every interval of every strip of the same
+    # decomposition, so its sign vectors are every sign condition.
+    conics = data.draw(make(params))
+    family = split_family(conics)
+    pts = conic_cover_points(conics)
+    reference = reference_cover.conic_cover_points(conics)
+    got = [tuple(sign(conic_value(c, pt)) for c in family) for pt in pts]
+    assert len(set(got)) == len(got)
+    assert set(got) == {
+        tuple(sign(conic_value(c, pt)) for c in family) for pt in reference
+    }
+    if params == 1:
+        assert {y for _, y in pts} == {0}
 
 
 @given(
@@ -275,14 +347,7 @@ def test_y_free_signs_constant_per_interval(raw_forms):
 )
 def test_conic_cover_is_strict_and_complete(raw):
     forms = [form2(*t) for t in raw]
-    family = []
-    for form in forms:
-        conic = conic_from_form(form)
-        if all(v == 0 for v in conic):
-            continue
-        for part in split_rational_lines(conic):
-            if vanishes_somewhere(part) and part not in family:
-                family.append(part)
+    family = split_family([conic_from_form(form) for form in forms])
     pts = cover(forms)
     for c in family:
         for pt in pts:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import blocksel.roots as roots_module
+from blocksel.cover import _pmul
+import reference_roots
 from blocksel.model import InvariantError
 from blocksel.roots import (
     AlgebraicNumber,
@@ -13,6 +16,7 @@ from blocksel.roots import (
     isolate_real_roots,
     separating_samples,
     sort_unique_roots,
+    sturm_count,
 )
 
 small_fracs = st.fractions(
@@ -165,3 +169,52 @@ def test_interval_root_comparison_with_shared_poly():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         isolate_real_roots((0, 0))
+
+
+def test_integer_remainders_match_the_fraction_euclid(monkeypatch):
+    # p and q share a common factor, and p carries a repeated one (q too on
+    # odd trials); contents and lead signs vary.  The integer pseudo-
+    # division must give the reference's gcd, squarefree part and Sturm
+    # chain, hence the same counts and isolating intervals.
+    rng = random.Random(61)
+
+    def poly(degree):
+        if degree == 2 and rng.random() < 0.3:
+            # c x^2 + d, with no x term: a remainder step then cancels two
+            # degrees at once, so an odd number of steps meets a negative
+            # lead, and only |lead| keeps the Sturm signs.
+            return (rng.randint(1, 4), 0, rng.randint(1, 3))
+        coeffs = [rng.randint(-4, 4) for _ in range(degree)]
+        return (*coeffs, rng.choice((-3, -2, -1, 1, 2, 3)))
+
+    def product(*factors):
+        out = (rng.choice((-6, -2, -1, 1, 3)),)
+        for f in factors:
+            out = _pmul(out, f)
+        return out
+
+    for trial in range(150):
+        common = poly(rng.randint(1, 2))
+        repeated = poly(1)
+        power = (repeated,) * rng.randint(2, 3)
+        p = product(common, *power, poly(rng.randint(0, 2)))
+        q = product(common, poly(rng.randint(0, 2)), *(power[:2] if trial % 2 else ()))
+        gcd = roots_module.ipoly_gcd(p, q)
+        assert gcd == reference_roots.ipoly_gcd(p, q)
+        assert len(gcd) >= len(common)
+        part = ipoly_squarefree(p)
+        assert part == reference_roots.ipoly_squarefree(p)
+        chain = roots_module._sturm_chain(part)
+        reference_chain = reference_roots._sturm_chain(part)
+        assert chain == reference_chain
+        for _ in range(6):
+            lo, hi = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(2))
+            if lo == hi or ipoly_eval_sign(part, lo) == 0 or ipoly_eval_sign(part, hi) == 0:
+                continue
+            assert sturm_count(part, lo, hi, chain) == sturm_count(part, lo, hi, reference_chain)
+        got = [(r.value, r.poly, r.lo, r.hi) for r in isolate_real_roots(p)]
+        with monkeypatch.context() as patch:
+            patch.setattr(roots_module, "_sturm_chain", reference_roots._sturm_chain)
+            patch.setattr(roots_module, "ipoly_squarefree", reference_roots.ipoly_squarefree)
+            expected = [(r.value, r.poly, r.lo, r.hi) for r in isolate_real_roots(p)]
+        assert got == expected

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,8 +11,9 @@ import reference_cover
 import reference_diagonal
 import reference_extended
 from reference_separable import diag_greedy, fixed_lambda_opt
-from blocksel.cover import conic_cover_points
-from blocksel.linalg import least_squares
+from blocksel.cli import generate_instance
+from blocksel.cover import conic_cover_points, primitive
+from blocksel.linalg import extended_dim, least_squares
 from blocksel.model import (
     BudgetExceededError,
     Instance,
@@ -541,6 +543,104 @@ def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
             assert solver._diag_top_sets(ctx, top) == tops
 
 
+def test_top_sets_without_a_walk_equal_the_walk():
+    # At top 0 and at tops that take every hittable coordinate the top set
+    # is read without walking; the walk gives the same single set there.
+    rng = random.Random(53)
+    for trial in range(30):
+        k = trial % 3
+        h = rng.randint(1, 6)
+        rp = rp_1x1(
+            [rng.randint(-1, 2) for _ in range(h)],
+            [rng.randint(-3, 3) for _ in range(h)],
+            lambda_cols=[[rng.randint(-3, 3) for _ in range(h)] for _ in range(k)],
+            tags=tuple(range(k)),
+        )
+        ctx = solver._context(rp)
+        hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
+        for top in range(h + 2):
+            walked = solver._walk_top_sets(ctx, hittable, top)
+            assert solver._diag_top_sets(ctx, top) == walked
+            if top == 0 or top >= len(hittable):
+                assert walked == {tuple(hittable[:top])}
+
+
+# Count bounds, one small seeded rung per path: a count over its bound
+# means the growth degree of that path changed.
+
+
+def test_diagonal_top_sets_within_the_line_arrangement_bound():
+    # L lines in the plane cut it into at most 1 + L + C(L, 2) regions, and
+    # each region reads one top set on each side of an edge.
+    inst = generate_instance(
+        blocks=8, block_rows=1, block_cols=1, coupling=2, intercept=False,
+        sigma=4, seed=3, spread=5,
+    )
+    walked = 0
+    for rp in reduce(inst):
+        ctx = solver._context(solver._strip_budget(rp))
+        cols = rp.lambda_cols + ((Fraction(0),) * rp.n_total,) * (2 - rp.k_prime)
+        funcs = [
+            (cols[0][i], cols[1][i], rp.b[i])
+            for i in range(rp.n_total)
+            if rp.blocks[i].at(0, 0) != 0
+        ]
+        lines = set()
+        for f, g in itertools.combinations(funcs, 2):
+            for s in (1, -1):
+                line = tuple(u + s * v for u, v in zip(f, g))
+                lead = line[0] or line[1]
+                if lead:
+                    lines.add(tuple(u / lead for u in line))
+        n = len(lines)
+        for top in range(rp.n_total + 2):
+            top_sets = solver._diag_top_sets(ctx, top)
+            assert len(top_sets) <= 2 * (1 + n + n * (n - 1) // 2)
+            walked += len(top_sets) > 1
+    assert walked
+
+
+def test_support_regions_within_the_hyperplane_arrangement_bound():
+    # N distinct hyperplanes cut D-space into at most sum_{i<=D} C(N, i)
+    # regions (Buck 1943), and support regions are unions of those cells.
+    rp = random_extended_rp(random.Random(2), 3, 9, shapes=[(2, 2), (3, 3)])
+    ctx = solver._context(solver._strip_budget(rp))
+    planes = set()
+    for per_size in ctx.rows:
+        for slot in per_size:
+            for (_, r1), (_, r2) in itertools.combinations(slot, 2):
+                diff = tuple(u - v for u, v in zip(r1, r2))
+                if any(diff[1:]):
+                    planes.add(primitive(diff))
+    n, dim = len(planes), extended_dim(rp.k_prime)
+    regions = solver._support_regions(ctx, solver.DEFAULT_MAX_CELLS)
+    assert 1 < len(regions) <= sum(math.comb(n, i) for i in range(dim + 1))
+
+
+def test_cover_witnesses_have_distinct_sign_vectors():
+    # Full 2x2 blocks, as on the cover benchmark, at one and two parameters.
+    for k in (1, 2):
+        rp = random_extended_rp(random.Random(5), k, 3, shapes=[(2, 2)] * 6)
+        ctx = solver._context(solver._strip_budget(rp))
+        family = reference_cover.split_family(
+            solver._plane_conic([u - v for u, v in zip(r1, r2)], k)
+            for per_size in ctx.rows
+            for slot in per_size
+            for (_, r1), (_, r2) in itertools.combinations(slot, 2)
+        )
+        witnesses = solver._cover_witnesses(ctx.rows, k)
+        vectors = set()
+        for w in witnesses:
+            x, y = (*w, Fraction(0))[:2]
+            vector = []
+            for a, b, c, d, e, f in family:
+                value = a * x * x + b * x * y + c * y * y + d * x + e * y + f
+                assert value != 0
+                vector.append(value > 0)
+            vectors.add(tuple(vector))
+        assert len(vectors) == len(witnesses) > 1
+
+
 def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch):
     # With 1x1 blocks there is one argmin profile, so cover scores every
     # allocation of at most sigma' columns; the ranking's candidates do not
@@ -756,7 +856,10 @@ def test_integer_argmins_match_fraction_argmins():
         witnesses = reference_cover._cover_witnesses(base)
         if base.k_prime == 2:
             # Row differences map to the conics of the form differences.
-            assert solver._cover_witnesses(rows, 2) == witnesses
+            diffs = reference_cover._difference_forms(base)
+            assert solver._cover_witnesses(rows, 2) == tuple(
+                conic_cover_points(map(conic_from_form, diffs))
+            )
         for w in witnesses:
             assert solver._argmins_at(rows, w) == reference_cover._argmins_at(base, w)
 
