@@ -59,9 +59,10 @@ def _disc_in_y(conic: Conic) -> tuple[int, int, int]:
     return (e * e - 4 * c * f, 2 * b * e - 4 * c * d, b * b - 4 * c * a)
 
 
-def _disc_in_x(conic: Conic) -> tuple[int, int, int]:
+def _swap(conic: Sequence[int]) -> Conic:
+    """The conic with x and y exchanged."""
     a, b, c, d, e, f = conic
-    return (d * d - 4 * a * f, 2 * b * d - 4 * a * e, b * b - 4 * a * c)
+    return (c, b, a, e, d, f)
 
 
 def vanishes_somewhere(conic: Conic) -> bool:
@@ -76,12 +77,8 @@ def vanishes_somewhere(conic: Conic) -> bool:
     if c != 0:
         return _unonneg(*_disc_in_y(conic))
     if a != 0:
-        return _unonneg(*_disc_in_x(conic))
-    if b != 0:
-        return True
-    if d != 0 or e != 0:
-        return True
-    return f == 0
+        return vanishes_somewhere(_swap(conic))
+    return f == 0 or any((b, d, e))
 
 
 def _perfect_square_quadratic(u: tuple[int, int, int]) -> Optional[tuple[int, int]]:
@@ -95,8 +92,6 @@ def _perfect_square_quadratic(u: tuple[int, int, int]) -> Optional[tuple[int, in
         return None
     if beta == 2 * p * q:
         return (q, p)
-    if beta == -2 * p * q and (p == 0 or q == 0):
-        return (q, p)
     if beta == -2 * p * q:
         return (-q, p)
     return None
@@ -105,11 +100,15 @@ def _perfect_square_quadratic(u: tuple[int, int, int]) -> Optional[tuple[int, in
 def split_rational_lines(conic: Conic) -> list[Conic]:
     """Factor a conic into rational lines when possible.
 
-    Returns the component list (two lines) or the conic itself.  Working
-    with components keeps pairwise resultants nonzero, which the strip
-    decomposition relies on.
+    Returns the component list (two primitive lines) or [conic] itself.  A
+    conic with x^2 but no y^2 is split as its swap and each part swapped
+    back.  Working with components keeps pairwise resultants nonzero,
+    which the strip decomposition relies on.
     """
     a, b, c, d, e, f = conic
+    if c == 0 and a != 0:
+        parts = split_rational_lines(_swap(conic))
+        return [conic] if len(parts) == 1 else [primitive(_swap(p)) for p in parts]
     if c != 0:
         square = _perfect_square_quadratic(_disc_in_y(conic))
         if square is None:
@@ -119,22 +118,11 @@ def split_rational_lines(conic: Conic) -> list[Conic]:
             primitive((0, 0, 0, b - p, 2 * c, e - q)),
             primitive((0, 0, 0, b + p, 2 * c, e + q)),
         ]
-    if a != 0:
-        square = _perfect_square_quadratic(_disc_in_x(conic))
-        if square is None:
-            return [conic]
-        q, p = square
+    if b != 0 and b * f == d * e:
         return [
-            primitive((0, 0, 0, 2 * a, b - p, d - q)),
-            primitive((0, 0, 0, 2 * a, b + p, d + q)),
+            primitive((0, 0, 0, b, 0, e)),
+            primitive((0, 0, 0, 0, b, d)),
         ]
-    if b != 0:
-        if b * f == d * e:
-            return [
-                primitive((0, 0, 0, b, 0, e)),
-                primitive((0, 0, 0, 0, b, d)),
-            ]
-        return [conic]
     return [conic]
 
 
@@ -191,27 +179,23 @@ def _y_view(conic: Conic) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
 
 
 def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:
-    """Resultant of two conics with respect to y: an integer polynomial in x."""
-    d1, d2 = _y_degree(c1), _y_degree(c2)
-    if d1 < d2:
-        c1, c2 = c2, c1
-        d1, d2 = d2, d1
+    """Resultant of two conics in y, up to a nonzero factor: a polynomial in x.
+
+    Both members must involve y.  When one has a y^2 term this is the
+    formula for two quadratics in y, which is symmetric; with a partner
+    linear in y it is the resultant times that y^2 coefficient, with the
+    same roots.  Two members linear in y take the 2x2 determinant.
+    """
+    if not (_y_degree(c1) and _y_degree(c2)):
+        raise ValueError("resultant needs both members to involve y")
     a1, b1, g1 = _y_view(c1)
     a2, b2, g2 = _y_view(c2)
-    if d1 == 2 and d2 == 2:
+    if c1[2] or c2[2]:
         ac = _padd(_pmul(a1, g2), _pneg(_pmul(a2, g1)))
         ab = _padd(_pmul(a1, b2), _pneg(_pmul(a2, b1)))
         bc = _padd(_pmul(b1, g2), _pneg(_pmul(b2, g1)))
         return ipoly_normalize(_padd(_pmul(ac, ac), _pneg(_pmul(ab, bc))))
-    if d1 == 2 and d2 == 1:
-        term = _padd(
-            _pmul(a1, _pmul(g2, g2)),
-            _pneg(_pmul(b1, _pmul(b2, g2))),
-        )
-        return ipoly_normalize(_padd(term, _pmul(g1, _pmul(b2, b2))))
-    if d1 == 1 and d2 == 1:
-        return ipoly_normalize(_padd(_pmul(b1, g2), _pneg(_pmul(b2, g1))))
-    raise ValueError("resultant needs both members to involve y")
+    return ipoly_normalize(_padd(_pmul(b1, g2), _pneg(_pmul(b2, g1))))
 
 
 def conic_cover_points(conics: Iterable[Sequence[int]]) -> list[Point2]:

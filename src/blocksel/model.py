@@ -152,9 +152,6 @@ class RatMatrix:
     def column(self, c: int) -> tuple[Fraction, ...]:
         return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(c) for c in range(self.cols)]
-
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(r)) for r in range(self.rows)]
 

@@ -149,13 +149,12 @@ def _variations(chain: list[IPoly], point: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(p: IPoly, lo: Fraction, hi: Fraction, chain=None) -> int:
+def sturm_count(p: IPoly, lo: Fraction, hi: Fraction, chain: list[IPoly]) -> int:
     """Number of distinct real roots of squarefree p in the open interval (lo, hi).
 
-    Both endpoints must be non-roots of p.
+    chain is p's Sturm chain, built once by the caller with _sturm_chain
+    and shared by every count on p.  Both endpoints must be non-roots of p.
     """
-    if chain is None:
-        chain = _sturm_chain(p)
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -167,7 +166,7 @@ class AlgebraicNumber:
     endpoints are non-roots.  refine() halves the interval.
     """
 
-    __slots__ = ("value", "poly", "lo", "hi", "_chain")
+    __slots__ = ("value", "poly", "lo", "hi")
 
     def __init__(
         self,
@@ -180,7 +179,6 @@ class AlgebraicNumber:
         self.poly = poly
         self.lo = lo if value is None else value
         self.hi = hi if value is None else value
-        self._chain = None
 
     @classmethod
     def rational(cls, value: Fraction) -> "AlgebraicNumber":
@@ -232,8 +230,9 @@ class AlgebraicNumber:
             self.refine()
 
     def _cmp_interval(self, other: "AlgebraicNumber") -> int:
-        common: Optional[IPoly] = None
-        common_checked = False
+        # The Sturm chain of the two polynomials' common factor, built when
+        # the intervals first overlap; empty when they share no root.
+        chain: Optional[list[IPoly]] = None
         while True:
             if self.value is not None or other.value is not None:
                 return self.cmp(other)
@@ -241,17 +240,16 @@ class AlgebraicNumber:
                 return -1
             if other.hi <= self.lo:
                 return 1
-            if not common_checked:
+            if chain is None:
                 if self.poly is None or other.poly is None:
                     raise InvariantError("an interval root lacks its polynomial")
-                g = ipoly_gcd(self.poly, other.poly)
-                common = g if ipoly_degree(g) >= 1 else None
-                common_checked = True
-            if common is not None:
+                common = ipoly_gcd(self.poly, other.poly)
+                chain = _sturm_chain(common) if ipoly_degree(common) >= 1 else []
+            if chain:
                 lo = max(self.lo, other.lo)
                 hi = min(self.hi, other.hi)
                 if lo < hi and ipoly_eval_sign(common, lo) != 0 and ipoly_eval_sign(common, hi) != 0:
-                    if sturm_count(common, lo, hi) >= 1:
+                    if sturm_count(common, lo, hi, chain) >= 1:
                         # The shared root inside both intervals is both numbers.
                         return 0
             self.refine()
@@ -326,6 +324,11 @@ def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
 
 
 def _quadratic_roots(p: IPoly) -> list[AlgebraicNumber]:
+    """The distinct real roots of a primitive quadratic with positive lead, in order.
+
+    With a > 0 the root -b - sqrt(disc) over 2a is the smaller one, so no
+    caller may pass a negative lead; isolate_real_roots makes it positive.
+    """
     c, b, a = p[0], p[1], p[2]
     disc = b * b - 4 * a * c
     if disc < 0:
@@ -334,21 +337,16 @@ def _quadratic_roots(p: IPoly) -> list[AlgebraicNumber]:
         return [AlgebraicNumber.rational(Fraction(-b, 2 * a))]
     s = math.isqrt(disc)
     if s * s == disc:
-        r1 = Fraction(-b - s, 2 * a)
-        r2 = Fraction(-b + s, 2 * a)
-        lo, hi = min(r1, r2), max(r1, r2)
-        return [AlgebraicNumber.rational(lo), AlgebraicNumber.rational(hi)]
+        return [
+            AlgebraicNumber.rational(Fraction(-b - s, 2 * a)),
+            AlgebraicNumber.rational(Fraction(-b + s, 2 * a)),
+        ]
     # Irrational pair; the quadratic is irreducible, hence squarefree.
     # Use integer brackets of sqrt(disc) for the initial isolation.
-    lo_minus = Fraction(-b - (s + 1), 2 * a)
-    hi_minus = Fraction(-b - s, 2 * a)
-    lo_plus = Fraction(-b + s, 2 * a)
-    hi_plus = Fraction(-b + s + 1, 2 * a)
-    first = AlgebraicNumber.interval_root(p, min(lo_minus, hi_minus), max(lo_minus, hi_minus))
-    second = AlgebraicNumber.interval_root(p, min(lo_plus, hi_plus), max(lo_plus, hi_plus))
-    if a < 0:
-        first, second = second, first
-    return [first, second]
+    return [
+        AlgebraicNumber.interval_root(p, Fraction(-b - s - 1, 2 * a), Fraction(-b - s, 2 * a)),
+        AlgebraicNumber.interval_root(p, Fraction(-b + s, 2 * a), Fraction(-b + s + 1, 2 * a)),
+    ]
 
 
 def sort_unique_roots(roots: list[AlgebraicNumber]) -> list[AlgebraicNumber]:

@@ -229,12 +229,12 @@ def _context(base: ReducedProblem) -> _Context:
 
 
 def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:
-    """The (a, b, c, d, e, f) of a row in k = 1 or 2 parameters, in the plane."""
-    if k == 1:
-        const, l1, l11 = row
-        return (l11, 0, 0, l1, 0, const)
-    const, l1, l2, l11, l12, l22 = row
-    return (l11, l12, l22, l1, l2, const)
+    """The (a, b, c, d, e, f) of a row in k <= 2 parameters, in the plane."""
+    if k == 2:
+        const, l1, l2, l11, l12, l22 = row
+        return (l11, l12, l22, l1, l2, const)
+    const, l1, l11 = (*row, 0, 0)[:3]
+    return (l11, 0, 0, l1, 0, const)
 
 
 def _cover_witnesses(rows, k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -246,12 +246,11 @@ def _cover_witnesses(rows, k: int) -> tuple[tuple[Fraction, ...], ...]:
     k coordinates still realize every sign condition.  Below two
     parameters no member involves lambda_2, so the cover gives at most one
     point per strip and the cut points stay distinct.  Without parameters
-    the differences are constants, and the empty point is the one witness.
+    every difference is a constant, which never vanishes, so the cover's
+    one point, the origin, cuts down to the empty witness.
     """
     if k > 2:
         raise ValueError("witness covers require at most two free parameters")
-    if k == 0:
-        return ((),)
     conics = (
         _plane_conic(tuple(map(operator.sub, r1, r2)), k)
         for per_size in rows
@@ -365,29 +364,23 @@ def _candidate_value(
     return hit
 
 
-def finish(candidates: Iterable[Sequence[int]], rp: ReducedProblem) -> RpSolution:
+def finish(
+    candidates: Iterable[Sequence[int]], rp: ReducedProblem, ctx: _Context
+) -> RpSolution:
     """Best subproblem solution over the candidate supports.
 
-    Each candidate's summed residual row is minimized over lambda in closed
-    form; the empty support always participates.  Ties prefer the
-    lexicographically smallest support.  Only the winner gets its block
-    coefficients rebuilt, by per-block least squares at the winning lambda.
+    ctx is the context of rp with its budget stripped.  Each candidate's
+    summed residual row is minimized over lambda in closed form; the empty
+    support always participates.  Ties prefer the lexicographically
+    smallest support.  Only the winner gets its block coefficients
+    rebuilt, by per-block least squares at the winning lambda.
     """
     pool = {tuple(sorted(chi)) for chi in candidates}
     pool.add(())
-    ctx = _context(_strip_budget(rp))
-    best_key = None
-    best_lam: tuple[Fraction, ...] = ()
-    for chi in sorted(pool):
-        if len(chi) > rp.sigma_p:
-            raise ValueError("candidate support exceeds the subproblem budget")
-        value, lam = _candidate_value(ctx, chi)
-        key = (value, chi)
-        if best_key is None or key < best_key:
-            best_key, best_lam = key, lam
-    if best_key is None:
-        raise InvariantError("the empty support is always a candidate")
-    value, chi = best_key
+    if any(len(chi) > rp.sigma_p for chi in pool):
+        raise ValueError("candidate support exceeds the subproblem budget")
+    chi = min(pool, key=lambda c: (_candidate_value(ctx, c)[0], c))
+    value, best_lam = _candidate_value(ctx, chi)
 
     offsets = ctx.offsets
     x = [Fraction(0)] * rp.n_total
@@ -563,8 +556,9 @@ def solve_diagonal(rp: ReducedProblem) -> tuple[CandidateSet, RpSolution]:
     for blk in rp.blocks:
         if blk.rows != 1 or blk.cols != 1:
             raise ValueError("solve_diagonal requires 1x1 blocks")
-    candidates = _diag_top_sets(_context(_strip_budget(rp)), rp.sigma_p)
-    return candidates, finish(candidates, rp)
+    ctx = _context(_strip_budget(rp))
+    candidates = _diag_top_sets(ctx, rp.sigma_p)
+    return candidates, finish(candidates, rp, ctx)
 
 
 # --- general blocks ---------------------------------------------------------
@@ -575,10 +569,10 @@ def _support_regions(ctx: _Context, max_cells: int) -> list:
 
     The residual comparisons are quadratic in lambda but linear over the
     extended coordinates (lambda, then pairwise products).  Each
-    (block, cardinality) slot groups its supports by integer row and keeps
-    the first of each group, the lexicographically smallest; starting from
-    the whole space, every region is split by argmin_regions over the
-    slot's group rows, so a slot with one group splits nothing.  Returns
+    (block, cardinality) slot labels each row with its support, so equal
+    rows keep the lexicographically smallest; starting from the whole
+    space, every region is split by argmin_regions over the slot's rows,
+    so a slot whose rows are all equal splits nothing.  Returns
     (constraints, witness, selections) per region, selections[i][j] being
     the winning support of block i at size j.  Regions count against
     max_cells as they grow.
@@ -586,16 +580,11 @@ def _support_regions(ctx: _Context, max_cells: int) -> list:
     regions = [([], (Fraction(0),) * extended_dim(ctx.base.k_prime), ())]
     for per_size in ctx.rows:
         for slot in per_size:
-            groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for sup, row in slot:
-                groups.setdefault(row, sup)
-            split = []
-            for constraints, witness, picks in regions:
-                children = argmin_regions(list(groups), constraints, witness)
-                for sup, child in zip(groups.values(), children):
-                    if child is not None:
-                        split.append((*child, picks + (sup,)))
-            regions = split
+            regions = [
+                (region, point, picks + (sup,))
+                for constraints, witness, picks in regions
+                for sup, region, point in argmin_regions(slot, constraints, witness)
+            ]
             if len(regions) > max_cells:
                 raise BudgetExceededError(
                     f"support regions reached {len(regions)}, over the budget "
@@ -651,24 +640,40 @@ def aug_set(
     return out
 
 
+def _chain_steps(
+    structure: BlockStructure, slots: Sequence[Sequence[tuple[int, ...]]], alloc
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The chain's step rule from alloc, as (target, total row) pairs.
+
+    slots[i][j] is the row of block i at size j, and an allocation's total
+    is the sum of its blocks' rows.  The incremental chain steps to the
+    aug_set target with the smallest total, ties to the lexicographically
+    smallest target; a step's exchange value is the target's total less
+    the source's, so targets compare by total.  The pairs come in aug_set's
+    lexicographic order, so their argmin, equal rows keeping the first
+    label as in argmin_regions, is that step.
+    """
+    return [
+        (target, tuple(map(sum, zip(*(row[j] for row, j in zip(slots, target))))))
+        for target in aug_set(structure, alloc)
+    ]
+
+
 def _extended_candidates(
-    rp: ReducedProblem, max_cells: int
+    rp: ReducedProblem, ctx: _Context, max_cells: int
 ) -> tuple[CandidateSet, int]:
     """Candidates and chain-region count from the extended-space regions.
 
-    In each support region the winning supports fix an integer row per
-    (block, cardinality) slot.  The incremental chain climbs from the zero
-    allocation to level min(sigma', n), each step to the cheapest target of
-    aug_set, ties to the lexicographically smallest; a step's exchange
-    value is the target's total less the source's, so targets compare by
-    total.  The chain is walked as a tree whose node is an open region, a
-    witness in it and the allocation reached; its children are the targets
-    whose totals are strictly smallest somewhere in the region.  The leaves
-    fill the support region up to finitely many hyperplanes, the chain's
-    outcome is constant on each, and each contributes its support.  Leaves
-    count against max_cells.
+    ctx is the context of rp with its budget stripped.  In each support
+    region the winning supports fix an integer row per (block, cardinality)
+    slot.  The incremental chain climbs from the zero allocation to level
+    min(sigma', n) by _chain_steps.  It is walked as a tree whose node is
+    an open region, a witness in it and the allocation reached; its
+    children are the targets whose totals are strictly smallest somewhere
+    in the region.  The leaves fill the support region up to finitely many
+    hyperplanes, the chain's outcome is constant on each, and each
+    contributes its support.  Leaves count against max_cells.
     """
-    ctx = _context(_strip_budget(rp))
     structure = rp.structure()
     level = min(rp.sigma_p, rp.n_total)
     regions = 0
@@ -678,10 +683,6 @@ def _extended_candidates(
             [ctx.row_of[i][sup] for sup in per_size]
             for i, per_size in enumerate(selections)
         ]
-
-        def total(alloc: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(map(sum, zip(*(row[j] for row, j in zip(slots, alloc)))))
-
         stack = [(root, start, (0,) * len(slots))]
         while stack:
             region, witness, alloc = stack.pop()
@@ -697,15 +698,11 @@ def _extended_candidates(
                     chi.extend(ctx.offsets[i] + c for c in selections[i][j])
                 candidates.add(tuple(sorted(chi)))
                 continue
-            # aug_set lists targets in lexicographic order, so each group of
-            # identical totals keeps its smallest target.
-            groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for target in aug_set(structure, alloc):
-                groups.setdefault(total(target), target)
-            children = argmin_regions(list(groups), region, witness)
-            for target, child in zip(groups.values(), children):
-                if child is not None:
-                    stack.append((*child, target))
+            steps = _chain_steps(structure, slots, alloc)
+            stack.extend(
+                (child, point, target)
+                for target, child, point in argmin_regions(steps, region, witness)
+            )
     return candidates, regions
 
 
@@ -768,14 +765,14 @@ def solve_block(
     if path == "diagonal":
         candidates, sol = solve_diagonal(rp)
         regions = len(candidates)
-    elif path == "cover":
-        ctx = _context(_strip_budget(rp))
-        candidates = _cover_pool(ctx, min(rp.sigma_p, rp.n_total))
-        regions = ctx.witness_count
-        sol = finish(candidates, rp)
     else:
-        candidates, regions = _extended_candidates(rp, max_cells)
-        sol = finish(candidates, rp)
+        ctx = _context(_strip_budget(rp))
+        if path == "cover":
+            candidates = _cover_pool(ctx, min(rp.sigma_p, rp.n_total))
+            regions = ctx.witness_count
+        else:
+            candidates, regions = _extended_candidates(rp, ctx, max_cells)
+        sol = finish(candidates, rp, ctx)
     if stats is not None:
         stats["path"] = path
         stats["regions"] = regions

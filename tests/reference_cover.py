@@ -16,6 +16,12 @@ conic_cover_points is the former blocksel.cover function, unchanged: it
 samples every interval of every strip's sample line, where the library
 now keeps one point per sign vector.  The witnesses above come from it.
 split_family lists the components over which both read sign vectors.
+
+_disc_in_x, vanishes_somewhere, split_rational_lines and _resultant_in_y
+are the former blocksel.cover helpers, unchanged: the library now runs
+the x^2 branches as its y^2 branches on the swapped conic, and takes one
+resultant formula for every pair with a y^2 member.  The references above
+use them, and tests compare the library's helpers against them.
 """
 
 from __future__ import annotations
@@ -31,11 +37,14 @@ from blocksel.cover import (
     Conic,
     Point2,
     _disc_in_y,
-    _resultant_in_y,
+    _padd,
+    _perfect_square_quadratic,
+    _pmul,
+    _pneg,
+    _unonneg,
     _y_degree,
+    _y_view,
     primitive,
-    split_rational_lines,
-    vanishes_somewhere,
 )
 from blocksel.model import BudgetExceededError, InvariantError, ReducedProblem
 from blocksel.roots import (
@@ -48,6 +57,91 @@ from blocksel.roots import (
 from blocksel.solver import MAX_PROFILE_UNIONS
 from reference_arrangement import form_is_zero, form_sub
 from reference_forms import QuadraticForm, eval_form, residual_quadratic
+
+
+def _disc_in_x(conic: Conic) -> tuple[int, int, int]:
+    a, b, c, d, e, f = conic
+    return (d * d - 4 * a * f, 2 * b * d - 4 * a * e, b * b - 4 * a * c)
+
+
+def vanishes_somewhere(conic: Conic) -> bool:
+    """True when the conic's real zero set is nonempty.
+
+    Members that never vanish keep one strict sign on the whole plane, so
+    they neither bound a region nor tie any comparison; the caller drops
+    them.  Everything else stays, even semidefinite members whose zero set
+    is a line or a point: witnesses must steer around those too.
+    """
+    a, b, c, d, e, f = conic
+    if c != 0:
+        return _unonneg(*_disc_in_y(conic))
+    if a != 0:
+        return _unonneg(*_disc_in_x(conic))
+    if b != 0:
+        return True
+    if d != 0 or e != 0:
+        return True
+    return f == 0
+
+
+def split_rational_lines(conic: Conic) -> list[Conic]:
+    """Factor a conic into rational lines when possible.
+
+    Returns the component list (two lines) or the conic itself.  Working
+    with components keeps pairwise resultants nonzero, which the strip
+    decomposition relies on.
+    """
+    a, b, c, d, e, f = conic
+    if c != 0:
+        square = _perfect_square_quadratic(_disc_in_y(conic))
+        if square is None:
+            return [conic]
+        q, p = square
+        return [
+            primitive((0, 0, 0, b - p, 2 * c, e - q)),
+            primitive((0, 0, 0, b + p, 2 * c, e + q)),
+        ]
+    if a != 0:
+        square = _perfect_square_quadratic(_disc_in_x(conic))
+        if square is None:
+            return [conic]
+        q, p = square
+        return [
+            primitive((0, 0, 0, 2 * a, b - p, d - q)),
+            primitive((0, 0, 0, 2 * a, b + p, d + q)),
+        ]
+    if b != 0:
+        if b * f == d * e:
+            return [
+                primitive((0, 0, 0, b, 0, e)),
+                primitive((0, 0, 0, 0, b, d)),
+            ]
+        return [conic]
+    return [conic]
+
+
+def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:
+    """Resultant of two conics with respect to y: an integer polynomial in x."""
+    d1, d2 = _y_degree(c1), _y_degree(c2)
+    if d1 < d2:
+        c1, c2 = c2, c1
+        d1, d2 = d2, d1
+    a1, b1, g1 = _y_view(c1)
+    a2, b2, g2 = _y_view(c2)
+    if d1 == 2 and d2 == 2:
+        ac = _padd(_pmul(a1, g2), _pneg(_pmul(a2, g1)))
+        ab = _padd(_pmul(a1, b2), _pneg(_pmul(a2, b1)))
+        bc = _padd(_pmul(b1, g2), _pneg(_pmul(b2, g1)))
+        return ipoly_normalize(_padd(_pmul(ac, ac), _pneg(_pmul(ab, bc))))
+    if d1 == 2 and d2 == 1:
+        term = _padd(
+            _pmul(a1, _pmul(g2, g2)),
+            _pneg(_pmul(b1, _pmul(b2, g2))),
+        )
+        return ipoly_normalize(_padd(term, _pmul(g1, _pmul(b2, b2))))
+    if d1 == 1 and d2 == 1:
+        return ipoly_normalize(_padd(_pmul(b1, g2), _pneg(_pmul(b2, g1))))
+    raise ValueError("resultant needs both members to involve y")
 
 
 def conic_from_form(form: QuadraticForm) -> Conic:

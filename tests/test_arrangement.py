@@ -108,11 +108,18 @@ def _strictly_inside(region, point):
     return all(row_value(row, point) > 0 for row in region)
 
 
+def _by_label(rows, base, witness):
+    """argmin_regions over rows labelled by their index, as {label: (region, point)}."""
+    found = argmin_regions(enumerate(rows), base, witness)
+    assert [label for label, _, _ in found] == sorted(label for label, _, _ in found)
+    return {label: (region, point) for label, region, point in found}
+
+
 def test_argmin_regions_split_the_line_by_the_smallest_functional():
     # On the line: x is smallest for x < 0, -x for x > 0; 0 never is.
     rows = [(0, 1), (0, -1), (0, 0)]
-    found = argmin_regions(rows, [], (Fraction(2),))
-    assert found[2] is None
+    found = _by_label(rows, [], (Fraction(2),))
+    assert 2 not in found
     for i, want in ((0, -1), (1, 1)):
         region, point = found[i]
         assert (point[0] > 0) - (point[0] < 0) == want
@@ -125,8 +132,8 @@ def test_argmin_regions_split_the_line_by_the_smallest_functional():
 def test_argmin_regions_respect_the_base_polyhedron():
     rows = [(0, 1), (0, -1)]
     base = [(-1, 1)]  # x > 1
-    found = argmin_regions(rows, base, (Fraction(3),))
-    assert found[0] is None
+    found = _by_label(rows, base, (Fraction(3),))
+    assert 0 not in found
     region, point = found[1]
     assert region[0] == base[0] and point == (Fraction(3),)
 
@@ -145,11 +152,19 @@ def test_argmin_regions_settle_inherited_and_constant_cases_without_a_program(
     # x + 1 is below x + 2 everywhere; only the third row needs a program,
     # because it loses at the witness x = 0 but wins for x < -1.
     rows = [(1, 1), (2, 1), (2, 2)]
-    found = argmin_regions(rows, [], (Fraction(0),))
+    found = _by_label(rows, [], (Fraction(0),))
     assert found[0][1] == (Fraction(0),)
-    assert found[1] is None
-    assert found[2] is not None and found[2][1][0] < -1
+    assert 1 not in found
+    assert 2 in found and found[2][1][0] < -1
     assert len(calls) == 1
+
+
+def test_argmin_regions_keep_the_first_label_of_equal_rows():
+    # -x and x split the line; the second copy of -x is never a region.
+    found = argmin_regions([("a", (0, -1)), ("b", (0, 1)), ("c", (0, -1))], [], (Fraction(2),))
+    assert [label for label, _, _ in found] == ["a", "b"]
+    assert found[0][2] == (Fraction(2),)
+    assert found[1][2][0] < 0
 
 
 def test_predicted_cell_bound():

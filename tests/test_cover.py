@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from blocksel.cover import (
 from blocksel.model import BudgetExceededError, InvariantError
 from blocksel.roots import (
     ipoly_normalize,
+    ipoly_primitive,
     isolate_real_roots,
     separating_samples,
     sort_unique_roots,
@@ -181,6 +184,45 @@ def test_split_leaves_irreducibles_alone():
 def test_split_axes_product():
     parts = split_rational_lines((0, 1, 0, 0, 0, 0))
     assert set(parts) == {(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)}
+
+
+def random_conic(rng):
+    """An integer conic with a random coefficient pattern.
+
+    Products of two lines, half of them without y^2, make the split take
+    both its branches; the other draws zero c, a, b or all three.
+    """
+    kind = rng.randrange(6)
+    if kind == 0:
+        (p1, q1, r1), (p2, q2, r2) = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+        if rng.random() < 0.5:
+            q1 = 0
+        return (p1 * p2, p1 * q2 + q1 * p2, q1 * q2, p1 * r2 + r1 * p2, q1 * r2 + r1 * q2, r1 * r2)
+    conic = [rng.randint(-3, 3) for _ in range(6)]
+    for index in {1: (2,), 2: (0,), 3: (1,), 4: (0, 1, 2)}.get(kind, ()):
+        conic[index] = 0
+    return tuple(conic)
+
+
+def test_cover_helpers_answer_as_the_former_ones():
+    rng = random.Random(14)
+    conics = [random_conic(rng) for _ in range(600)]
+    split_on_x = 0
+    for conic in conics:
+        assert vanishes_somewhere(conic) == reference_cover.vanishes_somewhere(conic)
+        parts = split_rational_lines(conic)
+        assert parts == reference_cover.split_rational_lines(conic)
+        split_on_x += conic[2] == 0 and conic[0] != 0 and len(parts) == 2
+    assert split_on_x > 10
+    # Every ordered pair of members with y, across quadratic and linear ones.
+    with_y = [c for c in conics[:120] if cover_module._y_degree(c)]
+    degrees = set()
+    for c1, c2 in itertools.permutations(with_y, 2):
+        degrees.add((cover_module._y_degree(c1), cover_module._y_degree(c2)))
+        assert ipoly_primitive(cover_module._resultant_in_y(c1, c2)) == ipoly_primitive(
+            reference_cover._resultant_in_y(c1, c2)
+        )
+    assert degrees == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_conic_cover_circle_and_line():

@@ -1,5 +1,6 @@
 """Every name a library or test module imports is referenced in it, and
-every module-level name of the library is read by the library."""
+every module-level name and class member of the library is read by the
+library."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,40 @@ def dead_names(sources: dict[str, str]) -> list[str]:
     return sorted(where for name, where in defined.items() if name not in read)
 
 
+def dead_members(sources: dict[str, str]) -> list[str]:
+    """Methods, properties and __slots__ entries of classes no module reads.
+
+    sources maps module names to their text.  A member counts as read when
+    a module loads an attribute of that name or passes a keyword of that
+    name; dunder methods are called implicitly and always count as read.
+    """
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+                ):
+                    names = [elt.value for elt in node.value.elts]
+                else:
+                    continue
+                defined.extend(
+                    (name, f"{module}.{cls.name}.{name} (line {node.lineno})")
+                    for name in names
+                    if not (name.startswith("__") and name.endswith("__"))
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                read.add(node.arg)
+    return sorted(where for name, where in defined if name not in read)
+
+
 def test_the_check_sees_unused_and_used_names():
     source = (
         "from __future__ import annotations\n"
@@ -97,3 +132,27 @@ def test_the_dead_name_check_sees_unread_definitions():
 
 def test_every_library_name_is_read_by_the_library():
     assert dead_names({path.stem: path.read_text() for path in LIBRARY}) == []
+
+
+def test_the_dead_member_check_sees_unread_members():
+    sources = {
+        "a": (
+            "class Point:\n"
+            "    __slots__ = ('x', 'y', '_cache')\n"
+            "    def __init__(self, x, y):\n"
+            "        self.x, self.y, self._cache = x, y, None\n"
+            "    @property\n"
+            "    def norm(self):\n"
+            "        return abs(self.x)\n"
+            "    def unused(self): ...\n"
+            "    @classmethod\n"
+            "    def origin(cls): ...\n"
+        ),
+        # y is read only as a keyword, _cache and unused not at all.
+        "b": "from a import Point\ndef f(p):\n    return p.norm, Point.origin(y=1)\n",
+    }
+    assert dead_members(sources) == ["a.Point._cache (line 2)", "a.Point.unused (line 8)"]
+
+
+def test_every_library_member_is_read_by_the_library():
+    assert dead_members({path.stem: path.read_text() for path in LIBRARY}) == []

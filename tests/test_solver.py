@@ -45,6 +45,11 @@ def rp_1x1(values, b, lambda_cols=(), tags=(), sigma_p=0):
     )
 
 
+def ctx_of(rp):
+    """The context of a subproblem, as solve_block looks it up."""
+    return solver._context(solver._strip_budget(rp))
+
+
 def rp_oracle(rp):
     """Minimum over all feasible supports, with the free columns always in."""
     m = len(rp.b)
@@ -124,14 +129,14 @@ def test_solve_rejects_invalid_instances():
 
 def test_finish_empty_support_only():
     rp = rp_1x1((1, 1), (3, 4))
-    sol = finish(set(), rp)
+    sol = finish(set(), rp, ctx_of(rp))
     assert sol.objective == 25
     assert sol.support == ()
 
 
 def test_finish_drops_the_larger_residual():
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
-    sol = finish({(0,), (1,)}, rp)
+    sol = finish({(0,), (1,)}, rp, ctx_of(rp))
     assert sol.objective == 9
     assert sol.support == (1,)
     assert sol.x == (0, 4)
@@ -139,7 +144,7 @@ def test_finish_drops_the_larger_residual():
 
 def test_finish_joint_block_and_free_solve():
     rp = rp_1x1((1, 1), (2, 1), lambda_cols=[(1, 1)], tags=(0,), sigma_p=1)
-    sol = finish({(0,)}, rp)
+    sol = finish({(0,)}, rp, ctx_of(rp))
     assert sol.objective == 0
     assert sol.x == (1, 0)
     assert sol.lam == (1,)
@@ -148,7 +153,7 @@ def test_finish_joint_block_and_free_solve():
 def test_finish_rejects_oversized_candidates():
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
     with pytest.raises(ValueError):
-        finish({(0, 1)}, rp)
+        finish({(0, 1)}, rp, ctx_of(rp))
 
 
 def test_diagonal_breakpoint_example():
@@ -784,7 +789,7 @@ def test_extended_candidates_equal_the_refined_cell_reference():
                 want, _ = reference_extended.extended_candidates(rp, 40)
             except BudgetExceededError:
                 continue
-            got, regions = solver._extended_candidates(rp, solver.DEFAULT_MAX_CELLS)
+            got, regions = solver._extended_candidates(rp, ctx_of(rp), solver.DEFAULT_MAX_CELLS)
             assert got == want
             assert regions >= len(got)
             compared.add((k, spread, min(sigma_p, 2)))
@@ -816,7 +821,7 @@ def test_three_column_blocks_match_the_reference_and_brute_force():
                     want, _ = reference_extended.extended_candidates(rp, 40)
                 except BudgetExceededError:
                     continue
-                got, _ = solver._extended_candidates(rp, solver.DEFAULT_MAX_CELLS)
+                got, _ = solver._extended_candidates(rp, ctx_of(rp), solver.DEFAULT_MAX_CELLS)
                 assert got == want
                 compared = True
             if compared:
@@ -846,6 +851,35 @@ def test_three_column_blocks_match_the_reference_and_brute_force():
         # The instance optimum can come from another subproblem, so the
         # three-parameter one is checked against its own brute force too.
         assert report[-1]["objective"] == rp_oracle(reduce(inst)[-1])
+
+
+def test_forced_extended_on_a_three_column_block_equals_brute_force():
+    # The cell reference refuses most subproblems with a 3-column block at
+    # k' >= 2, so forced extended is checked against brute force: the
+    # instance optimum and every subproblem's own, at k' = 1 to 3.
+    rng = random.Random(34)
+    for trial in range(24):
+        spread = 1 if trial % 2 else 3
+
+        def entry():
+            return Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
+
+        shapes = [(3, 3)]
+        if rng.random() < 0.5:
+            shapes.insert(rng.randint(0, 1), (rng.randint(1, 2), rng.randint(1, 2)))
+        m = sum(rows for rows, _ in shapes)
+        inst = Instance.build(
+            [[[entry() for _ in range(cols)] for _ in range(rows)] for rows, cols in shapes],
+            coupling=[[entry() for _ in range(m)] for _ in range(rng.randint(1, 2))],
+            intercept=[1] * m,
+            b=[entry() for _ in range(m)],
+            sigma=rng.randint(1, 4),
+        )
+        sol, report = solve_detailed(inst, method="extended")
+        assert sol.objective == brute_force(inst).objective
+        for rp, entry_stats in zip(reduce(inst), report):
+            assert entry_stats["path"] == "extended"
+            assert entry_stats["objective"] == rp_oracle(rp)
 
 
 def test_integer_argmins_match_fraction_argmins():
@@ -920,7 +954,7 @@ def test_finish_raises_invariant_error_on_residual_mismatch(monkeypatch):
     monkeypatch.setattr(solver, "least_squares", off_by_one)
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
     with pytest.raises(InvariantError, match="rebuilt residual"):
-        finish({(0,), (1,)}, rp)
+        finish({(0,), (1,)}, rp, ctx_of(rp))
 
 
 def test_lift_raises_invariant_error_on_residual_mismatch(monkeypatch):
