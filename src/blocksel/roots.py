@@ -149,11 +149,12 @@ def _variations(chain: list[IPoly], point: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(p: IPoly, lo: Fraction, hi: Fraction, chain: list[IPoly]) -> int:
-    """Number of distinct real roots of squarefree p in the open interval (lo, hi).
+def sturm_count(lo: Fraction, hi: Fraction, chain: list[IPoly]) -> int:
+    """Number of distinct real roots in the open interval (lo, hi).
 
-    chain is p's Sturm chain, built once by the caller with _sturm_chain
-    and shared by every count on p.  Both endpoints must be non-roots of p.
+    chain is the Sturm chain of a squarefree polynomial p, built once by
+    the caller with _sturm_chain and shared by every count on p.  Both
+    endpoints must be non-roots of p.
     """
     return _variations(chain, lo) - _variations(chain, hi)
 
@@ -249,7 +250,7 @@ class AlgebraicNumber:
                 lo = max(self.lo, other.lo)
                 hi = min(self.hi, other.hi)
                 if lo < hi and ipoly_eval_sign(common, lo) != 0 and ipoly_eval_sign(common, hi) != 0:
-                    if sturm_count(common, lo, hi, chain) >= 1:
+                    if sturm_count(lo, hi, chain) >= 1:
                         # The shared root inside both intervals is both numbers.
                         return 0
             self.refine()
@@ -307,19 +308,19 @@ def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
                 if (
                     ipoly_eval_sign(p, m_lo) != 0
                     and ipoly_eval_sign(p, m_hi) != 0
-                    and sturm_count(p, m_lo, m_hi, chain) == 1
+                    and sturm_count(m_lo, m_hi, chain) == 1
                 ):
                     break
                 w /= 2
-            recurse(a, m_lo, sturm_count(p, a, m_lo, chain))
+            recurse(a, m_lo, sturm_count(a, m_lo, chain))
             roots.append(AlgebraicNumber.rational(mid))
-            recurse(m_hi, b, sturm_count(p, m_hi, b, chain))
+            recurse(m_hi, b, sturm_count(m_hi, b, chain))
             return
-        left = sturm_count(p, a, mid, chain)
+        left = sturm_count(a, mid, chain)
         recurse(a, mid, left)
         recurse(mid, b, count - left)
 
-    recurse(lo, hi, sturm_count(p, lo, hi, chain))
+    recurse(lo, hi, sturm_count(lo, hi, chain))
     return roots
 
 

@@ -23,9 +23,10 @@ route() picks one of three candidate generators per subproblem:
 * diagonal: all blocks 1x1 and at most two free parameters.  The optimal
   support is the top sigma' coordinates by |b'(lambda)|, so the
   candidates are the top sets over the regions of lambda space.  They are
-  read off the edges of a line arrangement in the plane, walking each
-  line once in integers; each side of the line keeps only its top set,
-  which changes where the sigma'-th and (sigma'+1)-th coordinates swap.
+  read off the edges of a line arrangement in the plane, in integers:
+  each tie class of a line (coordinates of equal |b'| along it) is walked
+  only against the lines that share a coordinate with it, and a set is
+  recorded only where the sigma'-level cuts the class.
 * cover: every other subproblem with at most two free parameters.  Argmin
   profiles are read at the witnesses of one conic cover of the plane; the
   allocation work is bounded by MAX_PROFILE_UNIONS.
@@ -429,18 +430,24 @@ def _diag_top_sets(ctx: _Context, top: int) -> CandidateSet:
 
 
 def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet:
-    """Top sets over the regions of the plane, read off a line arrangement.
+    """Top sets over the regions of the plane, read where the level cuts a class.
 
     Rankings change only across the pairwise difference and sum lines of
     the hittable b' functionals, where |b'_i| = |b'_j|.  The functionals
     get zero coefficients up to two parameters, so lambda space is read as
-    the plane: every region of the line arrangement has an edge on some
-    line, so the top sets just off each edge, on both sides, give them all.
-    Each merged line keeps the coordinates of the pairs it carries, and
-    lines are grouped by primitive direction, so a line is walked only
-    against the lines that cross it (none below two free parameters); see
-    _line_top_sets.  Without any line every ranking is constant, and the
-    line lambda_2 = 0 reads it.
+    the plane.  Each merged line keeps the pairs it carries, and their
+    union splits its coordinates into tie classes, equal in |b'| along the
+    whole line.  Unless the top set is the same in every region, each
+    region's top set changes across some edge of its boundary; at a point
+    of that edge off every crossing the classes of the line have distinct
+    |b'|, so the change is the level cutting one class: some of its
+    members are in the top set, not all.  Each class is walked only
+    against the lines that carry one of its members (_class_top_sets),
+    since a coordinate outside it passes it only there.  One more set is
+    read from a full ranking just off an edge of one line, walked against
+    all of its crossings (without any line, the line lambda_2 = 0): when
+    no class is cut anywhere, the top set is the same in every region, and
+    that is the only one.
     """
     k = ctx.base.k_prime
     # b'_i(lambda) = b_i - sum_l lambda_l col_l[i] as (p, q, r) for
@@ -452,52 +459,61 @@ def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet
     ]
     scale = math.lcm(*(v.denominator for f in funcs for v in f))
     int_funcs = [tuple(int(v * scale) for v in f) for f in funcs]
-    carried: dict[tuple[int, ...], set[int]] = {}
+    pairs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, j in itertools.combinations(hittable, 2):
         (p1, q1, r1), (p2, q2, r2) = int_funcs[i], int_funcs[j]
         for s in (1, -1):
             if p1 + s * p2 or q1 + s * q2:
                 line = primitive((p1 + s * p2, q1 + s * q2, r1 + s * r2))
-                carried.setdefault(line, set()).update((i, j))
-    directions: dict[tuple[int, ...], list] = {}
-    for line, coords in (carried or {(0, 1, 0): set()}).items():
-        directions.setdefault(primitive(line[:2]), []).append((line, coords))
+                pairs.setdefault(line, []).append((i, j))
+    # classes[line] maps each coordinate the line carries to its tie class;
+    # carrying[i] lists the lines that carry coordinate i.
+    classes: dict[tuple[int, ...], dict[int, frozenset[int]]] = {}
+    carrying: dict[int, list[tuple[int, ...]]] = {}
+    for line, carried in pairs.items():
+        class_of = classes[line] = {}
+        for i, j in carried:
+            merged = class_of.get(i, frozenset((i,))) | class_of.get(j, frozenset((j,)))
+            class_of.update(dict.fromkeys(merged, merged))
+        for i in class_of:
+            carrying.setdefault(i, []).append(line)
     top_sets: CandidateSet = set()
-    for direction, group in directions.items():
-        crossing = [
-            entry
-            for other, entries in directions.items()
-            if other != direction
-            for entry in entries
-        ]
-        for line, _ in group:
-            top_sets.update(_line_top_sets(line, crossing, int_funcs, hittable, top))
+    for line, class_of in classes.items():
+        a, b, _ = line
+        for members in set(class_of.values()):
+            crossing: dict[tuple[int, ...], frozenset[int]] = {}
+            for q in members:
+                for other in carrying[q]:
+                    if a * other[1] != b * other[0]:
+                        tied = classes[other][q]
+                        crossing[other] = crossing.get(other, tied) | tied
+            top_sets.update(
+                _class_top_sets(line, members, crossing, int_funcs, hittable, top)
+            )
+    line = next(iter(classes), (0, 1, 0))
+    a, b, _ = line
+    crossing = {other: frozenset() for other in classes if a * other[1] != b * other[0]}
+    rows, u, _ = _line_anchors(line, crossing, int_funcs, hittable)
+    top_sets.add(tuple(sorted(_ranked(rows, hittable, u, 1)[:top])))
     return top_sets
 
 
-def _line_top_sets(line, crossing, int_funcs, hittable, top) -> CandidateSet:
-    """Top sets just off each edge of one line, on both sides, as sorted tuples.
+def _line_anchors(line, crossing, int_funcs, hittable):
+    """Values along one line, its first anchor and its crossings.
 
     The line a x + b y + c = 0 is walked as P(t) = base + t (-b, a); the
-    lines of crossing, each with the coordinates of the pairs it carries,
-    cut it at parameters t = n / d with 0 < d <= D.  With M = 2 D^2 the
-    integer key floor(n M / d) orders the crossings and tells distinct ones
-    apart by at least 2, so the edge after the crossing of key K is read
-    at (K + 1) / M and the first edge at (K_0 - 1) / M: every anchor shares
-    the denominator M.  Along the normal n = (a, b), a functional with
-    value v at that point and slope s = f . n has square
-    v^2 + 2 e v s + e^2 s^2 at offset e n, so for small e > 0 the ranking
-    on the + side compares (v^2, v s, s^2) lexicographically and on the -
-    side (v^2, -v s, s^2).  Values are scaled by one positive integer per
-    point, which keeps every comparison.
-
-    Each side sorts once, at the first edge, and keeps its first top
-    coordinates as the set inside.  Past a crossing the coordinates C of
-    the lines through it keep the ranks they held, since every other
-    coordinate has a different |b'| there; so if n of C were inside, the
-    best n of C, ranked just past the crossing, are inside now.  Only a
-    side with 0 < n < |C| can change, and only it ranks C.  Lines and
-    int_funcs entries are integer triples (a, b, c) of a x + b y + c.
+    lines of crossing, a dict from each to a set of coordinates, cut it at
+    parameters t = n / d with 0 < d <= D.  With M = 2 D^2 the integer key
+    floor(n M / d) orders the crossings and tells distinct ones apart by at
+    least 2, so the edge after the crossing of key K is read at (K + 1) / M
+    and the first edge at (K_0 - 1) / M: every anchor shares the
+    denominator M.  Returns rows, the first anchor's numerator and the
+    sorted (key, coordinates) of the crossings, the coordinates of lines
+    through one point merged.  For each hittable i, rows[i] = (A, B, s)
+    gives f_i(P(u / M)) * |g| * M = A + B u, g the base's denominator, and
+    s the slope f_i . (a, b) along the normal; one positive factor per
+    point keeps every comparison.  Lines and int_funcs entries are integer
+    triples (a, b, c) of a x + b y + c.
     """
     a, b, c = line
     g = b if b != 0 else a  # base has denominator g
@@ -506,41 +522,73 @@ def _line_top_sets(line, crossing, int_funcs, hittable, top) -> CandidateSet:
     w, u = 1, 0
     if crossing:
         hits = []
-        for (a2, b2, c2), coords in crossing:
+        for (a2, b2, c2), carried in crossing.items():
             n = b2 * c - c2 * b if b != 0 else a2 * c - c2 * a
             d = g * (a * b2 - b * a2)
-            hits.append((n, d, coords) if d > 0 else (-n, -d, coords))
+            hits.append((n, d, carried) if d > 0 else (-n, -d, carried))
         w = 2 * max(d for _, d, _ in hits) ** 2
-        for n, d, coords in hits:
-            swaps.setdefault(n * w // d, set()).update(coords)
+        for n, d, carried in hits:
+            swaps.setdefault(n * w // d, set()).update(carried)
         u = min(swaps) - 1
-    # f(P(t)) * |g| * w = A w + B u for t = u / w.  Keys sort ascending,
-    # so every component of the descending comparison is negated.
     rows = {}
     for i in hittable:
         p, q, r = int_funcs[i]
         at_base = r * b - q * c if b != 0 else r * a - p * c
-        s = p * a + q * b
-        rows[i] = (sign * at_base * w, (q * a - p * b) * mag, s, -s * s)
+        rows[i] = (sign * at_base * w, (q * a - p * b) * mag, p * a + q * b)
+    return rows, u, sorted(swaps.items())
 
-    def ranked(coords, u, side):
-        keys = []
+
+def _ranked(rows, coords, u, side) -> list[int]:
+    """coords by descending |b'| just off the line at anchor u, on one side.
+
+    Along the normal n = (a, b), a functional with value v at the anchor
+    and slope s has square v^2 + 2 e v s + e^2 s^2 at offset e n, so for
+    small e > 0 the ranking on side +1 compares (v^2, v s, s^2)
+    lexicographically and on side -1 (v^2, -v s, s^2), index ascending
+    last.  Keys sort ascending, so every component of the descending
+    comparison is negated.
+    """
+    keys = []
+    for i in coords:
+        big_a, big_b, s = rows[i]
+        v = big_a + big_b * u
+        keys.append((-v * v, -side * v * s, -s * s, i))
+    return [key[3] for key in sorted(keys)]
+
+
+def _class_top_sets(line, members, crossing, int_funcs, hittable, top) -> CandidateSet:
+    """Top sets on both sides of one line where the level cuts a tie class.
+
+    members is a tie class of the line, and crossing maps each line of
+    another direction that carries a member to the coordinates tied with a
+    member along it (see _line_anchors for the walk).  A coordinate
+    outside the class stays above or below it along the line except where
+    it ties a member, at such a crossing; so the set above the class is
+    compared once at the first anchor and afterwards, at the anchor past
+    each crossing, only among that crossing's coordinates.  The members'
+    own order just off the line changes only where they vanish, which is
+    all along it or at its crossing with the other line of two of them.
+    With n = top - |above|, an edge where 0 < n < |members| reads, on each
+    side, above and the best n members.
+    """
+    rows, u, swaps = _line_anchors(line, crossing, int_funcs, hittable)
+    q = next(iter(members))
+    above: set[int] = set()
+    out: CandidateSet = set()
+    for u, coords in [(u, hittable), *((key + 1, coords) for key, coords in swaps)]:
+        big_a, big_b, _ = rows[q]
+        level = (big_a + big_b * u) ** 2
         for i in coords:
-            big_a, big_b, s, ss = rows[i]
-            v = big_a + big_b * u
-            keys.append((-v * v, -side * v * s, ss, i))
-        return [key[3] for key in sorted(keys)]
-
-    sides = [(side, set(ranked(hittable, u, side)[:top])) for side in (1, -1)]
-    out = {tuple(sorted(inside)) for _, inside in sides}
-    for at in sorted(swaps):
-        coords = swaps[at]
-        for side, inside in sides:
-            n = len(coords & inside)
-            if 0 < n < len(coords):
-                inside -= coords
-                inside.update(ranked(coords, at + 1, side)[:n])
-                out.add(tuple(sorted(inside)))
+            if i not in members:
+                big_a, big_b, _ = rows[i]
+                if (big_a + big_b * u) ** 2 > level:
+                    above.add(i)
+                else:
+                    above.discard(i)
+        n = top - len(above)
+        if 0 < n < len(members):
+            for side in (1, -1):
+                out.add(tuple(sorted(above.union(_ranked(rows, members, u, side)[:n]))))
     return out
 
 

@@ -570,6 +570,76 @@ def test_top_sets_without_a_walk_equal_the_walk():
                 assert walked == {tuple(hittable[:top])}
 
 
+def rp_from_funcs(values, funcs):
+    """A 1x1 subproblem whose b'_i is p lambda_1 + q lambda_2 + r, funcs[i] = (p, q, r).
+
+    Each entry of funcs holds the lambda coefficients it has parameters
+    for, then r.
+    """
+    k = len(funcs[0]) - 1
+    return rp_1x1(
+        values,
+        [f[-1] for f in funcs],
+        lambda_cols=[[-f[l] for f in funcs] for l in range(k)],
+        tags=tuple(range(k)),
+    )
+
+
+def test_level_walk_equals_the_reference_rankings_on_forced_ties():
+    # Each draw forces a twin (f_t = +-f_i), a zero functional, and a line
+    # carrying two tie classes: f_d = f_c - f_a + f_b puts the pairs
+    # (a, b) and (c, d) on the line f_a = f_b.  Every fourth draw has no
+    # free parameter, and some diagonal entries are zero.
+    rng = random.Random(59)
+
+    def tied_along(line, f, g):
+        # |f| = |g| on the whole line: f - g or f + g is a multiple of it.
+        return any(
+            all(
+                u * y == v * x
+                for (u, x), (v, y) in itertools.combinations(zip(diff, line), 2)
+            )
+            for diff in ([x - y for x, y in zip(f, g)], [x + y for x, y in zip(f, g)])
+        )
+
+    two_classes = 0
+    for trial in range(120):
+        k = 0 if trial % 4 == 0 else 1 + trial % 2
+        h = rng.randint(6, 8)
+        funcs = [[rng.randint(-2, 2) for _ in range(k + 1)] for _ in range(h)]
+        a, b, c, d, t, z = rng.sample(range(h), 6)
+        funcs[d] = [fc - fa + fb for fa, fb, fc in zip(funcs[a], funcs[b], funcs[c])]
+        sign = rng.choice((1, -1))
+        funcs[t] = [sign * v for v in funcs[rng.choice((a, b, c, d))]]
+        funcs[z] = [0] * (k + 1)
+        values = [rng.choice((-1, 0, 1, 2)) for _ in range(h)]
+        line = [x - y for x, y in zip(funcs[a], funcs[b])]
+        if k and any(line[:k]) and not tied_along(line, funcs[a], funcs[c]):
+            two_classes += 1
+        ctx = solver._context(rp_from_funcs(values, funcs))
+        rankings = reference_diagonal.diag_rankings(ctx)
+        for top in range(h + 2):
+            tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
+            assert solver._diag_top_sets(ctx, top) == tops
+    assert two_classes >= 60
+
+
+def test_one_set_read_is_taken_off_every_crossing():
+    # The top-4 set is (1, 3, 4, 5) in every region.  Coordinate 2 is a
+    # zero functional, and the first line built, b'_1 = 0 from the pair
+    # (1, 2), has its base point at lambda = (0, -1), where b'_4 = 0 as
+    # well: a ranking read there ties 4 with 2 and keeps (1, 2, 3, 5).
+    rp = rp_from_funcs(
+        [0, -1, -1, 1, 1, 1],
+        [(1, -1, 1), (0, -1, -1), (0, 0, 0), (1, -1, -1), (-1, 0, 0), (-1, -1, 0)],
+    )
+    ctx = solver._context(rp)
+    rankings = reference_diagonal.diag_rankings(ctx)
+    tops = {tuple(sorted(ranking[:4])) for ranking in rankings}
+    assert tops == {(1, 3, 4, 5)}
+    assert solver._diag_top_sets(ctx, 4) == tops
+
+
 # Count bounds, one small seeded rung per path: a count over its bound
 # means the growth degree of that path changed.
 
@@ -603,6 +673,53 @@ def test_diagonal_top_sets_within_the_line_arrangement_bound():
             assert len(top_sets) <= 2 * (1 + n + n * (n - 1) // 2)
             walked += len(top_sets) > 1
     assert walked
+
+
+def test_level_walk_meets_only_lines_that_share_a_coordinate(monkeypatch):
+    # Each of the n hittable coordinates lies on at most 2 (n - 1)
+    # difference and sum lines, so a tie class Q is walked against at most
+    # 2 (n - 1) |Q| of them, and the one full ranking adds one line's
+    # crossings.
+    h = 16
+    inst = generate_instance(
+        blocks=h, block_rows=1, block_cols=1, coupling=2, intercept=False,
+        sigma=4, seed=3, spread=5,
+    )
+    rp = next(rp for rp in reduce(inst) if rp.k_prime == 2)
+    cols = rp.lambda_cols
+    scale = math.lcm(*(v.denominator for v in rp.b + cols[0] + cols[1]))
+    funcs = [
+        tuple(int(v * scale) for v in (-cols[0][i], -cols[1][i], rp.b[i]))
+        for i in range(h)
+    ]
+    hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
+    carried = {}
+    for i, j in itertools.combinations(hittable, 2):
+        for s in (1, -1):
+            line = [u + s * v for u, v in zip(funcs[i], funcs[j])]
+            if any(line[:2]):
+                carried.setdefault(primitive(line), set()).update((i, j))
+    walked = []
+    entries = []
+    class_top_sets, line_anchors = solver._class_top_sets, solver._line_anchors
+
+    def class_walk(line, members, crossing, *args):
+        walked.append(members)
+        for other in crossing:
+            assert carried[other] & members
+        return class_top_sets(line, members, crossing, *args)
+
+    def anchors(line, crossing, *args):
+        entries.append(len(crossing))
+        return line_anchors(line, crossing, *args)
+
+    monkeypatch.setattr(solver, "_class_top_sets", class_walk)
+    monkeypatch.setattr(solver, "_line_anchors", anchors)
+    solver._diag_top_sets(solver._context(solver._strip_budget(rp)), rp.sigma_p)
+    assert walked and len(entries) == len(walked) + 1
+    n = len(hittable)
+    bound = sum(2 * (n - 1) * len(members) for members in walked) + len(carried)
+    assert sum(entries) <= bound
 
 
 def test_support_regions_within_the_hyperplane_arrangement_bound():
