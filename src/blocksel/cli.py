@@ -4,7 +4,7 @@ Subcommands: solve an instance file, get the brute-force reference answer,
 compare the two, and generate seeded random instances.  Instances travel as
 JSON documents (see load_instance for the schema); all reported indices are
 1-based.  Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 compare
-mismatch.
+mismatch, 4 standard output closed before everything was written.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_MISMATCH = 3
+EXIT_PIPE = 4
 
 
 # --- instance documents ------------------------------------------------------
@@ -461,8 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; standard output closed early exits with EXIT_PIPE.
+
+    The flush inside the guard surfaces a pipe closed before the last
+    write; pointing standard output at os.devnull keeps the exit quiet.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed early", file=sys.stderr)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

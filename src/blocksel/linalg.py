@@ -8,11 +8,14 @@ extended coordinates (lam followed by all monomials lam_i * lam_j with
 i <= j), so residual_quadratic writes each form once as an integer row over
 (1, extended coordinates) with a positive scale, which is what every
 comparison consumes, and quadratic_minimum takes the exact minimum of such a
-row.  Both rest on one kernel, eliminate: fraction-free symmetric
-elimination of an integer positive-semidefinite matrix (Bareiss, Math.
-Comp. 1968).
+row as an integer ratio.  Everything rests on one kernel, eliminate:
+fraction-free symmetric elimination of an integer positive-semidefinite
+matrix (Bareiss, Math. Comp. 1968), which least_squares also applies to the
+Gram matrix of its columns.
 
-All arithmetic is exact: over fractions.Fraction, or in integers.
+All arithmetic is in integers.  Fractions are built only for what a caller
+keeps: least_squares's coefficients and residual, and the minimizer of the
+one form that quadratic_minimizer is asked for.
 """
 
 from __future__ import annotations
@@ -23,55 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import InvariantError, RatMatrix
-
-Vector = tuple[Fraction, ...]
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def least_squares(
-    columns: Sequence[Sequence[Fraction]], y: Sequence[Fraction]
-) -> tuple[list[Fraction], Fraction]:
-    """Exact least squares min |A x - y|^2 over the given columns.
-
-    One Gram-Schmidt pass writes the kept columns as U R, U orthogonal and
-    R unit upper triangular from the recorded projection coefficients; y's
-    coefficients c on U give x by back substitution through R x = c.
-    Dependent columns (in input order) receive coefficient 0, which makes the
-    minimizer deterministic even when A is rank deficient.  Returns the
-    coefficient vector and the exact squared residual.
-    """
-    kept: list[int] = []
-    basis: list[tuple[Vector, Fraction]] = []
-    above: list[list[Fraction]] = []  # above[j][i]: R entry (i, j), i < j
-    for idx, col in enumerate(columns):
-        u = [Fraction(x) for x in col]
-        coeffs = []
-        for w, ww in basis:
-            coeff = _dot(u, w) / ww
-            coeffs.append(coeff)
-            if coeff:
-                for i in range(len(u)):
-                    u[i] -= coeff * w[i]
-        if any(u):
-            kept.append(idx)
-            basis.append((tuple(u), _dot(u, u)))
-            above.append(coeffs)
-    res2 = _dot(y, y)
-    z = []
-    for w, ww in basis:
-        proj = _dot(y, w)
-        z.append(proj / ww)
-        res2 -= proj * z[-1]
-    for j in range(len(z) - 1, 0, -1):
-        for i, r in enumerate(above[j]):
-            z[i] -= r * z[j]
-    x = [Fraction(0)] * len(columns)
-    for idx, v in zip(kept, z):
-        x[idx] = v
-    return x, res2
 
 
 def eliminate(matrix: list[list[int]], count: int) -> tuple[list[list[int]], int]:
@@ -107,6 +61,64 @@ def eliminate(matrix: list[list[int]], count: int) -> tuple[list[list[int]], int
     return [row[count:] for row in matrix[count:]], d
 
 
+def _target_gram(columns: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer Gram matrix of the columns with the last one negated.
+
+    The columns hold ints or Fractions; one factor L, the lcm of every
+    denominator, brings them all to integers.  Returns the Gram matrix G of
+    L [c_1 ... c_{n-1} | -c_n], so z^T G z = L^2 |sum_i z_i c_i - c_n|^2 at
+    z = (z_1 ... z_{n-1}, 1), and L.
+    """
+    factor = math.lcm(*(v.denominator for col in columns for v in col))
+    ints = [[v.numerator * (factor // v.denominator) for v in col] for col in columns]
+    ints[-1] = [-v for v in ints[-1]]
+    size = len(ints)
+    gram = [[0] * size for _ in range(size)]
+    for i, u in enumerate(ints):
+        for j in range(i, size):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, u, ints[j]))
+    return gram, factor
+
+
+def _back_substitute(matrix: list[list[int]], count: int, pivot: int) -> list[int]:
+    """pivot times the minimizer over the eliminated variables, the last fixed at 1.
+
+    matrix is what eliminate(matrix, count) left with pivot its last
+    nonzero pivot: row i < count holds the entries it pivoted with, so the
+    minimizer z, with z_count = 1, has sum_{j >= i} m_ij z_j = 0.  A zero
+    pivot is a free variable, set to 0.  pivot is the determinant of the
+    kept variables' block, so pivot * z is integral (Cramer's rule) and
+    every division is exact.
+    """
+    z = [0] * count
+    for i in reversed(range(count)):
+        row = matrix[i]
+        if row[i]:
+            rest = sum(map(operator.mul, row[i + 1 : count], z[i + 1 :]))
+            z[i] = -(pivot * row[count] + rest) // row[i]
+    return z
+
+
+def least_squares(
+    columns: Sequence[Sequence], y: Sequence
+) -> tuple[list[Fraction], Fraction]:
+    """Exact least squares min |A x - y|^2 over the given columns.
+
+    The columns and y (ints or Fractions) are scaled to integers by one
+    factor L, and eliminating the columns' variables from the Gram matrix
+    of [A | -y] leaves d L^2 times the squared residual, d the last nonzero
+    pivot; x comes by back substitution.  A column that depends on earlier
+    ones (in input order) has a zero pivot and receives coefficient 0,
+    which makes the minimizer deterministic even when A is rank deficient.
+    Returns the coefficient vector and the exact squared residual.
+    """
+    count = len(columns)
+    gram, factor = _target_gram([*columns, y])
+    ((energy,),), pivot = eliminate(gram, count)
+    x = [Fraction(v, pivot) for v in _back_substitute(gram, count, pivot)]
+    return x, Fraction(energy, pivot * factor * factor)
+
+
 def residual_quadratic(
     block: RatMatrix,
     b_piece: Sequence[Fraction],
@@ -125,15 +137,9 @@ def residual_quadratic(
     i < j, 2 T_ij (lam^T P lam counts lam_i lam_j twice).  Works for any
     support, including rank-deficient ones.
     """
-    cols = [block.column(c) for c in support] + [*lambda_pieces, b_piece]
-    factor = math.lcm(*(v.denominator for col in cols for v in col))
-    ints = [[v.numerator * (factor // v.denominator) for v in col] for col in cols]
-    ints[-1] = [-v for v in ints[-1]]
-    size = len(ints)
-    gram = [[0] * size for _ in range(size)]
-    for i, u in enumerate(ints):
-        for j in range(i, size):
-            gram[i][j] = gram[j][i] = sum(map(operator.mul, u, ints[j]))
+    gram, factor = _target_gram(
+        [*(block.column(c) for c in support), *lambda_pieces, b_piece]
+    )
     trail, pivot = eliminate(gram, len(support))
     k = len(lambda_pieces)
     row = [trail[k][k], *(2 * trail[i][k] for i in range(k))]
@@ -143,19 +149,8 @@ def residual_quadratic(
     return tuple(row), pivot * factor * factor
 
 
-def quadratic_minimum(
-    row: Sequence[int], k: int, scale: int
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact global minimum of row . (1, lam, lam_i lam_j) / scale over lam.
-
-    row must be a semidefinite form over (lam, 1), such as a sum of
-    residual_quadratic rows at one scale.  It is written as the integer
-    matrix B = 2 A over (lam, 1), A the form's symmetric matrix; eliminating
-    the k lam pivots leaves E = d * 2 * scale * minimum, d the last pivot.
-    The minimizer comes by back substitution through the pivot rows, with
-    free variables (zero pivots) set to zero.  A form that is not
-    semidefinite raises InvariantError.
-    """
+def _form_matrix(row: Sequence[int], k: int) -> list[list[int]]:
+    """B = 2 A over (lam, 1), A the symmetric matrix of row's form."""
     b = [[0] * (k + 1) for _ in range(k + 1)]
     b[k][k] = 2 * row[0]
     terms = iter(row[1 + k :])
@@ -164,13 +159,35 @@ def quadratic_minimum(
         b[i][i] = 2 * next(terms)
         for j in range(i + 1, k):
             b[i][j] = b[j][i] = next(terms)
-    ((energy,),), pivot = eliminate(b, k)
-    lam = [Fraction(0)] * k
-    for i in reversed(range(k)):
-        if b[i][i]:
-            rest = b[i][k] + sum(b[i][j] * lam[j] for j in range(i + 1, k))
-            lam[i] = Fraction(-rest, b[i][i])
-    return Fraction(energy, 2 * pivot * scale), tuple(lam)
+    return b
+
+
+def quadratic_minimum(row: Sequence[int], k: int, scale: int) -> tuple[int, int]:
+    """Exact global minimum of row . (1, lam, lam_i lam_j) / scale over lam.
+
+    row must be a semidefinite form over (lam, 1), such as a sum of
+    residual_quadratic rows at one scale.  It is written as the integer
+    matrix B = 2 A over (lam, 1), A the form's symmetric matrix; eliminating
+    the k lam pivots leaves E = d * 2 * scale * minimum, d the last pivot.
+    Returns the minimum as the integer ratio (E, 2 d scale) in lowest
+    terms, denominator positive.  A form that is not semidefinite raises
+    InvariantError.
+    """
+    ((energy,),), pivot = eliminate(_form_matrix(row, k), k)
+    den = 2 * pivot * scale
+    g = math.gcd(energy, den)
+    return energy // g, den // g
+
+
+def quadratic_minimizer(row: Sequence[int], k: int) -> tuple[Fraction, ...]:
+    """The lam at which quadratic_minimum's minimum is reached.
+
+    Back substitution through the same pivot rows, free variables (zero
+    pivots) set to zero; the scale does not move the minimizer.
+    """
+    b = _form_matrix(row, k)
+    _, pivot = eliminate(b, k)
+    return tuple(Fraction(v, pivot) for v in _back_substitute(b, k, pivot))
 
 
 def extended_dim(k_prime: int) -> int:

@@ -16,7 +16,10 @@ Each support's residual is held as one integer row over (1, lambda,
 lambda_i lambda_j), all rows of a subproblem at one positive scale
 (linalg.residual_quadratic); comparisons read these rows, and a
 candidate's residual is the integer sum of its blocks' rows, minimized by
-linalg.quadratic_minimum.
+linalg.quadratic_minimum as an integer ratio.  finish() compares these
+ratios by cross-multiplication and builds Fractions only for the winner:
+its value, its lambda (linalg.quadratic_minimizer) and its block
+coefficients (linalg.least_squares).
 
 route() picks one of three candidate generators per subproblem:
 
@@ -63,7 +66,13 @@ from typing import Iterable, Sequence
 
 from .arrangement import argmin_regions
 from .cover import conic_cover_points, primitive
-from .linalg import extended_dim, least_squares, quadratic_minimum, residual_quadratic
+from .linalg import (
+    extended_dim,
+    least_squares,
+    quadratic_minimizer,
+    quadratic_minimum,
+    residual_quadratic,
+)
 from .model import (
     BlockStructure,
     BudgetExceededError,
@@ -343,25 +352,26 @@ def _cover_pool(ctx: _Context, limit: int) -> CandidateSet:
     return pool
 
 
-def _candidate_value(
-    ctx: _Context, chi: tuple[int, ...]
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact minimum over lambda of one candidate's residual form.
+def _candidate_row(ctx: _Context, chi: tuple[int, ...]) -> tuple[int, ...]:
+    """One candidate's residual row: the integer sum of its blocks' rows."""
+    offsets = ctx.offsets
+    rows = [
+        row_of[tuple(c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1])]
+        for i, row_of in enumerate(ctx.row_of)
+    ]
+    return tuple(map(sum, zip(*rows)))
 
-    The form's row is the integer sum of the blocks' rows at the context's
-    scale; its minimum and minimizer are computed once.
+
+def _candidate_value(ctx: _Context, chi: tuple[int, ...]) -> tuple[int, int]:
+    """Exact minimum over lambda of one candidate's residual, computed once.
+
+    It is the integer pair (numerator, denominator) in lowest terms from
+    quadratic_minimum, at the context's scale.
     """
     hit = ctx.values.get(chi)
     if hit is None:
-        offsets = ctx.offsets
-        rows = [
-            row_of[
-                tuple(c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1])
-            ]
-            for i, row_of in enumerate(ctx.row_of)
-        ]
-        total = tuple(map(sum, zip(*rows)))
-        hit = ctx.values[chi] = quadratic_minimum(total, ctx.base.k_prime, ctx.scale)
+        row = _candidate_row(ctx, chi)
+        hit = ctx.values[chi] = quadratic_minimum(row, ctx.base.k_prime, ctx.scale)
     return hit
 
 
@@ -371,17 +381,26 @@ def finish(
     """Best subproblem solution over the candidate supports.
 
     ctx is the context of rp with its budget stripped.  Each candidate's
-    summed residual row is minimized over lambda in closed form; the empty
-    support always participates.  Ties prefer the lexicographically
-    smallest support.  Only the winner gets its block coefficients
-    rebuilt, by per-block least squares at the winning lambda.
+    summed residual row is minimized over lambda in closed form, as an
+    integer ratio, and the minima are compared by cross-multiplication; the
+    empty support always participates.  Ties prefer the lexicographically
+    smallest support.  Only the winner gets Fractions: its value, its
+    lambda, and its block coefficients, rebuilt by per-block least squares
+    at that lambda from the blocks' columns and b alone.
     """
     pool = {tuple(sorted(chi)) for chi in candidates}
     pool.add(())
     if any(len(chi) > rp.sigma_p for chi in pool):
         raise ValueError("candidate support exceeds the subproblem budget")
-    chi = min(pool, key=lambda c: (_candidate_value(ctx, c)[0], c))
-    value, best_lam = _candidate_value(ctx, chi)
+    chi = ()
+    num, den = _candidate_value(ctx, chi)
+    for other in pool:
+        n, d = _candidate_value(ctx, other)
+        lhs, rhs = n * den, num * d
+        if lhs < rhs or (lhs == rhs and other < chi):
+            chi, num, den = other, n, d
+    value = Fraction(num, den)
+    best_lam = quadratic_minimizer(_candidate_row(ctx, chi), rp.k_prime)
 
     offsets = ctx.offsets
     x = [Fraction(0)] * rp.n_total

@@ -3,11 +3,11 @@
 The library writes each residual form only as an integer row with a
 positive scale (linalg.residual_quadratic) and takes minima of such rows
 (linalg.quadratic_minimum).  These are its former Fraction helpers,
-unchanged: QuadraticForm, eval_form, orthogonalize, residual_quadratic by
-Gram-Schmidt, quadratic_minimum by Gauss-Jordan elimination, integer_rows,
-formerly in blocksel.linalg, and _support_forms, formerly in
-blocksel.solver.  Tests and the other references check the library
-against them.
+unchanged: Vector, _dot, least_squares by Gram-Schmidt, QuadraticForm,
+eval_form, orthogonalize, residual_quadratic by Gram-Schmidt,
+quadratic_minimum by Gauss-Jordan elimination, integer_rows, formerly in
+blocksel.linalg, and _support_forms, formerly in blocksel.solver.  Tests
+and the other references check the library against them.
 """
 
 from __future__ import annotations
@@ -18,8 +18,56 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from blocksel.linalg import Vector, _dot
 from blocksel.model import RatMatrix, ReducedProblem
+
+Vector = tuple[Fraction, ...]
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def least_squares(
+    columns: Sequence[Sequence[Fraction]], y: Sequence[Fraction]
+) -> tuple[list[Fraction], Fraction]:
+    """Exact least squares min |A x - y|^2 over the given columns.
+
+    One Gram-Schmidt pass writes the kept columns as U R, U orthogonal and
+    R unit upper triangular from the recorded projection coefficients; y's
+    coefficients c on U give x by back substitution through R x = c.
+    Dependent columns (in input order) receive coefficient 0, which makes the
+    minimizer deterministic even when A is rank deficient.  Returns the
+    coefficient vector and the exact squared residual.
+    """
+    kept: list[int] = []
+    basis: list[tuple[Vector, Fraction]] = []
+    above: list[list[Fraction]] = []  # above[j][i]: R entry (i, j), i < j
+    for idx, col in enumerate(columns):
+        u = [Fraction(x) for x in col]
+        coeffs = []
+        for w, ww in basis:
+            coeff = _dot(u, w) / ww
+            coeffs.append(coeff)
+            if coeff:
+                for i in range(len(u)):
+                    u[i] -= coeff * w[i]
+        if any(u):
+            kept.append(idx)
+            basis.append((tuple(u), _dot(u, u)))
+            above.append(coeffs)
+    res2 = _dot(y, y)
+    z = []
+    for w, ww in basis:
+        proj = _dot(y, w)
+        z.append(proj / ww)
+        res2 -= proj * z[-1]
+    for j in range(len(z) - 1, 0, -1):
+        for i, r in enumerate(above[j]):
+            z[i] -= r * z[j]
+    x = [Fraction(0)] * len(columns)
+    for idx, v in zip(kept, z):
+        x[idx] = v
+    return x, res2
 
 
 def orthogonalize(vectors: Sequence[Sequence[Fraction]]) -> list[Vector]:

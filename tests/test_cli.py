@@ -1,12 +1,15 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from blocksel.cli import dump_instance, generate_instance, load_instance, main
+import blocksel
+from blocksel.cli import EXIT_PIPE, dump_instance, generate_instance, load_instance, main
 from blocksel.model import BudgetExceededError, Instance
 from blocksel.solver import reduce
 
@@ -308,3 +311,27 @@ def test_gen_writes_stdout_by_default(capsys):
     assert isinstance(inst, Instance)
     assert inst.sigma == 1
 
+
+
+def test_closed_stdout_exits_with_one_error_line(tmp_path):
+    # The reader closes its end of the pipe before anything is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(blocksel.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "blocksel.cli", "solve", "--json", write_doc(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert EXIT_PIPE == 4
+    assert proc.returncode == EXIT_PIPE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1

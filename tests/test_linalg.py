@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from blocksel.linalg import (
     eliminate,
     extended_dim,
     least_squares,
+    quadratic_minimizer,
     quadratic_minimum,
     residual_quadratic,
 )
@@ -93,6 +95,50 @@ def test_least_squares_rank_deficient_zeroes_dropped_column():
     x, res2 = least_squares(cols, (frac(0), frac(2)))
     assert res2 == 2
     assert x == [1, 0]
+
+
+def test_least_squares_equals_the_gram_schmidt_reference():
+    # 0-4 columns of length 1-6, each drawn, zero, a repeat, a scaled
+    # duplicate or a combination of earlier ones, so rank deficiency is
+    # common; every other draw passes ints instead of Fractions.  The
+    # fraction-free x and residual equal the Gram-Schmidt ones exactly.
+    rng = random.Random(1968)
+    seen = set()
+    for trial in range(600):
+        ints = trial % 2 == 1
+
+        def entry():
+            if ints:
+                return rng.randint(-5, 5)
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        m = rng.randint(1, 6)
+        cols = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.choice(("drawn", "drawn", "zero", "repeat", "scaled", "combo"))
+            if kind in ("repeat", "scaled") and cols:
+                factor = 1 if kind == "repeat" else rng.choice((-2, 3))
+                col = [factor * v for v in rng.choice(cols)]
+            elif kind == "combo" and len(cols) >= 2:
+                u, w = rng.sample(cols, 2)
+                a, b = entry(), entry()
+                col = [a * p + b * q for p, q in zip(u, w)]
+            elif kind == "zero":
+                col = [0 * entry() for _ in range(m)]
+            else:
+                kind = "drawn"
+                col = [entry() for _ in range(m)]
+            seen.add(kind)
+            cols.append(col)
+        seen.add(("columns", len(cols)))
+        seen.add(("length", m))
+        y = [entry() for _ in range(m)]
+        x, res2 = least_squares(cols, y)
+        assert (x, res2) == reference_forms.least_squares(cols, y)
+        assert all(isinstance(v, Fraction) for v in (*x, res2))
+    assert seen >= {"drawn", "zero", "repeat", "scaled", "combo"}
+    assert seen >= {("columns", c) for c in range(5)}
+    assert seen >= {("length", m) for m in range(1, 7)}
 
 
 @given(
@@ -281,15 +327,22 @@ def test_integer_rows_order_supports_as_eval_form():
 
 def test_quadratic_minimum_shifted_square():
     # (lam - 2)^2 = lam^2 - 4 lam + 4, as the row (4, -4, 1).
-    value, point = quadratic_minimum((4, -4, 1), 1, 1)
+    value = Fraction(*quadratic_minimum((4, -4, 1), 1, 1))
+    point = quadratic_minimizer((4, -4, 1), 1)
     assert value == 0
     assert point == (2,)
 
 
 def test_quadratic_minimum_strictly_positive():
-    assert quadratic_minimum((1, 0, 1), 1, 1) == (1, (0,))
+    assert (
+        Fraction(*quadratic_minimum((1, 0, 1), 1, 1)),
+        quadratic_minimizer((1, 0, 1), 1),
+    ) == (1, (0,))
     # The same form at scale 3 reads a third of it.
-    assert quadratic_minimum((1, 0, 1), 1, 3) == (Fraction(1, 3), (0,))
+    assert (
+        Fraction(*quadratic_minimum((1, 0, 1), 1, 3)),
+        quadratic_minimizer((1, 0, 1), 1),
+    ) == (Fraction(1, 3), (0,))
 
 
 def test_quadratic_minimum_unbounded_raises():
@@ -356,7 +409,8 @@ def test_quadratic_minimum_zero_coupling_column():
     blk = RatMatrix.from_rows([[1], [2]])
     pieces = [(frac(1), frac(1)), (frac(0), frac(0))]
     row, scale = residual_quadratic(blk, (frac(1), frac(4)), pieces, ())
-    value, lam = quadratic_minimum(row, 2, scale)
+    value = Fraction(*quadratic_minimum(row, 2, scale))
+    lam = quadratic_minimizer(row, 2)
     # |(1, 4) - lam_1 (1, 1)|^2 is least at lam_1 = 5/2.
     assert lam == (Fraction(5, 2), 0)
     assert value == Fraction(9, 2)
@@ -410,4 +464,19 @@ def test_context_rows_and_minima_match_reference_forms():
                     form_add, (lookup[i][sup] for i, sup in enumerate(picks))
                 )
                 expected = reference_forms.quadratic_minimum(total)
-                assert quadratic_minimum(total_row, k, ctx.scale) == expected
+                assert (
+                    Fraction(*quadratic_minimum(total_row, k, ctx.scale)),
+                    quadratic_minimizer(total_row, k),
+                ) == expected
+
+
+def test_quadratic_minimum_is_an_integer_pair_in_lowest_terms():
+    rng = random.Random(2310)
+    for k in range(4):
+        for _ in range(10):
+            ctx = solver._context(_random_problem(rng, k))
+            for _ in range(4):
+                rows = [rng.choice(list(row_of.values())) for row_of in ctx.row_of]
+                num, den = quadratic_minimum(tuple(map(sum, zip(*rows))), k, ctx.scale)
+                assert type(num) is int and type(den) is int
+                assert num >= 0 and den > 0 and math.gcd(num, den) == 1

@@ -8,6 +8,7 @@ import pytest
 
 import blocksel.solver as solver
 import reference_cover
+import reference_forms
 import reference_diagonal
 import reference_extended
 from reference_separable import diag_greedy, fixed_lambda_opt
@@ -19,6 +20,7 @@ from blocksel.model import (
     Instance,
     InvariantError,
     MethodRefusedError,
+    RatMatrix,
     ReducedProblem,
 )
 from blocksel.oracle import brute_force
@@ -30,7 +32,7 @@ from blocksel.solver import (
     solve_detailed,
     solve_diagonal,
 )
-from reference_arrangement import linearize
+from reference_arrangement import form_add, linearize
 from reference_cover import conic_from_form
 from reference_forms import QuadraticForm, residual_quadratic
 
@@ -1061,6 +1063,72 @@ def test_allocation_count_matches_enumeration():
                 if sum(alloc) <= limit
             ]
             assert solver._allocation_count(widths, limit) == len(allocations)
+
+
+def _tied_subproblem(rng, k):
+    """Blocks drawn with repetition from two templates, each carrying its
+    own pieces of b and of the lambda columns, and columns repeated inside
+    a template, so that many supports share one residual."""
+
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    templates = []
+    for _ in range(2):
+        rows, cols = rng.randint(1, 2), rng.randint(1, 2)
+        columns = [[entry() for _ in range(rows)] for _ in range(cols)]
+        if cols == 2 and rng.random() < 0.5:
+            columns[1] = list(columns[0])
+        pieces = [[entry() for _ in range(rows)] for _ in range(k + 1)]
+        templates.append((RatMatrix.from_rows(list(zip(*columns))), pieces))
+    chosen = [rng.choice(templates) for _ in range(rng.randint(2, 3))]
+    return ReducedProblem(
+        blocks=tuple(blk for blk, _ in chosen),
+        b=tuple(v for _, pieces in chosen for v in pieces[0]),
+        lambda_cols=tuple(
+            tuple(v for _, pieces in chosen for v in pieces[1 + l]) for l in range(k)
+        ),
+        tags=tuple(range(k)),
+        sigma_p=rng.randint(1, 2),
+    )
+
+
+def test_finish_breaks_ties_like_the_fraction_reference():
+    # Every support within the budget is a candidate.  The reference scores
+    # each with the Fraction forms (Gram-Schmidt residuals, Gauss-Jordan
+    # minimum) and takes min over (value, support); finish must return the
+    # same support, value and lambda.
+    rng = random.Random(1616)
+    tied = 0
+    for trial in range(60):
+        rp = _tied_subproblem(rng, trial % 3)
+        ctx = ctx_of(rp)
+        forms = reference_forms._support_forms(ctx.base, ctx.pieces)
+        lookup = [{sup: f for slot in per_size for sup, f in slot} for per_size in forms]
+        offsets = ctx.offsets
+
+        def reference(chi):
+            picks = [
+                tuple(c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1])
+                for i in range(len(rp.blocks))
+            ]
+            total = lookup[0][picks[0]]
+            for i in range(1, len(picks)):
+                total = form_add(total, lookup[i][picks[i]])
+            return reference_forms.quadratic_minimum(total)
+
+        pool = [
+            chi
+            for size in range(rp.sigma_p + 1)
+            for chi in itertools.combinations(range(rp.n_total), size)
+        ]
+        scored = {chi: reference(chi) for chi in pool}
+        best = min(pool, key=lambda chi: (scored[chi][0], chi))
+        sol = finish(reversed(pool), rp, ctx)
+        assert (sol.support, sol.objective, sol.lam) == (best, *scored[best])
+        if sum(value == scored[best][0] for value, _ in scored.values()) > 1:
+            tied += 1
+    assert tied >= 30
 
 
 def test_finish_raises_invariant_error_on_residual_mismatch(monkeypatch):
