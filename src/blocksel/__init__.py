@@ -10,7 +10,6 @@ from .model import (
     BudgetExceededError,
     Instance,
     InvariantError,
-    MethodRefusedError,
     RatMatrix,
     ReducedProblem,
     Solution,
@@ -35,7 +34,6 @@ __all__ = [
     "BudgetExceededError",
     "Instance",
     "InvariantError",
-    "MethodRefusedError",
     "RatMatrix",
     "ReducedProblem",
     "Solution",

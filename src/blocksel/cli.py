@@ -3,8 +3,9 @@
 Subcommands: solve an instance file, get the brute-force reference answer,
 compare the two, and generate seeded random instances.  Instances travel as
 JSON documents (see load_instance for the schema); all reported indices are
-1-based.  Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 compare
-mismatch, 4 standard output closed before everything was written.
+1-based.  Exit codes: 0 success, 1 input or usage error, 2 budget exceeded,
+3 compare mismatch, 4 standard output closed before everything was
+written.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from typing import Optional, Sequence
 from .model import (
     BudgetExceededError,
     Instance,
-    MethodRefusedError,
     Solution,
     format_rational,
     validate,
 )
 from .oracle import brute_force
-from .solver import DEFAULT_MAX_CELLS, METHODS, solve, solve_detailed
+from .solver import DEFAULT_MAX_CELLS, solve, solve_detailed
 
 DEFAULT_MAX_ORACLE = 10**6
 
@@ -257,12 +257,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        solution, report = solve_detailed(
-            instance, max_cells=max_cells, method=args.method
-        )
-    except MethodRefusedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        solution, report = solve_detailed(instance, max_cells=max_cells)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -386,9 +381,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     text = dump_instance(instance)
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 
@@ -414,12 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve an instance exactly")
     ps.add_argument("path", help="instance file, or - for stdin")
     ps.add_argument("--json", action="store_true", help="machine-readable report")
-    ps.add_argument(
-        "--method",
-        choices=METHODS,
-        default="auto",
-        help="force one candidate generator (default auto); diagonal is the 1x1 route",
-    )
     ps.add_argument("--max-cells", type=int, default=None, help=cells_help)
     ps.set_defaults(func=cmd_solve)
 
@@ -464,10 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; standard output closed early exits with EXIT_PIPE.
 
-    The flush inside the guard surfaces a pipe closed before the last
-    write; pointing standard output at os.devnull keeps the exit quiet.
+    argparse prints a usage error and exits with 2, which here means a
+    budget was exceeded, so a usage error exits with EXIT_INPUT instead;
+    --help still exits 0.  The flush inside the guard surfaces a pipe
+    closed before the last write; pointing standard output at os.devnull
+    keeps the exit quiet.
     """
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -27,14 +27,6 @@ class BudgetExceededError(Exception):
     """
 
 
-class MethodRefusedError(ValueError):
-    """Raised when a forced solving method cannot serve a subproblem.
-
-    The message names the method and the subproblem.  The solver raises it
-    before solving anything, so it describes the request, not a failure.
-    """
-
-
 class InvariantError(RuntimeError):
     """Raised when an internal consistency check of the solver fails.
 

@@ -43,7 +43,8 @@ route() picks one of three candidate generators per subproblem:
   goes to one of the next-level allocations of aug_set, which remove at
   most theta_bar units: by the proximity radius theta_bar of the block
   structure, some optimal allocation one level up is always that close.
-  It has no parameter-count limit and doubles as a cross-check.
+  It has no parameter-count limit; the tests also force it onto
+  subproblems with at most two free parameters as a cross-check.
 
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
@@ -78,7 +79,6 @@ from .model import (
     BudgetExceededError,
     Instance,
     InvariantError,
-    MethodRefusedError,
     ReducedProblem,
     Solution,
     make_solution,
@@ -773,62 +773,39 @@ def _extended_candidates(
     return candidates, regions
 
 
-METHODS = ("auto", "diagonal", "cover", "extended")
-
-
 def _describe(rp: ReducedProblem) -> str:
     """The subproblem's pinned coupling columns, numbered from 1 as the CLI does."""
     active = [tag + 1 for tag in rp.tags if tag != "mu"]
     return f"subproblem with coupling columns {active}"
 
 
-def route(rp: ReducedProblem, method: str = "auto") -> str:
+def route(rp: ReducedProblem) -> str:
     """The candidate generator solve_block runs on one subproblem.
 
-    Under "auto" and "diagonal", a subproblem whose blocks are all 1x1 and
-    that has at most two free parameters takes the diagonal top sets; every
-    other subproblem takes cover up to two free parameters and extended
-    beyond.  "diagonal" therefore names the 1x1 route and is refused when a
-    block is not 1x1; "cover" is refused beyond two free parameters;
-    "extended" serves every subproblem.  A refusal raises MethodRefusedError
-    naming the method and the subproblem.
+    Past two free parameters it is extended; otherwise a subproblem whose
+    blocks are all 1x1 takes the diagonal top sets and every other one
+    takes cover.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    unit = all(blk.rows == 1 and blk.cols == 1 for blk in rp.blocks)
-    if method == "diagonal" and not unit:
-        raise MethodRefusedError(
-            f"method 'diagonal' needs 1x1 blocks, and the {_describe(rp)} "
-            "has a larger block"
-        )
-    if method == "cover" and rp.k_prime > 2:
-        raise MethodRefusedError(
-            f"method 'cover' takes at most two free parameters, and the "
-            f"{_describe(rp)} has {rp.k_prime}"
-        )
-    if method in ("cover", "extended"):
-        return method
     if rp.k_prime > 2:
         return "extended"
+    unit = all(blk.rows == 1 and blk.cols == 1 for blk in rp.blocks)
     return "diagonal" if unit else "cover"
 
 
 def solve_block(
     rp: ReducedProblem,
     max_cells: int = DEFAULT_MAX_CELLS,
-    method: str = "auto",
     stats: dict | None = None,
 ) -> tuple[CandidateSet, RpSolution]:
     """Candidates and optimum for one reduced subproblem.
 
-    route() picks the generator for method.  A stats dict, when given,
-    receives the path taken and its region count: distinct top sets on
-    the diagonal path, so one candidate per region; witnesses on cover,
-    one per distinct sign condition of the comparison surfaces;
-    chain regions (the leaves of the chain tree, summed over the support
-    regions) on extended.
+    route() picks the generator.  A stats dict, when given, receives the
+    path taken and its region count: distinct top sets on the diagonal
+    path, so one candidate per region; witnesses on cover, one per
+    distinct sign condition of the comparison surfaces; chain regions (the
+    leaves of the chain tree, summed over the support regions) on extended.
     """
-    path = route(rp, method)
+    path = route(rp)
     if path == "diagonal":
         candidates, sol = solve_diagonal(rp)
         regions = len(candidates)
@@ -870,17 +847,14 @@ def _lift(instance: Instance, rp: ReducedProblem, sol: RpSolution) -> Solution:
 
 
 def solve_detailed(
-    instance: Instance,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    method: str = "auto",
+    instance: Instance, max_cells: int = DEFAULT_MAX_CELLS
 ) -> tuple[Solution, list[dict]]:
     """Exact optimum of a full instance, with one stats entry per subproblem.
 
-    Validates, reduces, and routes every subproblem before solving any, so
-    a forced method that cannot serve one is refused up front with
-    MethodRefusedError; then solves each with solve_block and lifts the best result
-    back.  See route() for which generator each method picks.  Budget
-    overruns are re-raised with the offending subproblem named.
+    Validates, reduces, solves each subproblem with solve_block, and lifts
+    the best result back.  See route() for which generator each subproblem
+    takes.  Budget overruns are re-raised with the offending subproblem
+    named.
 
     Each stats entry records the coupling columns pinned active, whether
     the intercept was pinned, the residual budget, the path taken, the
@@ -890,17 +864,12 @@ def solve_detailed(
     problems = validate(instance)
     if problems:
         raise ValueError("; ".join(problems))
-    subproblems = reduce(instance)
-    for rp in subproblems:
-        route(rp, method)
     best: Solution | None = None
     report: list[dict] = []
-    for rp in subproblems:
+    for rp in reduce(instance):
         stats: dict = {}
         try:
-            candidates, sol = solve_block(
-                rp, max_cells=max_cells, method=method, stats=stats
-            )
+            candidates, sol = solve_block(rp, max_cells=max_cells, stats=stats)
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{_describe(rp)}: {exc}") from exc
         report.append(
@@ -922,10 +891,6 @@ def solve_detailed(
     return best, report
 
 
-def solve(
-    instance: Instance,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    method: str = "auto",
-) -> Solution:
+def solve(instance: Instance, max_cells: int = DEFAULT_MAX_CELLS) -> Solution:
     """Exact optimum of a full instance; see solve_detailed for strategy."""
-    return solve_detailed(instance, max_cells=max_cells, method=method)[0]
+    return solve_detailed(instance, max_cells=max_cells)[0]

@@ -22,6 +22,7 @@ from blocksel.solver import (
     _support_regions,
     aug_set,
     solve,
+    solve_detailed,
 )
 from reference_arrangement import (
     Hyperplane,
@@ -123,7 +124,7 @@ def test_criterion_1_master_oracle_equivalence():
             assert mine == oracle
 
 
-def test_criterion_2_diagonal_and_block_agreement():
+def test_criterion_2_diagonal_and_block_agreement(forced):
     with criterion(2, limit=180):
         rng = random.Random(202)
         for _ in range(100):
@@ -135,8 +136,11 @@ def test_criterion_2_diagonal_and_block_agreement():
             sigma = rng.randint(0, min(n + k, 5))
             inst = Instance.build(blocks, coupling, b=b, sigma=sigma)
             reference = brute_force(inst).objective
-            diagonal = solve(inst, method="diagonal").objective
-            block = solve(inst, method="cover").objective
+            sol, report = solve_detailed(inst)
+            assert {entry["path"] for entry in report} == {"diagonal"}
+            diagonal = sol.objective
+            with forced("cover"):
+                block = solve(inst).objective
             assert diagonal == reference
             assert block == diagonal
 

@@ -84,11 +84,6 @@ def test_solve_reads_stdin(monkeypatch, capsys):
     assert "objective  1/2" in capsys.readouterr().out
 
 
-def test_solve_method_override(tmp_path, capsys):
-    assert main(["solve", "--method", "extended", write_doc(tmp_path)]) == 0
-    assert "objective  1/2" in capsys.readouterr().out
-
-
 def test_solve_rejects_bad_documents(tmp_path, capsys):
     path = write_doc(tmp_path, text='{"blocks": [[["1"]]], "coupling": [], "b": ["1", "2"], "sigma": 0}')
     assert main(["solve", path]) == 1
@@ -122,7 +117,7 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     "argv, env",
     [
         (["solve", "--max-cells", "-5"], {}),
-        (["solve", "--max-cells", "-5", "--method", "extended"], {}),
+        (["compare", "--max-oracle", "-4"], {}),
         (["solve"], {"BLOCKSEL_MAX_CELLS": "-1"}),
         (["oracle", "--max-oracle", "-1"], {}),
         (["oracle"], {"BLOCKSEL_MAX_ORACLE": "-3"}),
@@ -159,8 +154,10 @@ DIGITS = f"more than {sys.get_int_max_str_digits()} digits"
 @pytest.mark.parametrize(
     "argv, text, needle",
     [
-        (["solve", "--method", "diagonal"], BLOCK_DOC, "method 'diagonal' needs 1x1 blocks"),
-        (["solve", "--method", "cover"], BLOCK_DOC, "method 'cover' takes at most two"),
+        # The generator is not a flag: a script that still passes one gets
+        # a usage error, not an answer.
+        (["solve", "--method", "diagonal"], BLOCK_DOC, "unrecognized arguments: --method"),
+        (["solve", "--method", "extended"], BLOCK_DOC, "unrecognized arguments: --method"),
         (["solve"], number_doc("1e5000"), DIGITS),
         (["solve"], number_doc("1e-5000"), DIGITS),
         (["solve"], number_doc("1e1000000000"), DIGITS),
@@ -311,6 +308,39 @@ def test_gen_writes_stdout_by_default(capsys):
     assert isinstance(inst, Instance)
     assert inst.sigma == 1
 
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_gen_unwritable_output_exits_1_with_one_error_line(tmp_path, capsys, where):
+    assert main(["gen", "-o", str(tmp_path / where)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["solve", "--bogus", "x.json"], "unrecognized arguments: --bogus"),
+        (["solve", "--method", "cover", "x.json"], "unrecognized arguments: --method"),
+        (["gen", "--blocks", "x"], "argument --blocks: invalid int value: 'x'"),
+        (["solve", "--max-cells", "many", "x.json"], "invalid int value: 'many'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_1_with_one_error_line(capsys, argv, needle):
+    # 2 would read as a budget overrun.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert needle in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["solve", "--help"]) == 0
+    assert "--max-cells" in capsys.readouterr().out
 
 
 def test_closed_stdout_exits_with_one_error_line(tmp_path):

@@ -19,7 +19,6 @@ from blocksel.model import (
     BudgetExceededError,
     Instance,
     InvariantError,
-    MethodRefusedError,
     RatMatrix,
     ReducedProblem,
 )
@@ -216,7 +215,7 @@ def test_block_column_pair_example():
     assert sol.objective == rp_oracle(rp)
 
 
-def test_block_methods_agree_on_diagonal():
+def test_block_methods_agree_on_diagonal(forced):
     rng = random.Random(7)
     for _ in range(10):
         h = rng.randint(1, 3)
@@ -231,8 +230,9 @@ def test_block_methods_agree_on_diagonal():
         expected = rp_oracle(rp)
         _, diag_sol = solve_diagonal(rp)
         assert diag_sol.objective == expected
-        for method in ("cover", "extended"):
-            _, block_sol = solve_block(rp, method=method)
+        for path in ("cover", "extended"):
+            with forced(path):
+                _, block_sol = solve_block(rp)
             assert block_sol.objective == expected
 
 
@@ -407,15 +407,14 @@ def test_solve_detailed_diagonal_path_label():
         b=[1, 2, 3],
         sigma=2,
     )
-    for method in ("auto", "diagonal"):
-        sol, report = solve_detailed(inst, method=method)
-        assert [(e["coupling"], e["path"]) for e in report] == [
-            ([], "diagonal"),
-            ([0], "diagonal"),
-            ([1], "diagonal"),
-            ([0, 1], "extended"),
-        ]
-        assert sol.objective == brute_force(inst).objective
+    sol, report = solve_detailed(inst)
+    assert [(e["coupling"], e["path"]) for e in report] == [
+        ([], "diagonal"),
+        ([0], "diagonal"),
+        ([1], "diagonal"),
+        ([0, 1], "extended"),
+    ]
+    assert sol.objective == brute_force(inst).objective
 
 
 def test_auto_matches_brute_force_on_diagonal_three_parameter_instances():
@@ -442,7 +441,7 @@ def test_auto_matches_brute_force_on_diagonal_three_parameter_instances():
         assert sol.objective == brute_force(inst).objective
 
 
-def test_lifted_path_matches_brute_force_on_general_blocks():
+def test_lifted_path_matches_brute_force_on_general_blocks(forced):
     # auto at three free parameters, and forced extended at up to two, on up
     # to three blocks of at most 2x2.  sigma' stays at most 2 on the
     # three-parameter subproblem: chain regions multiply with every level,
@@ -471,7 +470,8 @@ def test_lifted_path_matches_brute_force_on_general_blocks():
         assert sol.objective == brute_force(inst).objective
         intercept = not intercept
         inst = build(rng.randint(0, 2 - intercept), intercept)
-        sol, report = solve_detailed(inst, method="extended")
+        with forced("extended"):
+            sol, report = solve_detailed(inst)
         assert {e["path"] for e in report} == {"extended"}
         assert sol.objective == brute_force(inst).objective
 
@@ -765,7 +765,7 @@ def test_cover_witnesses_have_distinct_sign_vectors():
         assert len(vectors) == len(witnesses) > 1
 
 
-def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch):
+def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch, forced):
     # With 1x1 blocks there is one argmin profile, so cover scores every
     # allocation of at most sigma' columns; the ranking's candidates do not
     # depend on sigma'.
@@ -785,8 +785,8 @@ def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch):
             sigma_p=sigma_p,
         )
         assert solver._allocation_count([1] * h, sigma_p) > 30
-        with pytest.raises(BudgetExceededError, match="profile union"):
-            solve_block(rp, method="cover")
+        with forced("cover"), pytest.raises(BudgetExceededError, match="profile union"):
+            solve_block(rp)
         stats = {}
         candidates, sol = solve_block(rp, stats=stats)
         assert stats["path"] == "diagonal"
@@ -815,24 +815,6 @@ def test_diagonal_ranking_solves_a_large_budget_at_full_size():
     assert report[-1]["candidates"] <= report[-1]["regions"]
 
 
-@pytest.mark.parametrize(
-    "method, shape",
-    [
-        ("diagonal", dict(blocks=[[[1, 2], [0, 1]]], coupling=[], sigma=1)),
-        ("cover", dict(blocks=[[[1]], [[2]]], coupling=[[1, 1], [1, 2]], sigma=2)),
-    ],
-)
-def test_unfit_forced_method_is_refused_before_solving(monkeypatch, method, shape):
-    def never(*args, **kwargs):
-        raise AssertionError("solved a subproblem before refusing")
-
-    monkeypatch.setattr(solver, "finish", never)
-    m = sum(len(blk) for blk in shape["blocks"])
-    inst = Instance.build(intercept=[1] * m, b=list(range(m)), **shape)
-    with pytest.raises(MethodRefusedError, match=f"method '{method}'.*subproblem with coupling"):
-        solve_detailed(inst, method=method)
-
-
 def random_cover_rp(rng, k):
     """A small subproblem with k free parameters and general blocks."""
 
@@ -853,7 +835,7 @@ def random_cover_rp(rng, k):
     )
 
 
-def test_cover_pool_equals_filtered_reference_pool():
+def test_cover_pool_equals_filtered_reference_pool(forced):
     rng = random.Random(11)
     for trial in range(24):
         base = random_cover_rp(rng, k=1 + trial % 2)
@@ -862,7 +844,8 @@ def test_cover_pool_equals_filtered_reference_pool():
             rp = ReducedProblem(
                 base.blocks, base.b, base.lambda_cols, base.tags, sigma_p
             )
-            candidates, _ = solve_block(rp, method="cover")
+            with forced("cover"):
+                candidates, _ = solve_block(rp)
             limit = min(sigma_p, base.n_total)
             assert candidates == {chi for chi in reference if len(chi) <= limit}
 
@@ -972,7 +955,7 @@ def test_three_column_blocks_match_the_reference_and_brute_force():
         assert report[-1]["objective"] == rp_oracle(reduce(inst)[-1])
 
 
-def test_forced_extended_on_a_three_column_block_equals_brute_force():
+def test_forced_extended_on_a_three_column_block_equals_brute_force(forced):
     # The cell reference refuses most subproblems with a 3-column block at
     # k' >= 2, so forced extended is checked against brute force: the
     # instance optimum and every subproblem's own, at k' = 1 to 3.
@@ -994,7 +977,8 @@ def test_forced_extended_on_a_three_column_block_equals_brute_force():
             b=[entry() for _ in range(m)],
             sigma=rng.randint(1, 4),
         )
-        sol, report = solve_detailed(inst, method="extended")
+        with forced("extended"):
+            sol, report = solve_detailed(inst)
         assert sol.objective == brute_force(inst).objective
         for rp, entry_stats in zip(reduce(inst), report):
             assert entry_stats["path"] == "extended"
@@ -1039,7 +1023,7 @@ def test_cover_solves_past_the_old_profile_union_budget():
     assert sol.objective == brute_force(inst).objective
 
 
-def test_profile_union_budget_names_the_subproblem(monkeypatch):
+def test_profile_union_budget_names_the_subproblem(monkeypatch, forced):
     monkeypatch.setattr(solver, "MAX_PROFILE_UNIONS", 3)
     inst = Instance.build(
         [[[1, 2], [3, 1]], [[2, 1], [1, -1]]],
@@ -1047,8 +1031,8 @@ def test_profile_union_budget_names_the_subproblem(monkeypatch):
         b=[1, 2, 3, 4],
         sigma=2,
     )
-    with pytest.raises(BudgetExceededError) as excinfo:
-        solve(inst, method="cover")
+    with forced("cover"), pytest.raises(BudgetExceededError) as excinfo:
+        solve(inst)
     message = str(excinfo.value)
     assert "subproblem with coupling columns []" in message
     assert "profile union enumeration" in message
