@@ -26,7 +26,6 @@ from .solver import (
     solve,
     solve_block,
     solve_detailed,
-    solve_diagonal,
 )
 
 __all__ = [
@@ -48,6 +47,5 @@ __all__ = [
     "solve",
     "solve_block",
     "solve_detailed",
-    "solve_diagonal",
     "validate",
 ]

@@ -127,32 +127,16 @@ def dump_instance(instance: Instance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _budget(flag_value: Optional[int], env_name: str, default: int) -> int:
-    """Flag wins over the environment override, which wins over the default.
-
-    A negative budget is an input error, whichever way it was given.
-    """
-    if flag_value is not None:
-        flag = "--" + env_name.removeprefix("BLOCKSEL_").lower().replace("_", "-")
-        source, value = flag, flag_value
-    else:
-        env = os.environ.get(env_name)
-        if env is None:
-            return default
-        try:
-            source, value = env_name, int(env)
-        except ValueError:
-            raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
-    if value < 0:
-        raise ValueError(f"{source} must be non-negative, got {value}")
-    return value
+def _load(path: str) -> Optional[Instance]:
+    """The instance document at path (- for stdin), or None after one error line."""
+    try:
+        if path == "-":
+            return load_instance(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_instance(fh.read())
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 # --- reports -----------------------------------------------------------------
@@ -185,35 +169,27 @@ def _solution_doc(
     return doc
 
 
-def _solution_text(
-    instance: Instance, solution: Solution, report: Optional[list[dict]] = None
-) -> str:
-    value = format_rational(solution.objective)
-    lines = [f"objective  {value}  ({float(solution.objective):.6g})"]
-    support = " ".join(str(i + 1) for i in sorted(solution.support))
+def _solution_text(instance: Instance, doc: dict) -> str:
+    """The plain-text report of a _solution_doc document."""
+    lines = [f"objective  {doc['objective']}  ({doc['objective_decimal']:.6g})"]
+    support = " ".join(map(str, doc["support"]))
     lines.append(f"support    {support if support else '(empty)'}")
-    lines.append("x          " + " ".join(format_rational(v) for v in solution.x))
+    lines.append("x          " + " ".join(doc["x"]))
     if instance.k:
-        lam = solution.x[instance.n_total :]
-        lines.append("coupling   " + " ".join(format_rational(v) for v in lam))
-    if solution.mu is not None:
-        lines.append(f"mu         {format_rational(solution.mu)}")
-    if report is not None:
-        scored = sum(entry["candidates"] for entry in report)
-        lines.append(f"subproblems {len(report)}  candidates scored {scored}")
-        for entry in report:
-            cols = ",".join(str(j + 1) for j in entry["coupling"])
+        lines.append("coupling   " + " ".join(doc["x"][instance.n_total :]))
+    if doc["mu"] is not None:
+        lines.append(f"mu         {doc['mu']}")
+    if "subproblems" in doc:
+        subs = doc["subproblems"]
+        scored = sum(entry["candidates"] for entry in subs)
+        lines.append(f"subproblems {len(subs)}  candidates scored {scored}")
+        for entry in subs:
+            cols = ",".join(map(str, entry["coupling"]))
             pinned = "+mu" if entry["intercept"] else ""
             lines.append(
-                "  coupling=[{}]{} budget={} path={} regions={} candidates={} objective={}".format(
-                    cols,
-                    pinned,
-                    entry["budget"],
-                    entry["path"],
-                    entry["regions"],
-                    entry["candidates"],
-                    format_rational(entry["objective"]),
-                )
+                f"  coupling=[{cols}]{pinned} budget={entry['budget']} "
+                f"path={entry['path']} regions={entry['regions']} "
+                f"candidates={entry['candidates']} objective={entry['objective']}"
             )
     return "\n".join(lines)
 
@@ -236,10 +212,8 @@ def _print_solution(
     (OverflowError); nothing is printed then.
     """
     try:
-        if as_json:
-            text = json.dumps(_solution_doc(instance, solution, report), indent=2)
-        else:
-            text = _solution_text(instance, solution, report)
+        doc = _solution_doc(instance, solution, report)
+        text = json.dumps(doc, indent=2) if as_json else _solution_text(instance, doc)
     except (ValueError, OverflowError) as exc:
         return _unprintable(exc)
     print(text)
@@ -250,14 +224,11 @@ def _print_solution(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        max_cells = _budget(args.max_cells, "BLOCKSEL_MAX_CELLS", DEFAULT_MAX_CELLS)
-        instance = load_instance(_read_source(args.path))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    instance = _load(args.path)
+    if instance is None:
         return EXIT_INPUT
     try:
-        solution, report = solve_detailed(instance, max_cells=max_cells)
+        solution, report = solve_detailed(instance, max_cells=args.max_cells)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -265,14 +236,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        max_supports = _budget(args.max_oracle, "BLOCKSEL_MAX_ORACLE", DEFAULT_MAX_ORACLE)
-        instance = load_instance(_read_source(args.path))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    instance = _load(args.path)
+    if instance is None:
         return EXIT_INPUT
     try:
-        solution = brute_force(instance, max_supports=max_supports)
+        solution = brute_force(instance, max_supports=args.max_oracle)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -281,15 +249,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Brute force first, then the solver, so a solver refusal still reports."""
-    try:
-        max_cells = _budget(args.max_cells, "BLOCKSEL_MAX_CELLS", DEFAULT_MAX_CELLS)
-        max_supports = _budget(args.max_oracle, "BLOCKSEL_MAX_ORACLE", DEFAULT_MAX_ORACLE)
-        instance = load_instance(_read_source(args.path))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    instance = _load(args.path)
+    if instance is None:
         return EXIT_INPUT
     try:
-        reference = brute_force(instance, max_supports=max_supports)
+        reference = brute_force(instance, max_supports=args.max_oracle)
     except BudgetExceededError as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -298,7 +262,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _unprintable(exc)
     try:
-        solution = solve(instance, max_cells=max_cells)
+        solution = solve(instance, max_cells=args.max_cells)
     except BudgetExceededError as exc:
         print(f"solver budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -352,18 +316,6 @@ def generate_instance(
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.blocks < 1 or args.block_rows < 1 or args.block_cols < 1:
-        print(
-            "error: --blocks, --block-rows, --block-cols must be at least 1",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    if args.coupling < 0:
-        print("error: --coupling must be non-negative", file=sys.stderr)
-        return EXIT_INPUT
-    if args.spread < 1:
-        print("error: --range must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     instance = generate_instance(
         blocks=args.blocks,
         block_rows=args.block_rows,
@@ -394,6 +346,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            bound = "non-negative" if low == 0 else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocksel",
@@ -404,35 +372,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cells_help = (
-        "support and chain region budget of the extended path "
-        f"(default {DEFAULT_MAX_CELLS}, env BLOCKSEL_MAX_CELLS)"
+    cells = dict(
+        type=_at_least(0),
+        default=DEFAULT_MAX_CELLS,
+        help="support and chain region budget of the extended path (default %(default)s)",
     )
-    oracle_help = f"support enumeration budget (default {DEFAULT_MAX_ORACLE}, env BLOCKSEL_MAX_ORACLE)"
+    oracle = dict(
+        type=_at_least(0),
+        default=DEFAULT_MAX_ORACLE,
+        help="support enumeration budget (default %(default)s)",
+    )
 
     ps = sub.add_parser("solve", help="solve an instance exactly")
     ps.add_argument("path", help="instance file, or - for stdin")
     ps.add_argument("--json", action="store_true", help="machine-readable report")
-    ps.add_argument("--max-cells", type=int, default=None, help=cells_help)
+    ps.add_argument("--max-cells", **cells)
     ps.set_defaults(func=cmd_solve)
 
     po = sub.add_parser("oracle", help="brute-force reference answer")
     po.add_argument("path", help="instance file, or - for stdin")
     po.add_argument("--json", action="store_true", help="machine-readable report")
-    po.add_argument("--max-oracle", type=int, default=None, help=oracle_help)
+    po.add_argument("--max-oracle", **oracle)
     po.set_defaults(func=cmd_oracle)
 
     pc = sub.add_parser("compare", help="check solver against brute force")
     pc.add_argument("path", help="instance file, or - for stdin")
-    pc.add_argument("--max-cells", type=int, default=None, help=cells_help)
-    pc.add_argument("--max-oracle", type=int, default=None, help=oracle_help)
+    pc.add_argument("--max-cells", **cells)
+    pc.add_argument("--max-oracle", **oracle)
     pc.set_defaults(func=cmd_compare)
 
     pg = sub.add_parser("gen", help="generate a seeded random instance")
-    pg.add_argument("--blocks", type=int, default=3, help="number of diagonal blocks")
-    pg.add_argument("--block-rows", type=int, default=2, help="max rows per block")
-    pg.add_argument("--block-cols", type=int, default=2, help="max columns per block")
-    pg.add_argument("--coupling", type=int, default=0, help="number of coupling columns")
+    positive = _at_least(1)
+    pg.add_argument("--blocks", type=positive, default=3, help="number of diagonal blocks")
+    pg.add_argument("--block-rows", type=positive, default=2, help="max rows per block")
+    pg.add_argument("--block-cols", type=positive, default=2, help="max columns per block")
+    pg.add_argument(
+        "--coupling", type=_at_least(0), default=0, help="number of coupling columns"
+    )
     pg.add_argument(
         "--intercept", action="store_true", help="add an all-ones intercept column"
     )
@@ -443,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument(
         "--range",
         dest="spread",
-        type=int,
+        type=positive,
         default=5,
         metavar="R",
         help="entries are p/q with |p| and q at most R",

@@ -21,30 +21,36 @@ ratios by cross-multiplication and builds Fractions only for the winner:
 its value, its lambda (linalg.quadratic_minimizer) and its block
 coefficients (linalg.least_squares).
 
-route() picks one of three candidate generators per subproblem:
+solve_block() is the one pipeline of a subproblem: route() picks one of
+three candidate generators from the subproblem's structure alone, the
+generator reads the budget-stripped context up to the level
+min(sigma', n), and finish() scores what it returns.  The generators
+trust route() and do not check its rule themselves:
 
-* diagonal: all blocks 1x1 and at most two free parameters.  The optimal
-  support is the top sigma' coordinates by |b'(lambda)|, so the
-  candidates are the top sets over the regions of lambda space.  They are
-  read off the edges of a line arrangement in the plane, in integers:
-  each tie class of a line (coordinates of equal |b'| along it) is walked
-  only against the lines that share a coordinate with it, and a set is
-  recorded only where the sigma'-level cuts the class.
-* cover: every other subproblem with at most two free parameters.  Argmin
-  profiles are read at the witnesses of one conic cover of the plane; the
-  allocation work is bounded by MAX_PROFILE_UNIONS.
-* extended: three or more free parameters.  The comparisons are linear
-  over the coordinates (lambda, pairwise products of lambda), and the
-  space is split exactly into support regions, where every
-  (block, cardinality) slot has one winner, by the argmin of each slot's
-  integer rows; each support region is then split into the regions
-  where the incremental allocation chain makes the same choices, found by
-  walking the chain as a tree with the same argmin step.  A chain step
-  goes to one of the next-level allocations of aug_set, which remove at
-  most theta_bar units: by the proximity radius theta_bar of the block
-  structure, some optimal allocation one level up is always that close.
-  It has no parameter-count limit; the tests also force it onto
-  subproblems with at most two free parameters as a cross-check.
+* diagonal (solve_diagonal): all blocks 1x1 and at most two free
+  parameters.  The optimal support is the top sigma' coordinates by
+  |b'(lambda)|, so the candidates are the top sets over the regions of
+  lambda space.  They are read off the edges of a line arrangement in
+  the plane, in integers: each tie class of a line (coordinates of equal
+  |b'| along it) is walked only against the lines that share a
+  coordinate with it, and a set is recorded only where the sigma'-level
+  cuts the class.
+* cover (_cover_pool): every other subproblem with at most two free
+  parameters.  Argmin profiles are read at the witnesses of one conic
+  cover of the plane; the allocation work is bounded by
+  MAX_PROFILE_UNIONS.
+* extended (_extended_candidates): three or more free parameters.  The
+  comparisons are linear over the coordinates (lambda, pairwise products
+  of lambda), and the space is split exactly into support regions, where
+  every (block, cardinality) slot has one winner, by the argmin of each
+  slot's integer rows; each support region is then split into the
+  regions where the incremental allocation chain makes the same choices,
+  found by walking the chain as a tree with the same argmin step.  A
+  chain step goes to one of the next-level allocations of aug_set, which
+  remove at most theta_bar units: by the proximity radius theta_bar of
+  the block structure, some optimal allocation one level up is always
+  that close.  It has no parameter-count limit; the tests also force it
+  onto subproblems with at most two free parameters as a cross-check.
 
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
@@ -259,8 +265,6 @@ def _cover_witnesses(rows, k: int) -> tuple[tuple[Fraction, ...], ...]:
     every difference is a constant, which never vanishes, so the cover's
     one point, the origin, cuts down to the empty witness.
     """
-    if k > 2:
-        raise ValueError("witness covers require at most two free parameters")
     conics = (
         _plane_conic(tuple(map(operator.sub, r1, r2)), k)
         for per_size in rows
@@ -427,21 +431,17 @@ def finish(
 # --- diagonal specialization ------------------------------------------------
 
 
-def _diag_top_sets(ctx: _Context, top: int) -> CandidateSet:
+def solve_diagonal(ctx: _Context, top: int) -> CandidateSet:
     """Top sets of the hittable coordinates over the regions of lambda space.
 
-    Coordinates rank by squared adjusted right side |b'(lambda)|^2,
-    descending, index ascending; coordinates with a zero diagonal entry are
-    left out, and a top set holds the first min(top, hittable) of them.  At
-    top 0, or at a top that takes every hittable coordinate, that set is
-    the same in every region, so nothing is walked; otherwise see
-    _walk_top_sets.  More than two free parameters raise ValueError.
+    With all blocks 1x1, at any lambda the optimal support is the top
+    coordinates by |b'(lambda)|, restricted to nonzero diagonal entries:
+    each inclusion removes that coordinate's squared residual.  Coordinates
+    rank by |b'(lambda)|^2, descending, index ascending, and a top set holds
+    the first min(top, hittable) of them, one per region.  At top 0, or at
+    a top that takes every hittable coordinate, that set is the same in
+    every region, so nothing is walked; otherwise see _walk_top_sets.
     """
-    k = ctx.base.k_prime
-    if k > 2:
-        raise ValueError(
-            f"diagonal top sets take at most two free parameters, not {k}"
-        )
     hittable = [i for i, blk in enumerate(ctx.base.blocks) if blk.at(0, 0) != 0]
     if top == 0 or top >= len(hittable):
         return {tuple(hittable[:top])}
@@ -611,23 +611,6 @@ def _class_top_sets(line, members, crossing, int_funcs, hittable, top) -> Candid
     return out
 
 
-def solve_diagonal(rp: ReducedProblem) -> tuple[CandidateSet, RpSolution]:
-    """Candidates and optimum for an all-1x1 subproblem with k' <= 2.
-
-    At any lambda the optimal support is the top sigma' coordinates by
-    |b'(lambda)|, restricted to nonzero diagonal entries: each inclusion
-    removes that coordinate's squared residual.  The candidates are the
-    top sets over the regions of lambda space, one per region.  Other
-    blocks, or more than two free parameters, raise ValueError.
-    """
-    for blk in rp.blocks:
-        if blk.rows != 1 or blk.cols != 1:
-            raise ValueError("solve_diagonal requires 1x1 blocks")
-    ctx = _context(_strip_budget(rp))
-    candidates = _diag_top_sets(ctx, rp.sigma_p)
-    return candidates, finish(candidates, rp, ctx)
-
-
 # --- general blocks ---------------------------------------------------------
 
 
@@ -727,22 +710,20 @@ def _chain_steps(
 
 
 def _extended_candidates(
-    rp: ReducedProblem, ctx: _Context, max_cells: int
+    ctx: _Context, level: int, max_cells: int
 ) -> tuple[CandidateSet, int]:
     """Candidates and chain-region count from the extended-space regions.
 
-    ctx is the context of rp with its budget stripped.  In each support
-    region the winning supports fix an integer row per (block, cardinality)
-    slot.  The incremental chain climbs from the zero allocation to level
-    min(sigma', n) by _chain_steps.  It is walked as a tree whose node is
-    an open region, a witness in it and the allocation reached; its
+    In each support region the winning supports fix an integer row per
+    (block, cardinality) slot.  The incremental chain climbs from the zero
+    allocation to level by _chain_steps.  It is walked as a tree whose
+    node is an open region, a witness in it and the allocation reached; its
     children are the targets whose totals are strictly smallest somewhere
     in the region.  The leaves fill the support region up to finitely many
     hyperplanes, the chain's outcome is constant on each, and each
     contributes its support.  Leaves count against max_cells.
     """
-    structure = rp.structure()
-    level = min(rp.sigma_p, rp.n_total)
+    structure = ctx.base.structure()
     regions = 0
     candidates: CandidateSet = set()
     for root, start, selections in _support_regions(ctx, max_cells):
@@ -782,9 +763,10 @@ def _describe(rp: ReducedProblem) -> str:
 def route(rp: ReducedProblem) -> str:
     """The candidate generator solve_block runs on one subproblem.
 
-    Past two free parameters it is extended; otherwise a subproblem whose
-    blocks are all 1x1 takes the diagonal top sets and every other one
-    takes cover.
+    This is the one statement of which generator fits which subproblem;
+    the generators themselves do not check it.  Past two free parameters
+    it is extended; otherwise a subproblem whose blocks are all 1x1 takes
+    the diagonal top sets and every other one takes cover.
     """
     if rp.k_prime > 2:
         return "extended"
@@ -793,34 +775,29 @@ def route(rp: ReducedProblem) -> str:
 
 
 def solve_block(
-    rp: ReducedProblem,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    stats: dict | None = None,
-) -> tuple[CandidateSet, RpSolution]:
-    """Candidates and optimum for one reduced subproblem.
+    rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
+) -> tuple[CandidateSet, RpSolution, int]:
+    """Candidates, optimum and region count of one reduced subproblem.
 
-    route() picks the generator.  A stats dict, when given, receives the
-    path taken and its region count: distinct top sets on the diagonal
-    path, so one candidate per region; witnesses on cover, one per
-    distinct sign condition of the comparison surfaces; chain regions (the
-    leaves of the chain tree, summed over the support regions) on extended.
+    The generator route() picks reads the budget-stripped context up to
+    level min(sigma', n), and finish() scores its candidates.  The regions
+    are the distinct top sets on the diagonal path, so one candidate per
+    region; the witnesses on cover, one per distinct sign condition of the
+    comparison surfaces; and the chain regions (the leaves of the chain
+    tree, summed over the support regions) on extended.
     """
     path = route(rp)
+    ctx = _context(_strip_budget(rp))
+    level = min(rp.sigma_p, rp.n_total)
     if path == "diagonal":
-        candidates, sol = solve_diagonal(rp)
+        candidates = solve_diagonal(ctx, level)
         regions = len(candidates)
+    elif path == "cover":
+        candidates = _cover_pool(ctx, level)
+        regions = ctx.witness_count
     else:
-        ctx = _context(_strip_budget(rp))
-        if path == "cover":
-            candidates = _cover_pool(ctx, min(rp.sigma_p, rp.n_total))
-            regions = ctx.witness_count
-        else:
-            candidates, regions = _extended_candidates(rp, ctx, max_cells)
-        sol = finish(candidates, rp, ctx)
-    if stats is not None:
-        stats["path"] = path
-        stats["regions"] = regions
-    return candidates, sol
+        candidates, regions = _extended_candidates(ctx, level, max_cells)
+    return candidates, finish(candidates, rp, ctx), regions
 
 
 def _lift(instance: Instance, rp: ReducedProblem, sol: RpSolution) -> Solution:
@@ -867,9 +844,8 @@ def solve_detailed(
     best: Solution | None = None
     report: list[dict] = []
     for rp in reduce(instance):
-        stats: dict = {}
         try:
-            candidates, sol = solve_block(rp, max_cells=max_cells, stats=stats)
+            candidates, sol, regions = solve_block(rp, max_cells=max_cells)
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{_describe(rp)}: {exc}") from exc
         report.append(
@@ -877,8 +853,8 @@ def solve_detailed(
                 "coupling": [tag for tag in rp.tags if tag != "mu"],
                 "intercept": "mu" in rp.tags,
                 "budget": rp.sigma_p,
-                "path": stats["path"],
-                "regions": stats["regions"],
+                "path": route(rp),
+                "regions": regions,
                 "candidates": len(candidates),
                 "objective": sol.objective,
             }

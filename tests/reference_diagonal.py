@@ -3,7 +3,7 @@
 These are the former solver helpers, unchanged: the difference and sum
 lines of every pair of b' functionals are built and merged, and each line
 is walked at one Fraction anchor per edge, where all h keys are built and
-sorted again on both sides.  Tests compare solver._diag_top_sets against
+sorted again on both sides.  Tests compare solver.solve_diagonal against
 the top slices of diag_rankings.
 """
 

@@ -102,27 +102,13 @@ def test_oracle_budget_flag(tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
-def test_budget_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BLOCKSEL_MAX_ORACLE", "2")
-    assert main(["oracle", write_doc(tmp_path)]) == 2
-    capsys.readouterr()
-    assert main(["oracle", "--max-oracle", "1000", write_doc(tmp_path)]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("BLOCKSEL_MAX_ORACLE", "abc")
-    assert main(["oracle", write_doc(tmp_path)]) == 1
-    assert "BLOCKSEL_MAX_ORACLE" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv, env",
     [
         (["solve", "--max-cells", "-5"], {}),
         (["compare", "--max-oracle", "-4"], {}),
-        (["solve"], {"BLOCKSEL_MAX_CELLS": "-1"}),
         (["oracle", "--max-oracle", "-1"], {}),
-        (["oracle"], {"BLOCKSEL_MAX_ORACLE": "-3"}),
         (["compare", "--max-cells", "-2"], {}),
-        (["compare"], {"BLOCKSEL_MAX_ORACLE": "-1"}),
     ],
 )
 def test_negative_budgets_are_input_errors(tmp_path, capsys, monkeypatch, argv, env):

@@ -191,7 +191,7 @@ def test_fixed_lambda_upper_bounds_the_free_optimum():
     rng = random.Random(4)
     for _ in range(10):
         rp = random_rp(rng)
-        _, sol = solve_block(rp)
+        _, sol, _ = solve_block(rp)
         for _ in range(3):
             lam = tuple(
                 Fraction(rng.randint(-3, 3), rng.randint(1, 2))

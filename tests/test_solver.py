@@ -29,7 +29,6 @@ from blocksel.solver import (
     solve,
     solve_block,
     solve_detailed,
-    solve_diagonal,
 )
 from reference_arrangement import form_add, linearize
 from reference_cover import conic_from_form
@@ -159,7 +158,7 @@ def test_finish_rejects_oversized_candidates():
 
 def test_diagonal_breakpoint_example():
     rp = rp_1x1((1, 1), (1, 0), lambda_cols=[(1, -1)], tags=(0,), sigma_p=1)
-    candidates, sol = solve_diagonal(rp)
+    candidates, sol, _ = solve_block(rp)
     assert candidates == {(0,), (1,)}
     assert sol.objective == 0
     assert sol.support == (0,)
@@ -167,30 +166,15 @@ def test_diagonal_breakpoint_example():
 
 def test_diagonal_zero_budget():
     rp = rp_1x1((1, 1), (1, 0), lambda_cols=[(1, -1)], tags=(0,), sigma_p=0)
-    candidates, sol = solve_diagonal(rp)
+    candidates, sol, _ = solve_block(rp)
     assert candidates == {()}
     assert sol.objective == Fraction(1, 2)
-
-
-def test_diagonal_requires_unit_blocks():
-    rp = ReducedProblem(
-        blocks=Instance.build([[[1], [1]]]).blocks,
-        b=(Fraction(1), Fraction(2)),
-        lambda_cols=(),
-        tags=(),
-        sigma_p=1,
-    )
-    with pytest.raises(ValueError):
-        solve_diagonal(rp)
 
 
 def test_diagonal_takes_at_most_two_free_parameters():
     cols = [(1, -1), (1, 2)]
     rp = rp_1x1((1, 1), (1, 0), lambda_cols=cols, tags=(0, 1), sigma_p=1)
-    assert solve_diagonal(rp)[1].objective == rp_oracle(rp)
-    rp = rp_1x1((1, 1), (1, 0), lambda_cols=cols + [(0, 1)], tags=(0, 1, 2))
-    with pytest.raises(ValueError, match="at most two free parameters"):
-        solve_diagonal(rp)
+    assert solve_block(rp)[1].objective == rp_oracle(rp)
 
 
 def test_diagonal_without_lambda_matches_greedy():
@@ -198,7 +182,7 @@ def test_diagonal_without_lambda_matches_greedy():
     b = (Fraction(3), Fraction(-4), Fraction(5), Fraction(1))
     for sigma in range(5):
         rp = rp_1x1(a, b, sigma_p=sigma)
-        _, sol = solve_diagonal(rp)
+        _, sol, _ = solve_block(rp)
         _, greedy_obj, _ = diag_greedy(a, b, sigma)
         assert sol.objective == greedy_obj
 
@@ -211,7 +195,7 @@ def test_block_column_pair_example():
         tags=(0,),
         sigma_p=1,
     )
-    _, sol = solve_block(rp)
+    _, sol, _ = solve_block(rp)
     assert sol.objective == rp_oracle(rp)
 
 
@@ -228,11 +212,12 @@ def test_block_methods_agree_on_diagonal(forced):
         rp = rp_1x1(a, b, lambda_cols=cols, tags=tuple(range(k)),
                     sigma_p=rng.randint(0, h))
         expected = rp_oracle(rp)
-        _, diag_sol = solve_diagonal(rp)
+        with forced("diagonal"):
+            _, diag_sol, _ = solve_block(rp)
         assert diag_sol.objective == expected
         for path in ("cover", "extended"):
             with forced(path):
-                _, block_sol = solve_block(rp)
+                _, block_sol, _ = solve_block(rp)
             assert block_sol.objective == expected
 
 
@@ -244,7 +229,7 @@ def test_block_without_lambda_matches_dp():
         tags=(),
         sigma_p=2,
     )
-    _, sol = solve_block(rp)
+    _, sol, _ = solve_block(rp)
     value, _ = fixed_lambda_opt(rp, ())
     assert sol.objective == value
 
@@ -309,7 +294,7 @@ def test_candidate_union_covers_oracle_support():
         best = brute_force(inst)
         pool = set()
         for rp in reduce(inst):
-            candidates, _ = solve_block(rp)
+            candidates, _, _ = solve_block(rp)
             chosen = frozenset(tag for tag in rp.tags if tag != "mu")
             for chi in candidates:
                 pool.add((chosen, frozenset(chi)))
@@ -391,6 +376,28 @@ def test_solve_detailed_report_shape():
     assert all(entry["candidates"] >= 1 for entry in report)
     assert min(entry["objective"] for entry in report) == sol.objective
     assert sol.objective == brute_force(inst).objective
+
+
+def test_route_states_each_generators_precondition():
+    # The generators do not check their own shape or parameter count, so
+    # route() must send diagonal only all-1x1 blocks at k' <= 2, cover every
+    # other shape at k' <= 2, and everything past two parameters to extended.
+    def rp_of(shapes, k):
+        m = sum(rows for rows, _ in shapes)
+        return ReducedProblem(
+            blocks=Instance.build([[[1] * cols] * rows for rows, cols in shapes]).blocks,
+            b=(Fraction(1),) * m,
+            lambda_cols=((Fraction(1),) * m,) * k,
+            tags=tuple(range(k)),
+            sigma_p=1,
+        )
+
+    for k in (0, 1, 2):
+        assert solver.route(rp_of([(1, 1)] * 3, k)) == "diagonal"
+        assert solver.route(rp_of([(1, 1), (2, 1)], k)) == "cover"
+        assert solver.route(rp_of([(1, 2)], k)) == "cover"
+    assert solver.route(rp_of([(1, 1)] * 3, 3)) == "extended"
+    assert solver.route(rp_of([(1, 1), (2, 2), (1, 2)], 3)) == "extended"
 
 
 def test_solve_detailed_diagonal_path_label():
@@ -509,7 +516,7 @@ def test_edge_rankings_match_rankings_at_cover_witnesses():
         ctx = solver._context(rp)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in expected}
-            assert solver._diag_top_sets(ctx, top) == tops
+            assert solver.solve_diagonal(ctx, top) == tops
 
 
 def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
@@ -547,7 +554,7 @@ def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
         rankings = reference_diagonal.diag_rankings(ctx)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
-            assert solver._diag_top_sets(ctx, top) == tops
+            assert solver.solve_diagonal(ctx, top) == tops
 
 
 def test_top_sets_without_a_walk_equal_the_walk():
@@ -567,7 +574,7 @@ def test_top_sets_without_a_walk_equal_the_walk():
         hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
         for top in range(h + 2):
             walked = solver._walk_top_sets(ctx, hittable, top)
-            assert solver._diag_top_sets(ctx, top) == walked
+            assert solver.solve_diagonal(ctx, top) == walked
             if top == 0 or top >= len(hittable):
                 assert walked == {tuple(hittable[:top])}
 
@@ -622,7 +629,7 @@ def test_level_walk_equals_the_reference_rankings_on_forced_ties():
         rankings = reference_diagonal.diag_rankings(ctx)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
-            assert solver._diag_top_sets(ctx, top) == tops
+            assert solver.solve_diagonal(ctx, top) == tops
     assert two_classes >= 60
 
 
@@ -639,7 +646,7 @@ def test_one_set_read_is_taken_off_every_crossing():
     rankings = reference_diagonal.diag_rankings(ctx)
     tops = {tuple(sorted(ranking[:4])) for ranking in rankings}
     assert tops == {(1, 3, 4, 5)}
-    assert solver._diag_top_sets(ctx, 4) == tops
+    assert solver.solve_diagonal(ctx, 4) == tops
 
 
 # Count bounds, one small seeded rung per path: a count over its bound
@@ -671,7 +678,7 @@ def test_diagonal_top_sets_within_the_line_arrangement_bound():
                     lines.add(tuple(u / lead for u in line))
         n = len(lines)
         for top in range(rp.n_total + 2):
-            top_sets = solver._diag_top_sets(ctx, top)
+            top_sets = solver.solve_diagonal(ctx, top)
             assert len(top_sets) <= 2 * (1 + n + n * (n - 1) // 2)
             walked += len(top_sets) > 1
     assert walked
@@ -717,7 +724,7 @@ def test_level_walk_meets_only_lines_that_share_a_coordinate(monkeypatch):
 
     monkeypatch.setattr(solver, "_class_top_sets", class_walk)
     monkeypatch.setattr(solver, "_line_anchors", anchors)
-    solver._diag_top_sets(solver._context(solver._strip_budget(rp)), rp.sigma_p)
+    solver.solve_diagonal(solver._context(solver._strip_budget(rp)), rp.sigma_p)
     assert walked and len(entries) == len(walked) + 1
     n = len(hittable)
     bound = sum(2 * (n - 1) * len(members) for members in walked) + len(carried)
@@ -787,10 +794,9 @@ def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch, 
         assert solver._allocation_count([1] * h, sigma_p) > 30
         with forced("cover"), pytest.raises(BudgetExceededError, match="profile union"):
             solve_block(rp)
-        stats = {}
-        candidates, sol = solve_block(rp, stats=stats)
-        assert stats["path"] == "diagonal"
-        assert len(candidates) <= stats["regions"]
+        candidates, sol, regions = solve_block(rp)
+        assert solver.route(rp) == "diagonal"
+        assert len(candidates) <= regions
         assert sol.objective == rp_oracle(rp)
 
 
@@ -845,7 +851,7 @@ def test_cover_pool_equals_filtered_reference_pool(forced):
                 base.blocks, base.b, base.lambda_cols, base.tags, sigma_p
             )
             with forced("cover"):
-                candidates, _ = solve_block(rp)
+                candidates, _, _ = solve_block(rp)
             limit = min(sigma_p, base.n_total)
             assert candidates == {chi for chi in reference if len(chi) <= limit}
 
@@ -891,7 +897,8 @@ def test_extended_candidates_equal_the_refined_cell_reference():
                 want, _ = reference_extended.extended_candidates(rp, 40)
             except BudgetExceededError:
                 continue
-            got, regions = solver._extended_candidates(rp, ctx_of(rp), solver.DEFAULT_MAX_CELLS)
+            level = min(sigma_p, rp.n_total)
+            got, regions = solver._extended_candidates(ctx_of(rp), level, solver.DEFAULT_MAX_CELLS)
             assert got == want
             assert regions >= len(got)
             compared.add((k, spread, min(sigma_p, 2)))
@@ -923,7 +930,8 @@ def test_three_column_blocks_match_the_reference_and_brute_force():
                     want, _ = reference_extended.extended_candidates(rp, 40)
                 except BudgetExceededError:
                     continue
-                got, _ = solver._extended_candidates(rp, ctx_of(rp), solver.DEFAULT_MAX_CELLS)
+                level = min(sigma_p, rp.n_total)
+                got, _ = solver._extended_candidates(ctx_of(rp), level, solver.DEFAULT_MAX_CELLS)
                 assert got == want
                 compared = True
             if compared:
