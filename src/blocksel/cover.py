@@ -16,6 +16,16 @@ Algebraic Geometry).
 Every returned point avoids the zero set of every family member that
 vanishes anywhere, so comparisons made at a witness are strict.  Members
 that never vanish are dropped: they cannot change sign or create ties.
+
+The arithmetic is in integers (see roots).  The critical values are
+roots.AlgebraicNumber brackets, sorted by sort_unique_roots, and each
+strip's abscissa is the dyadic with the fewest bits between two of them.
+On that line every member is an integer quadratic or line in lambda_2,
+whose roots are surds in closed form, sorted by isqrt brackets; only
+brackets that meet are ordered by the exact fallback, roots.surd_cmp.  A
+point's ordinate is again the dyadic with the fewest bits between two
+roots, so only the returned points are Fractions, with power-of-two
+denominators.
 """
 
 from __future__ import annotations
@@ -30,8 +40,10 @@ from .roots import (
     ipoly_normalize,
     isolate_real_roots,
     sample_between,
-    separating_samples,
     sort_unique_roots,
+    surd_between,
+    surd_bracket,
+    surd_cmp,
 )
 
 MAX_CONICS = 256
@@ -261,43 +273,87 @@ def conic_cover_points(conics: Iterable[Sequence[int]]) -> list[Point2]:
 
     # Each interval of a strip's sample line is labelled with its sign
     # vector, one bit per family member; a label gets one point, in the
-    # first interval that shows it.
+    # first interval that shows it.  A strip's abscissa and the points'
+    # ordinates are dyadics; a Fraction is built only for a point.
     labels: set[int] = set()
     points: list[Point2] = []
-    for w in separating_samples(sort_unique_roots(criticals)):
-        # Coefficients in y at w = n / m, scaled by m^2 > 0 to integers.
-        # Above every root a member has the sign of its leading coefficient,
-        # and crossing a root flips it: w avoids every discriminant root,
-        # so all roots are simple.  A member without y is its constant.
-        n, m = w.numerator, w.denominator
-        label = 0
-        tagged = []
-        for bit, (a, b, c, d, e, f) in enumerate(family):
-            const = (a * n + d * m) * n + f * m * m
-            slope = b * n + e * m
-            if (c or slope or const) > 0:
-                label |= 1 << bit
-            poly = ipoly_normalize((const, slope * m, c * m * m))
-            if len(poly) > 1:
-                tagged.extend((root, bit) for root in isolate_real_roots(poly))
-        tagged.sort(key=_ROOT_ORDER)
-        above = None
-        for root, bit in reversed(tagged):
+    bounds = [None, *sort_unique_roots(criticals), None]
+    for below, above in zip(bounds, bounds[1:]):
+        n, j = sample_between(below, above)
+        label, roots = _line_roots(family, n, 1 << j)
+        higher = None
+        for _, _, surd, bit in reversed(roots):
             if label not in labels:
                 labels.add(label)
-                points.append((w, sample_between(root, above)))
+                points.append(_point((n, j), surd_between(surd, higher)))
             label ^= 1 << bit
-            above = root
+            higher = surd
         if label not in labels:
             labels.add(label)
-            points.append((w, sample_between(None, above)))
+            points.append(_point((n, j), surd_between(None, higher)))
     return points
 
 
+def _point(x: tuple[int, int], y: tuple[int, int]) -> Point2:
+    """The witness at two dyadics (n, j), n / 2^j."""
+    return (Fraction(x[0], 1 << x[1]), Fraction(y[0], 1 << y[1]))
+
+
+def _line_roots(family: Sequence[Conic], n: int, m: int) -> tuple[int, list]:
+    """The family's sign label high on the line lambda_1 = n / m, and its roots there.
+
+    m > 0.  A member's coefficients in y at n / m, scaled by m^2 > 0 to
+    integers, are c m^2, slope m and const; with y = z / m its roots are
+    those of c z^2 + slope z + const over m, in closed form.  High on the
+    line a member has the sign of its leading coefficient, and crossing a
+    root flips it: the line avoids every discriminant root, so all roots
+    are simple.  A member without y is its constant.
+
+    Each root is (lo, hi, surd, bit): the surd of member bit, bracketed in
+    [lo, hi] / 2^PRECISION.  They come sorted by bracket; brackets that
+    meet are ordered exactly by surd_cmp.
+    """
+    label = 0
+    roots = []
+    for bit, (a, b, c, d, e, f) in enumerate(family):
+        const = (a * n + d * m) * n + f * m * m
+        slope = b * n + e * m
+        if (c or slope or const) > 0:
+            label |= 1 << bit
+        if c:
+            disc = slope * slope - 4 * c * const
+            if disc > 0:
+                r = 2 * c * m
+                p, r = (-slope, r) if r > 0 else (slope, -r)
+                for q in (-1, 1):
+                    surd = (p, q, disc, r)
+                    roots.append((*surd_bracket(surd), surd, bit))
+        elif slope:
+            p, r = (-const, slope * m) if slope > 0 else (const, -slope * m)
+            surd = (p, 0, 0, r)
+            roots.append((*surd_bracket(surd), surd, bit))
+    roots.sort()
+    start = reach = 0
+    for i, (lo, hi, _, _) in enumerate(roots):
+        if i and lo <= reach:
+            reach = max(reach, hi)
+            continue
+        _order_exactly(roots, start, i)
+        start, reach = i, hi
+    _order_exactly(roots, start, len(roots))
+    return label, roots
+
+
+def _order_exactly(roots: list, start: int, stop: int) -> None:
+    """Sort roots[start:stop], whose brackets meet in a chain, exactly."""
+    if stop - start > 1:
+        roots[start:stop] = sorted(roots[start:stop], key=_ROOT_ORDER)
+
+
 def _distinct_roots(x, y) -> int:
-    order = x[0].cmp(y[0])
+    order = surd_cmp(x[2], y[2])
     if order == 0:
-        # w avoids every resultant root, so no two members meet on its line.
+        # The line avoids every resultant root, so no two members meet on it.
         raise InvariantError("two members share a root inside a strip")
     return order
 

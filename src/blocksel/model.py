@@ -11,6 +11,7 @@ Indices are 0-based throughout the library; the CLI renders them 1-based.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -301,32 +302,49 @@ class Solution:
 
 
 def residual_norm2(instance: Instance, x: Sequence[Fraction], mu: Optional[Fraction]) -> Fraction:
-    """Exact squared residual |M x + c mu - b|^2 for a full-length x."""
+    """Exact squared residual |M x + c mu - b|^2 for a full-length x.
+
+    It reads only the instance, x and mu, in integers: x and mu share one
+    denominator dx, the instance's entries another, dm, so each residual
+    entry times dm dx is an integer, and one Fraction is built at the end.
+    """
     if len(x) != instance.d:
         raise ValueError("x must have length d")
     if (mu is None) != (instance.intercept is None):
         raise ValueError("mu must be present exactly when the intercept is")
-    total = Fraction(0)
+    dx = math.lcm(*(v.denominator for v in x), 1 if mu is None else mu.denominator)
+    ix = [v.numerator * (dx // v.denominator) for v in x]
+    imu = 0 if mu is None else mu.numerator * (dx // mu.denominator)
+    n = instance.n_total
+    # Only the columns with a nonzero coefficient reach the residual.
+    coupling = [(col, ix[n + j]) for j, col in enumerate(instance.coupling) if ix[n + j]]
+    intercept = instance.intercept if imu else ()
+    dm = math.lcm(
+        *(v.denominator for v in instance.b),
+        *(v.denominator for blk in instance.blocks for v in blk.entries),
+        *(v.denominator for col, _ in coupling for v in col),
+        *(v.denominator for v in intercept),
+    )
+
+    def whole(v: Fraction) -> int:
+        return v.numerator * (dm // v.denominator)
+
+    total = 0
     row_offsets = instance.row_offsets()
     col_offsets = instance.col_offsets()
-    n = instance.n_total
     for bi, blk in enumerate(instance.blocks):
         r0 = row_offsets[bi]
-        c0 = col_offsets[bi]
+        cols = [(c, ix[col_offsets[bi] + c]) for c in range(blk.cols) if ix[col_offsets[bi] + c]]
         for r in range(blk.rows):
-            acc = -instance.b[r0 + r]
-            for c in range(blk.cols):
-                xv = x[c0 + c]
-                if xv:
-                    acc += blk.at(r, c) * xv
-            for j, col in enumerate(instance.coupling):
-                xv = x[n + j]
-                if xv:
-                    acc += col[r0 + r] * xv
-            if instance.intercept is not None and mu is not None and mu != 0:
-                acc += instance.intercept[r0 + r] * mu
+            acc = -whole(instance.b[r0 + r]) * dx
+            for c, xv in cols:
+                acc += whole(blk.at(r, c)) * xv
+            for col, xv in coupling:
+                acc += whole(col[r0 + r]) * xv
+            if imu:
+                acc += whole(intercept[r0 + r]) * imu
             total += acc * acc
-    return total
+    return Fraction(total, (dm * dx) ** 2)
 
 
 def make_solution(

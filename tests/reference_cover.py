@@ -15,6 +15,8 @@ QuadraticForms turn them into conics with it.
 conic_cover_points is the former blocksel.cover function, unchanged: it
 samples every interval of every strip's sample line, where the library
 now keeps one point per sign vector.  The witnesses above come from it.
+It and sweep_1d isolate roots with the Fraction-interval root layer of
+reference_roots, which the library replaced by integer brackets.
 split_family lists the components over which both read sign vectors.
 
 _disc_in_x, vanishes_somewhere, split_rational_lines and _resultant_in_y
@@ -47,9 +49,9 @@ from blocksel.cover import (
     primitive,
 )
 from blocksel.model import BudgetExceededError, InvariantError, ReducedProblem
-from blocksel.roots import (
+from blocksel.roots import ipoly_normalize
+from reference_roots import (
     AlgebraicNumber,
-    ipoly_normalize,
     isolate_real_roots,
     separating_samples,
     sort_unique_roots,

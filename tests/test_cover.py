@@ -1,10 +1,11 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import blocksel.cover as cover_module
@@ -16,10 +17,10 @@ from blocksel.cover import (
 )
 from blocksel.model import BudgetExceededError, InvariantError
 from blocksel.roots import (
+    ipoly_eval_sign,
     ipoly_normalize,
     ipoly_primitive,
     isolate_real_roots,
-    separating_samples,
     sort_unique_roots,
 )
 from reference_arrangement import (
@@ -29,6 +30,8 @@ from reference_arrangement import (
     sign_at,
 )
 import reference_cover
+import reference_roots
+from reference_roots import library_samples as separating_samples
 from reference_cover import conic_from_form, split_family
 from reference_forms import QuadraticForm
 
@@ -407,3 +410,101 @@ def test_conic_cover_is_strict_and_complete(raw):
             if 0 in vec:
                 continue
             assert vec in realized
+
+
+def exact_order_spy(monkeypatch):
+    """Count the cover's exact surd comparisons."""
+    calls = []
+    library_cmp = cover_module.surd_cmp
+
+    def spy(x, y):
+        calls.append((x, y))
+        return library_cmp(x, y)
+
+    monkeypatch.setattr(cover_module, "surd_cmp", spy)
+    return calls
+
+
+def test_a_surd_next_to_a_close_rational_is_ordered_exactly(monkeypatch):
+    # A Pell convergent p/q of sqrt(2) from below, q > 2^40, agrees with
+    # sqrt(2) to about 81 bits: the brackets at PRECISION bits meet, and
+    # the sample between the two needs them at 128.
+    p, q = 1, 1
+    while q <= 1 << 40 or p * p - 2 * q * q != -1:
+        p, q = p + 2 * q, p + q
+    assert 0 < Fraction(2) - Fraction(p, q) ** 2 < Fraction(1, 1 << 80)
+    calls = exact_order_spy(monkeypatch)
+    family = [(0, 0, 1, 0, 0, -2), (0, 0, 0, 0, q, -p)]
+    pts = conic_cover_points(family)
+    assert calls
+    got = [tuple(sign(conic_value(c, pt)) for c in family) for pt in pts]
+    assert 0 not in {s for vec in got for s in vec}
+    # Below -sqrt(2), between -sqrt(2) and p/q, between p/q and sqrt(2), above.
+    assert sorted(got) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert cover_module.surd_bracket((p, 0, 0, q))[1] >= cover_module.surd_bracket((0, 1, 2, 1))[0]
+
+
+def test_two_surds_agreeing_past_64_bits_are_ordered_exactly(monkeypatch):
+    # sqrt(2) and sqrt(2 r^2 + 1) / r differ by about 1 / (2 sqrt(2) r^2).
+    r = 1 << 40
+    low, high = (0, 1, 2, 1), (0, 1, 2 * r * r + 1, r)
+    assert cover_module.surd_bracket(low, 64)[1] >= cover_module.surd_bracket(high, 64)[0]
+    assert cover_module.surd_cmp(low, high) == -1
+    assert cover_module.surd_cmp(high, low) == 1
+    calls = exact_order_spy(monkeypatch)
+    family = [(0, 0, 1, 0, 0, -2), (0, 0, r * r, 0, 0, -(2 * r * r + 1))]
+    pts = conic_cover_points(family)
+    assert calls
+    got = [tuple(sign(conic_value(c, pt)) for c in family) for pt in pts]
+    assert sorted(got) == [(-1, -1), (1, -1), (1, 1)]
+
+
+@given(
+    st.lists(
+        st.tuples(small_ints, small_ints, small_ints, small_ints, small_ints, small_ints),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(-9, 9),
+    st.integers(1, 7),
+)
+def test_line_roots_order_and_samples_match_the_fraction_reference(family, n, m):
+    # On the line lambda_1 = n / m every member is an integer quadratic or
+    # line in lambda_2; the reference isolates each one with Fraction
+    # intervals and sorts them with its cmp.  A member that vanishes on the
+    # whole line, or has a double root there, sits on a critical value,
+    # which no sample line meets.
+    polys = []
+    for a, b, c, d, e, f in family:
+        poly = ipoly_normalize(((a * n + d * m) * n + f * m * m, (b * n + e * m) * m, c * m * m))
+        assume(poly and (len(poly) != 3 or poly[1] ** 2 != 4 * poly[0] * poly[2]))
+        polys.append(poly)
+    tagged = [
+        (root, bit)
+        for bit, poly in enumerate(polys)
+        if len(poly) > 1
+        for root in reference_roots.isolate_real_roots(poly)
+    ]
+    tagged.sort(key=functools.cmp_to_key(lambda x, y: x[0].cmp(y[0])))
+    shared = any(x.cmp(y) == 0 for (x, _), (y, _) in zip(tagged, tagged[1:]))
+    if shared:
+        with pytest.raises(InvariantError, match="share a root"):
+            cover_module._line_roots(family, n, m)
+        return
+    label, got = cover_module._line_roots(family, n, m)
+    assert [bit for *_, bit in got] == [bit for _, bit in tagged]
+
+    def signs(y):
+        return tuple(ipoly_eval_sign(poly, y) for poly in polys)
+
+    bounds = [None, *tagged, None]
+    surds = [None, *(surd for _, _, surd, _ in got), None]
+    for i in range(len(bounds) - 1):
+        below, above = bounds[i], bounds[i + 1]
+        expected = reference_roots.sample_between(below and below[0], above and above[0])
+        yn, yj = cover_module.surd_between(surds[i], surds[i + 1])
+        sample = Fraction(yn, 1 << yj)
+        assert 0 not in signs(sample)
+        assert signs(sample) == signs(expected)
+    top = signs(reference_roots.sample_between(tagged[-1][0] if tagged else None, None))
+    assert label == sum(1 << bit for bit, s in enumerate(top) if s > 0)

@@ -2,8 +2,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+import reference_model
 
 from blocksel.model import (
     BlockStructure,
@@ -93,6 +95,65 @@ def test_residual_norm2_and_solution():
     sol = make_solution(inst, [Fraction(0), Fraction(2)], None, {1})
     assert sol.objective == 9
     assert sol.support == (1,)
+
+
+def _case(entries, coupling, intercept, x, mu):
+    """An instance of blocks 2x1 and 1x2 with the given columns, x and mu."""
+    a, b, c, d, e, f = entries
+    inst = Instance.build(
+        blocks=[[[a], [b]], [[c, d]]],
+        coupling=coupling,
+        intercept=intercept,
+        b=[e, f, a - f],
+        sigma=0,
+    )
+    return inst, [Fraction(v) for v in x], mu
+
+
+@st.composite
+def residual_cases(draw):
+    """A random instance of up to three blocks, x and mu."""
+    sizes = st.integers(1, 2)
+    shapes = draw(st.lists(st.tuples(sizes, sizes), min_size=1, max_size=3))
+    m = sum(rows for rows, _ in shapes)
+    column = st.lists(rationals, min_size=m, max_size=m)
+    inst = Instance.build(
+        blocks=[
+            [draw(st.lists(rationals, min_size=cols, max_size=cols)) for _ in range(rows)]
+            for rows, cols in shapes
+        ],
+        coupling=draw(st.lists(column, max_size=2)),
+        intercept=draw(st.one_of(st.none(), column)),
+        b=draw(column),
+        sigma=0,
+    )
+    x = draw(
+        st.one_of(
+            st.just([Fraction(0)] * inst.d),
+            st.lists(rationals, min_size=inst.d, max_size=inst.d),
+        )
+    )
+    mu = None if inst.intercept is None else draw(st.one_of(st.just(Fraction(0)), rationals))
+    return inst, x, mu
+
+
+@given(residual_cases())
+# No intercept; mu = 0; x all zero; nonzero coupling coefficients.
+@example(_case((1, 2, 3, 4, 5, 6), [], None, (1, 0, Fraction(2, 3)), None))
+@example(_case((1, 2, 3, 4, 5, 6), [], [1, 1, 1], (1, -1, 2), Fraction(0)))
+@example(_case((Fraction(1, 2), 2, 3, 4, 5, 6), [[1, 2, 3]], [1, 1, 1], (0,) * 4, Fraction(1, 5)))
+@example(
+    _case(
+        (1, 2, Fraction(3, 7), 4, 5, 6),
+        [[1, 0, 3], [Fraction(1, 3), 1, 1]],
+        None,
+        (1, 0, 2, Fraction(-5, 4), 7),
+        None,
+    )
+)
+def test_integer_residual_equals_the_fraction_sum(case):
+    inst, x, mu = case
+    assert residual_norm2(inst, x, mu) == reference_model.residual_norm2(inst, x, mu)
 
 
 def test_make_solution_rejects_uncovered_support():

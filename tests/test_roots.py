@@ -14,10 +14,10 @@ from blocksel.roots import (
     ipoly_squarefree,
     ipoly_eval_sign,
     isolate_real_roots,
-    separating_samples,
     sort_unique_roots,
     sturm_count,
 )
+from reference_roots import library_samples as separating_samples
 
 small_fracs = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=4
@@ -80,11 +80,11 @@ def test_cubics_with_repeated_factors_fall_to_lower_degree():
 
 
 def test_an_interval_root_without_its_polynomial_is_an_invariant_error():
-    lost = AlgebraicNumber(lo=Fraction(0), hi=Fraction(1))
+    lost = AlgebraicNumber(lo=0, hi=1)
     with pytest.raises(InvariantError):
         lost.refine()
     with pytest.raises(InvariantError):
-        lost.cmp(AlgebraicNumber(lo=Fraction(1, 2), hi=Fraction(2)))
+        lost.cmp(AlgebraicNumber(lo=1, hi=4, k=1))
 
 
 def test_cubic_mixed_roots():
@@ -218,3 +218,102 @@ def test_integer_remainders_match_the_fraction_euclid(monkeypatch):
             patch.setattr(roots_module, "ipoly_squarefree", reference_roots.ipoly_squarefree)
             expected = [(r.value, r.poly, r.lo, r.hi) for r in isolate_real_roots(p)]
         assert got == expected
+
+
+def _planted(*factors):
+    """The integer product of the given coefficient tuples."""
+    out = (1,)
+    for f in factors:
+        out = _pmul(out, f)
+    return out
+
+
+def _assert_isolating(root):
+    """The bracket holds the root of its polynomial and no other."""
+    if root.lo == root.hi:
+        assert ipoly_eval_sign(root.poly, root.lo, root.k) == 0
+        return
+    assert root.lo < root.hi
+    assert ipoly_eval_sign(root.poly, root.lo, root.k) != 0
+    assert ipoly_eval_sign(root.poly, root.hi, root.k) != 0
+    chain = reference_roots._sturm_chain(root.poly)
+    assert sturm_count(root.lo, root.hi, chain, root.k) == 1
+    assert (ipoly_eval_sign(root.poly, root.hi, root.k) > 0) == root.rising
+
+
+def _as_reference(root):
+    """The library root as a Fraction-interval reference root."""
+    scale = 1 << root.k
+    if root.lo == root.hi:
+        return reference_roots.AlgebraicNumber.rational(Fraction(root.lo, scale))
+    return reference_roots.AlgebraicNumber.interval_root(
+        root.poly, Fraction(root.lo, scale), Fraction(root.hi, scale)
+    )
+
+
+def _assert_batch_matches_reference(polys):
+    """Dyadic isolation, order and deduplication equal the Fraction reference."""
+    got = sort_unique_roots([r for p in polys for r in isolate_real_roots(p)])
+    expected = reference_roots.sort_unique_roots(
+        [r for p in polys for r in reference_roots.isolate_real_roots(p)]
+    )
+    assert len(got) == len(expected)
+    for root, reference in zip(got, expected):
+        _assert_isolating(root)
+        assert _as_reference(root).cmp(reference) == 0
+    for below, above in zip(got, got[1:]):
+        assert roots_module._apart(below, above)
+    return got
+
+
+def test_quartics_sharing_a_quadratic_factor_keep_the_shared_roots_once(monkeypatch):
+    # (x^2 - 2)(x^2 - 3) and (x^2 - 2)(5x^2 - 1) share +-sqrt(2): six roots.
+    # The shared pair meets in brackets that never part, so the gcd test
+    # must run, and it finds the common factor.
+    gcds = []
+    library_gcd = roots_module.ipoly_gcd
+
+    def spy(p, q):
+        gcds.append(library_gcd(p, q))
+        return gcds[-1]
+
+    monkeypatch.setattr(roots_module, "ipoly_gcd", spy)
+    shared = (-2, 0, 1)
+    got = _assert_batch_matches_reference(
+        [_planted(shared, (-3, 0, 1)), _planted(shared, (-1, 0, 5)), shared]
+    )
+    assert len(got) == 6
+    assert shared in gcds
+
+
+def test_roots_on_bisection_points_are_exact_and_ordered():
+    # x^3 - 2x bisects at 0 first.  (2x - 1)(8x - 3)(8x - 5)(x^2 - 3) has
+    # three roots in (0, 1), whose midpoint 1/2 is one of them; 3/8 and 5/8
+    # are dyadics too, on either side of the hole around 1/2.
+    cubic = (0, -2, 0, 1)
+    quintic = _planted((-1, 2), (-3, 8), (-5, 8), (-3, 0, 1))
+    got = _assert_batch_matches_reference([cubic, quintic])
+    assert len(got) == 8
+    exact = {Fraction(r.lo, 1 << r.k) for r in got if r.lo == r.hi}
+    assert {Fraction(0), Fraction(1, 2)} <= exact
+    # The same dyadics given as lines merge with the polynomials' roots.
+    lines = [(-1, 2), (-3, 8), (-5, 8), (0, 1)]
+    assert len(_assert_batch_matches_reference([cubic, quintic, *lines])) == 8
+
+
+@given(
+    st.lists(small_fracs, min_size=1, max_size=4, unique=True),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), max_size=2),
+    st.data(),
+)
+def test_planted_roots_sort_and_merge_as_the_reference(planted, quadratics, data):
+    # Polynomials with planted rational roots, some with an extra quadratic
+    # factor x^2 * s + t, share roots at random: the batch must come out in
+    # the reference's order with each shared root once.
+    lines = [(-r.numerator, r.denominator) for r in planted]
+    extras = [(t, 0, s) for t, s in quadratics]
+    polys = []
+    for _ in range(3):
+        chosen = data.draw(st.lists(st.sampled_from(lines + extras), min_size=1, max_size=4))
+        polys.append(_planted(*chosen))
+    _assert_batch_matches_reference(polys)
