@@ -136,20 +136,6 @@ def ipoly_gcd(p: IPoly, q: IPoly) -> IPoly:
     return a
 
 
-def ipoly_squarefree(p: IPoly) -> IPoly:
-    """The squarefree part p / gcd(p, p'), primitive with positive lead."""
-    p = ipoly_primitive(ipoly_normalize(p))
-    if len(p) <= 1:
-        return p
-    g = ipoly_gcd(p, ipoly_derivative(p))
-    if len(g) <= 1:
-        return p
-    quo, rem = _pseudo_divmod(p, g)
-    if rem:
-        raise InvariantError("gcd must divide the polynomial")
-    return ipoly_primitive(quo)
-
-
 def _positive_scale(p: IPoly) -> IPoly:
     """Divide out the content without touching the sign of the polynomial.
 
@@ -324,15 +310,24 @@ def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:
         raise ValueError("cannot isolate roots of the zero polynomial")
     # A line has one root and _quadratic_roots reports a double root once,
     # so only cubics and beyond need their repeated factors divided out.
+    # The last member of p's Sturm chain is gcd(p, p') up to a constant: p
+    # is squarefree when it is a constant, and otherwise the quotient is
+    # p's squarefree part, which gets a chain of its own.
+    chain: list[IPoly] = []
     if ipoly_degree(p) >= 3:
-        p = ipoly_squarefree(p)
+        chain = _sturm_chain(p)
+        if ipoly_degree(chain[-1]) >= 1:
+            quo, rem = _pseudo_divmod(p, chain[-1])
+            if rem:
+                raise InvariantError("gcd must divide the polynomial")
+            p = ipoly_primitive(quo)
+            chain = _sturm_chain(p) if ipoly_degree(p) >= 3 else []
     if ipoly_degree(p) == 0:
         return []
     if ipoly_degree(p) == 1:
         return [AlgebraicNumber.rational(-p[0], p[1])]
     if ipoly_degree(p) == 2:
         return _quadratic_roots(p)
-    chain = _sturm_chain(p)
     roots: list[AlgebraicNumber] = []
 
     def split(a: int, va: int, b: int, vb: int, k: int) -> None:

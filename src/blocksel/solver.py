@@ -15,14 +15,15 @@ the best.
 Each support's residual is held as one integer row over (1, lambda,
 lambda_i lambda_j), all rows of a subproblem at one positive scale
 (linalg.residual_quadratic); comparisons read these rows, and a
-candidate's residual is the integer sum of its blocks' rows, minimized by
-linalg.quadratic_minimum as an integer ratio.  finish() compares these
-ratios by cross-multiplication and builds Fractions only for the winner:
-its value, its lambda (linalg.quadratic_minimizer) and its block
+candidate's residual is the integer sum of its blocks' rows, which its
+generator forms with it.  finish() minimizes each such row by
+linalg.quadratic_minimum as an integer ratio, compares these ratios by
+cross-multiplication and builds Fractions only for the winner: its
+value, its lambda (linalg.quadratic_minimizer) and its block
 coefficients (linalg.least_squares).
 
 solve_block() is the one pipeline of a subproblem: route() picks one of
-three candidate generators from the subproblem's structure alone, the
+four candidate generators from the subproblem's structure alone, the
 generator reads the budget-stripped context up to the level
 min(sigma', n), and finish() scores what it returns.  The generators
 trust route() and do not check its rule themselves:
@@ -35,7 +36,9 @@ trust route() and do not check its rule themselves:
   |b'| along it) is walked only against the lines that share a
   coordinate with it, and a set is recorded only where the sigma'-level
   cuts the class.
-* cover (_cover_pool): every other subproblem with at most two free
+* dp (_dp_candidate): every other subproblem without free parameters,
+  solved by an integer DP over (block, columns used).
+* cover (_cover_pool): every other subproblem with one or two free
   parameters.  Argmin profiles are read at the witnesses of one conic
   cover of the plane; the allocation work is bounded by
   MAX_PROFILE_UNIONS.
@@ -69,7 +72,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import KeysView, Sequence
 
 from .arrangement import argmin_regions
 from .cover import conic_cover_points, primitive
@@ -92,14 +95,16 @@ from .model import (
 )
 
 DEFAULT_MAX_CELLS = 200000
-# Bounds the cover path's pool work: in-budget allocations times distinct
-# argmin profiles.
+# Bounds the cover path's pool work at one and two free parameters:
+# in-budget allocations times distinct argmin profiles.
 MAX_PROFILE_UNIONS = 1000000
 # Subproblem contexts kept for reuse across solves; the least recently used
 # is dropped first.
 MAX_CONTEXTS = 64
 
 CandidateSet = set[tuple[int, ...]]
+# Each candidate support with its summed residual row.
+CandidateRows = dict[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -188,9 +193,9 @@ class _Context:
     The residual rows and the column offsets are built up front; the cover
     profiles are filled in by the first cover solve, and candidate values
     as candidates get scored.  Entry rows[i][j] lists (support, row) for
-    block i, size j, and row_of[i] maps each support of block i to its row.
-    Every row shares the positive scale: a support's residual at lam is
-    row . (1, lam, lam_i lam_j) / scale.
+    block i, size j, row_of[i] maps each support of block i to its row, and
+    empty is the empty support's row.  Every row shares the positive scale:
+    a support's residual at lam is row . (1, lam, lam_i lam_j) / scale.
     """
 
     base: ReducedProblem
@@ -199,6 +204,7 @@ class _Context:
     row_of: tuple[dict, ...]
     scale: int
     offsets: tuple[int, ...]
+    empty: tuple[int, ...]
     values: dict = field(default_factory=dict)
     witness_count: int = 0
     profiles: tuple | None = None
@@ -241,7 +247,8 @@ def _context(base: ReducedProblem) -> _Context:
     row_of = tuple(
         dict(pair for slot in per_size for pair in slot) for per_size in rows
     )
-    return _Context(base, pieces, rows, row_of, common // g, _col_offsets(base.blocks))
+    empty = tuple(map(sum, zip(*(per_size[0][0][1] for per_size in rows))))
+    return _Context(base, pieces, rows, row_of, common // g, _col_offsets(base.blocks), empty)
 
 
 def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:
@@ -282,7 +289,7 @@ def _argmins_at(rows, witness: Sequence[Fraction]) -> tuple:
     the dot product of its row with the monomials den^2, den c_i and
     c_i c_j.  The witness never lies on a nonzero difference surface, so
     ties happen only between supports with identical rows; those break to the
-    lexicographically smallest support.
+    lexicographically smallest support.  A slot of one support skips them.
     """
     den = math.lcm(*(x.denominator for x in witness))
     coords = [x.numerator * (den // x.denominator) for x in witness]
@@ -291,7 +298,8 @@ def _argmins_at(rows, witness: Sequence[Fraction]) -> tuple:
         monomials.extend(ci * cj for cj in coords[i:])
     return tuple(
         tuple(
-            min((sum(map(operator.mul, row, monomials)), sup) for sup, row in slot)[1]
+            slot[0][0] if len(slot) == 1
+            else min((sum(map(operator.mul, row, monomials)), sup) for sup, row in slot)[1]
             for slot in per_size
         )
         for per_size in rows
@@ -323,14 +331,12 @@ def _allocation_count(widths: Sequence[int], limit: int) -> int:
     return sum(counts)
 
 
-def _cover_pool(ctx: _Context, limit: int) -> CandidateSet:
+def _cover_pool(ctx: _Context, limit: int) -> CandidateRows:
     """Union supports of every in-budget allocation under every argmin profile.
 
-    For each profile the per-block winners are fixed; every cardinality
-    allocation with at most limit columns in total contributes the union of
-    its blocks' winning supports.  Allocations are built by choosing the
-    blocks with a nonzero cardinality in increasing order, so each one is
-    visited once and the union comes out sorted.
+    A profile fixes one winner per (block, cardinality) slot; every
+    allocation of at most limit columns contributes the union of its
+    blocks' winners, taken once by _cover_walk.
     """
     profiles = _cover_profiles(ctx)
     allocations = _allocation_count([blk.cols for blk in ctx.base.blocks], limit)
@@ -339,72 +345,81 @@ def _cover_pool(ctx: _Context, limit: int) -> CandidateSet:
             f"profile union enumeration needs {allocations} allocations of at "
             f"most {limit} columns for each of {len(profiles)} argmin tables"
         )
-    pool: CandidateSet = set()
-    h = len(ctx.base.blocks)
-    for table in profiles:
-        shifted = [
-            [tuple(ctx.offsets[i] + c for c in sup) for sup in per_size]
-            for i, per_size in enumerate(table)
-        ]
-        stack = [(0, limit, ())]
-        while stack:
-            start, room, prefix = stack.pop()
-            pool.add(prefix)
-            for i in range(start, h):
-                for sup in shifted[i][1 : room + 1]:
-                    stack.append((i + 1, room - len(sup), prefix + sup))
-    return pool
+    return dict(_cover_walk(ctx, profiles, limit))
 
 
-def _candidate_row(ctx: _Context, chi: tuple[int, ...]) -> tuple[int, ...]:
-    """One candidate's residual row: the integer sum of its blocks' rows."""
-    offsets = ctx.offsets
-    rows = [
-        row_of[tuple(c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1])]
-        for i, row_of in enumerate(ctx.row_of)
-    ]
-    return tuple(map(sum, zip(*rows)))
+def _cover_walk(ctx: _Context, profiles: Sequence, limit: int):
+    """Yield each distinct in-budget union of winners once, with its row.
+
+    The walk chooses the blocks with a nonzero cardinality in increasing
+    order, so unions come out sorted, and carries the profiles consistent
+    with its choices as a bitmask: at each slot it branches once per
+    distinct winner among them.  A union's row is the empty support's row
+    plus, per chosen block, its winner's row less the block's empty row.
+    """
+    # branches[i][j - 1]: (shifted winner, row change, profile mask) per
+    # distinct winner of block i at size j.
+    branches = []
+    for i, (offset, row_of) in enumerate(zip(ctx.offsets, ctx.row_of)):
+        per_size, empty = [], row_of[()]
+        for j in range(1, ctx.base.blocks[i].cols + 1):
+            masks: dict[tuple[int, ...], int] = {}
+            for p, table in enumerate(profiles):
+                masks[table[i][j]] = masks.get(table[i][j], 0) | 1 << p
+            winners = []
+            for sup, mask in masks.items():
+                change = tuple(map(operator.sub, row_of[sup], empty))
+                winners.append((tuple(offset + c for c in sup), change, mask))
+            per_size.append(winners)
+        branches.append(per_size)
+    stack = [(0, limit, (), ctx.empty, (1 << len(profiles)) - 1)]
+    while stack:
+        start, room, prefix, row, mask = stack.pop()
+        yield prefix, row
+        for i in range(start, len(branches)):
+            for j, winners in enumerate(branches[i][:room], 1):
+                for sup, change, bits in winners:
+                    if mask & bits:
+                        total = tuple(map(operator.add, row, change))
+                        stack.append((i + 1, room - j, prefix + sup, total, mask & bits))
 
 
-def _candidate_value(ctx: _Context, chi: tuple[int, ...]) -> tuple[int, int]:
-    """Exact minimum over lambda of one candidate's residual, computed once.
+def _candidate_value(
+    ctx: _Context, chi: tuple[int, ...], row: tuple[int, ...]
+) -> tuple[int, int]:
+    """Exact minimum over lambda of one candidate's summed row, computed once.
 
     It is the integer pair (numerator, denominator) in lowest terms from
     quadratic_minimum, at the context's scale.
     """
     hit = ctx.values.get(chi)
     if hit is None:
-        row = _candidate_row(ctx, chi)
         hit = ctx.values[chi] = quadratic_minimum(row, ctx.base.k_prime, ctx.scale)
     return hit
 
 
-def finish(
-    candidates: Iterable[Sequence[int]], rp: ReducedProblem, ctx: _Context
-) -> RpSolution:
+def finish(candidates: CandidateRows, rp: ReducedProblem, ctx: _Context) -> RpSolution:
     """Best subproblem solution over the candidate supports.
 
-    ctx is the context of rp with its budget stripped.  Each candidate's
-    summed residual row is minimized over lambda in closed form, as an
-    integer ratio, and the minima are compared by cross-multiplication; the
-    empty support always participates.  Ties prefer the lexicographically
-    smallest support.  Only the winner gets Fractions: its value, its
-    lambda, and its block coefficients, rebuilt by per-block least squares
-    at that lambda from the blocks' columns and b alone.
+    ctx is the context of rp with its budget stripped.  candidates maps each
+    sorted support to its summed residual row, minimized over lambda in
+    closed form, as an integer ratio; the minima are compared by
+    cross-multiplication, and the empty support always participates.  Ties
+    prefer the lexicographically smallest support.  Only the winner gets
+    Fractions: its value, its lambda, and its block coefficients, rebuilt
+    by per-block least squares at that lambda from the blocks' columns and b.
     """
-    pool = {tuple(sorted(chi)) for chi in candidates}
-    pool.add(())
-    if any(len(chi) > rp.sigma_p for chi in pool):
+    if any(len(chi) > rp.sigma_p for chi in candidates):
         raise ValueError("candidate support exceeds the subproblem budget")
-    chi = ()
-    num, den = _candidate_value(ctx, chi)
-    for other in pool:
-        n, d = _candidate_value(ctx, other)
+    chi, row = (), ctx.empty
+    num, den = _candidate_value(ctx, chi, row)
+    for other, other_row in candidates.items():
+        n, d = _candidate_value(ctx, other, other_row)
         lhs, rhs = n * den, num * d
         if lhs < rhs or (lhs == rhs and other < chi):
-            chi, num, den = other, n, d
+            chi, row, num, den = other, other_row, n, d
     value = Fraction(num, den)
-    best_lam = quadratic_minimizer(_candidate_row(ctx, chi), rp.k_prime)
+    best_lam = quadratic_minimizer(row, rp.k_prime)
 
     offsets = ctx.offsets
     x = [Fraction(0)] * rp.n_total
@@ -431,7 +446,7 @@ def finish(
 # --- diagonal specialization ------------------------------------------------
 
 
-def solve_diagonal(ctx: _Context, top: int) -> CandidateSet:
+def solve_diagonal(ctx: _Context, top: int) -> CandidateRows:
     """Top sets of the hittable coordinates over the regions of lambda space.
 
     With all blocks 1x1, at any lambda the optimal support is the top
@@ -440,12 +455,19 @@ def solve_diagonal(ctx: _Context, top: int) -> CandidateSet:
     rank by |b'(lambda)|^2, descending, index ascending, and a top set holds
     the first min(top, hittable) of them, one per region.  At top 0, or at
     a top that takes every hittable coordinate, that set is the same in
-    every region, so nothing is walked; otherwise see _walk_top_sets.
+    every region, so nothing is walked; otherwise see _walk_top_sets.  Each
+    set comes with its row, the empty row plus its coordinates' changes.
     """
     hittable = [i for i, blk in enumerate(ctx.base.blocks) if blk.at(0, 0) != 0]
     if top == 0 or top >= len(hittable):
-        return {tuple(hittable[:top])}
-    return _walk_top_sets(ctx, hittable, top)
+        top_sets = {tuple(hittable[:top])}
+    else:
+        top_sets = _walk_top_sets(ctx, hittable, top)
+    changes = [tuple(map(operator.sub, row_of[(0,)], row_of[()])) for row_of in ctx.row_of]
+    return {
+        chi: tuple(map(sum, zip(ctx.empty, *(changes[i] for i in chi))))
+        for chi in top_sets
+    }
 
 
 def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet:
@@ -711,7 +733,7 @@ def _chain_steps(
 
 def _extended_candidates(
     ctx: _Context, level: int, max_cells: int
-) -> tuple[CandidateSet, int]:
+) -> tuple[CandidateRows, int]:
     """Candidates and chain-region count from the extended-space regions.
 
     In each support region the winning supports fix an integer row per
@@ -721,19 +743,20 @@ def _extended_candidates(
     children are the targets whose totals are strictly smallest somewhere
     in the region.  The leaves fill the support region up to finitely many
     hyperplanes, the chain's outcome is constant on each, and each
-    contributes its support.  Leaves count against max_cells.
+    contributes its support with the chain's total row.  Leaves count
+    against max_cells.
     """
     structure = ctx.base.structure()
     regions = 0
-    candidates: CandidateSet = set()
+    candidates: CandidateRows = {}
     for root, start, selections in _support_regions(ctx, max_cells):
         slots = [
             [ctx.row_of[i][sup] for sup in per_size]
             for i, per_size in enumerate(selections)
         ]
-        stack = [(root, start, (0,) * len(slots))]
+        stack = [(root, start, (0,) * len(slots), ctx.empty)]
         while stack:
-            region, witness, alloc = stack.pop()
+            region, witness, alloc, total = stack.pop()
             if sum(alloc) == level:
                 regions += 1
                 if regions > max_cells:
@@ -744,14 +767,39 @@ def _extended_candidates(
                 chi: list[int] = []
                 for i, j in enumerate(alloc):
                     chi.extend(ctx.offsets[i] + c for c in selections[i][j])
-                candidates.add(tuple(sorted(chi)))
+                candidates[tuple(chi)] = total
                 continue
             steps = _chain_steps(structure, slots, alloc)
+            totals = dict(steps)
             stack.extend(
-                (child, point, target)
+                (child, point, target, totals[target])
                 for target, child, point in argmin_regions(steps, region, witness)
             )
     return candidates, regions
+
+
+def _dp_candidate(ctx: _Context, level: int) -> CandidateRows:
+    """The one optimum of a subproblem without free parameters, with its row.
+
+    Every row is a constant, so each slot has one smallest (value, support)
+    and an integer DP over (block, columns used) combines them.  It runs
+    from the last block backwards: best[c] is the smallest (value, support)
+    of the later blocks within c columns, their shifted supports
+    concatenated, so ties go to the smallest sorted support, as in finish().
+    """
+    best = [(0, ())] * (level + 1)
+    for i in reversed(range(len(ctx.rows))):
+        picks = [
+            min((row[0], tuple(ctx.offsets[i] + c for c in sup)) for sup, row in slot)
+            for slot in ctx.rows[i]
+        ]
+        best = [
+            min((v + best[c - j][0], sup + best[c - j][1])
+                for j, (v, sup) in enumerate(picks[: c + 1]))
+            for c in range(level + 1)
+        ]
+    value, chi = best[level]
+    return {chi: (value,)}
 
 
 def _describe(rp: ReducedProblem) -> str:
@@ -766,25 +814,26 @@ def route(rp: ReducedProblem) -> str:
     This is the one statement of which generator fits which subproblem;
     the generators themselves do not check it.  Past two free parameters
     it is extended; otherwise a subproblem whose blocks are all 1x1 takes
-    the diagonal top sets and every other one takes cover.
+    the diagonal top sets, any other without parameters dp, and the rest cover.
     """
     if rp.k_prime > 2:
         return "extended"
-    unit = all(blk.rows == 1 and blk.cols == 1 for blk in rp.blocks)
-    return "diagonal" if unit else "cover"
+    if all(blk.rows == 1 and blk.cols == 1 for blk in rp.blocks):
+        return "diagonal"
+    return "dp" if rp.k_prime == 0 else "cover"
 
 
 def solve_block(
     rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
-) -> tuple[CandidateSet, RpSolution, int]:
-    """Candidates, optimum and region count of one reduced subproblem.
+) -> tuple[KeysView[tuple[int, ...]], RpSolution, int]:
+    """Candidate supports, optimum and region count of one reduced subproblem.
 
     The generator route() picks reads the budget-stripped context up to
     level min(sigma', n), and finish() scores its candidates.  The regions
     are the distinct top sets on the diagonal path, so one candidate per
-    region; the witnesses on cover, one per distinct sign condition of the
-    comparison surfaces; and the chain regions (the leaves of the chain
-    tree, summed over the support regions) on extended.
+    region; 1 on dp; the witnesses on cover, one per distinct sign
+    condition of the comparison surfaces; and the chain regions (the leaves
+    of the chain tree, summed over the support regions) on extended.
     """
     path = route(rp)
     ctx = _context(_strip_budget(rp))
@@ -792,12 +841,14 @@ def solve_block(
     if path == "diagonal":
         candidates = solve_diagonal(ctx, level)
         regions = len(candidates)
+    elif path == "dp":
+        candidates, regions = _dp_candidate(ctx, level), 1
     elif path == "cover":
         candidates = _cover_pool(ctx, level)
         regions = ctx.witness_count
     else:
         candidates, regions = _extended_candidates(ctx, level, max_cells)
-    return candidates, finish(candidates, rp, ctx), regions
+    return candidates.keys(), finish(candidates, rp, ctx), regions
 
 
 def _lift(instance: Instance, rp: ReducedProblem, sol: RpSolution) -> Solution:

@@ -6,6 +6,10 @@ rationals; the library now runs one integer pseudo-division for all
 three.  AlgebraicNumber kept its isolating intervals with Fraction ends
 and bisected them at Fraction midpoints; the library's roots carry
 dyadic brackets in integers.  Tests compare the library against these.
+
+integer_squarefree is the library's former integer squarefree step: a gcd
+with the derivative, then one pseudo-division.  The library now reads the
+gcd off the last member of the Sturm chain it builds anyway.
 """
 
 from __future__ import annotations
@@ -83,6 +87,20 @@ def ipoly_squarefree(p: IPoly) -> IPoly:
     if any(rem):
         raise InvariantError("gcd must divide the polynomial")
     return ipoly_primitive(_frac_polys_to_int(quo))
+
+
+def integer_squarefree(p: IPoly) -> IPoly:
+    """The squarefree part p / gcd(p, p'), primitive with positive lead."""
+    p = ipoly_primitive(ipoly_normalize(p))
+    if len(p) <= 1:
+        return p
+    g = roots.ipoly_gcd(p, ipoly_derivative(p))
+    if len(g) <= 1:
+        return p
+    quo, rem = roots._pseudo_divmod(p, g)
+    if rem:
+        raise InvariantError("gcd must divide the polynomial")
+    return ipoly_primitive(quo)
 
 
 def _sturm_chain(p: IPoly) -> list[IPoly]:

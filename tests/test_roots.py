@@ -11,7 +11,6 @@ import reference_roots
 from blocksel.model import InvariantError
 from blocksel.roots import (
     AlgebraicNumber,
-    ipoly_squarefree,
     ipoly_eval_sign,
     isolate_real_roots,
     sort_unique_roots,
@@ -25,10 +24,11 @@ small_fracs = st.fractions(
 
 
 def test_squarefree_part_refuses_a_gcd_that_does_not_divide(monkeypatch):
-    # x^2 + 1 is not divisible by a claimed gcd x + 1.
-    monkeypatch.setattr(roots_module, "ipoly_gcd", lambda p, q: (1, 1))
+    # x^3 + x is not divisible by a claimed gcd x + 1, the last member of
+    # a Sturm chain that is not its own.
+    monkeypatch.setattr(roots_module, "_sturm_chain", lambda p: [p, (1, 1)])
     with pytest.raises(InvariantError, match="gcd must divide"):
-        ipoly_squarefree((1, 0, 1))
+        isolate_real_roots((0, 1, 0, 1))
 
 
 def test_isolate_sqrt_two():
@@ -202,7 +202,7 @@ def test_integer_remainders_match_the_fraction_euclid(monkeypatch):
         gcd = roots_module.ipoly_gcd(p, q)
         assert gcd == reference_roots.ipoly_gcd(p, q)
         assert len(gcd) >= len(common)
-        part = ipoly_squarefree(p)
+        part = reference_roots.integer_squarefree(p)
         assert part == reference_roots.ipoly_squarefree(p)
         chain = roots_module._sturm_chain(part)
         reference_chain = reference_roots._sturm_chain(part)
@@ -215,9 +215,30 @@ def test_integer_remainders_match_the_fraction_euclid(monkeypatch):
         got = [(r.value, r.poly, r.lo, r.hi) for r in isolate_real_roots(p)]
         with monkeypatch.context() as patch:
             patch.setattr(roots_module, "_sturm_chain", reference_roots._sturm_chain)
-            patch.setattr(roots_module, "ipoly_squarefree", reference_roots.ipoly_squarefree)
             expected = [(r.value, r.poly, r.lo, r.hi) for r in isolate_real_roots(p)]
         assert got == expected
+
+
+def test_the_chain_gcd_divides_out_repeated_factors_as_the_gcd_step_did():
+    # isolate_real_roots reads gcd(p, p') off the last member of p's Sturm
+    # chain.  On polynomials of degree <= 7, some with planted repeated
+    # factors, its roots and brackets equal those of the squarefree part
+    # found by a separate gcd with the derivative.
+    rng = random.Random(67)
+    repeated = 0
+    for trial in range(400):
+        p, degree = (rng.choice((-2, -1, 1, 3)),), rng.randint(1, 7)
+        while len(p) - 1 < degree:
+            factor = (*(rng.randint(-3, 3) for _ in range(rng.randint(1, 2))), rng.randint(1, 2))
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                if len(p) + len(factor) - 2 <= degree:
+                    p = _pmul(p, factor)
+        part = reference_roots.integer_squarefree(p)
+        repeated += len(part) < len(p) and len(p) >= 4
+        got = [(r.poly, r.lo, r.hi, r.k, r.rising) for r in isolate_real_roots(p)]
+        expected = [(r.poly, r.lo, r.hi, r.k, r.rising) for r in isolate_real_roots(part)]
+        assert got == expected
+    assert repeated >= 100
 
 
 def _planted(*factors):

@@ -50,6 +50,25 @@ def ctx_of(rp):
     return solver._context(solver._strip_budget(rp))
 
 
+def candidate_row(ctx, chi):
+    """One candidate's residual row: the integer sum of its blocks' rows.
+
+    The support is split by the column offsets; the generators instead
+    carry each candidate's row as they build it.
+    """
+    offsets = ctx.offsets
+    rows = [
+        row_of[tuple(c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1])]
+        for i, row_of in enumerate(ctx.row_of)
+    ]
+    return tuple(map(sum, zip(*rows)))
+
+
+def with_rows(ctx, supports):
+    """The candidates mapping finish() takes: each support with its row."""
+    return {chi: candidate_row(ctx, chi) for chi in supports}
+
+
 def rp_oracle(rp):
     """Minimum over all feasible supports, with the free columns always in."""
     m = len(rp.b)
@@ -129,14 +148,15 @@ def test_solve_rejects_invalid_instances():
 
 def test_finish_empty_support_only():
     rp = rp_1x1((1, 1), (3, 4))
-    sol = finish(set(), rp, ctx_of(rp))
+    sol = finish({}, rp, ctx_of(rp))
     assert sol.objective == 25
     assert sol.support == ()
 
 
 def test_finish_drops_the_larger_residual():
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
-    sol = finish({(0,), (1,)}, rp, ctx_of(rp))
+    ctx = ctx_of(rp)
+    sol = finish(with_rows(ctx, [(0,), (1,)]), rp, ctx)
     assert sol.objective == 9
     assert sol.support == (1,)
     assert sol.x == (0, 4)
@@ -144,7 +164,8 @@ def test_finish_drops_the_larger_residual():
 
 def test_finish_joint_block_and_free_solve():
     rp = rp_1x1((1, 1), (2, 1), lambda_cols=[(1, 1)], tags=(0,), sigma_p=1)
-    sol = finish({(0,)}, rp, ctx_of(rp))
+    ctx = ctx_of(rp)
+    sol = finish(with_rows(ctx, [(0,)]), rp, ctx)
     assert sol.objective == 0
     assert sol.x == (1, 0)
     assert sol.lam == (1,)
@@ -153,7 +174,8 @@ def test_finish_joint_block_and_free_solve():
 def test_finish_rejects_oversized_candidates():
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
     with pytest.raises(ValueError):
-        finish({(0, 1)}, rp, ctx_of(rp))
+        ctx = ctx_of(rp)
+        finish(with_rows(ctx, [(0, 1)]), rp, ctx)
 
 
 def test_diagonal_breakpoint_example():
@@ -371,7 +393,9 @@ def test_solve_detailed_report_shape():
     assert [entry["coupling"] for entry in report] == [[], [0]]
     assert all(entry["intercept"] for entry in report)
     assert [entry["budget"] for entry in report] == [2, 1]
-    assert all(entry["path"] in ("diagonal", "cover", "extended") for entry in report)
+    # The intercept leaves one free parameter on the first subproblem, so
+    # neither takes dp.
+    assert [entry["path"] for entry in report] == ["cover", "cover"]
     assert all(entry["regions"] >= 1 for entry in report)
     assert all(entry["candidates"] >= 1 for entry in report)
     assert min(entry["objective"] for entry in report) == sol.objective
@@ -380,8 +404,9 @@ def test_solve_detailed_report_shape():
 
 def test_route_states_each_generators_precondition():
     # The generators do not check their own shape or parameter count, so
-    # route() must send diagonal only all-1x1 blocks at k' <= 2, cover every
-    # other shape at k' <= 2, and everything past two parameters to extended.
+    # route() must send diagonal only all-1x1 blocks at k' <= 2, dp every
+    # other shape without parameters, cover every other shape at k' = 1 and
+    # 2, and everything past two parameters to extended.
     def rp_of(shapes, k):
         m = sum(rows for rows, _ in shapes)
         return ReducedProblem(
@@ -394,8 +419,9 @@ def test_route_states_each_generators_precondition():
 
     for k in (0, 1, 2):
         assert solver.route(rp_of([(1, 1)] * 3, k)) == "diagonal"
-        assert solver.route(rp_of([(1, 1), (2, 1)], k)) == "cover"
-        assert solver.route(rp_of([(1, 2)], k)) == "cover"
+        expected = "dp" if k == 0 else "cover"
+        assert solver.route(rp_of([(1, 1), (2, 1)], k)) == expected
+        assert solver.route(rp_of([(1, 2)], k)) == expected
     assert solver.route(rp_of([(1, 1)] * 3, 3)) == "extended"
     assert solver.route(rp_of([(1, 1), (2, 2), (1, 2)], 3)) == "extended"
 
@@ -516,7 +542,7 @@ def test_edge_rankings_match_rankings_at_cover_witnesses():
         ctx = solver._context(rp)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in expected}
-            assert solver.solve_diagonal(ctx, top) == tops
+            assert solver.solve_diagonal(ctx, top).keys() == tops
 
 
 def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
@@ -554,7 +580,7 @@ def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
         rankings = reference_diagonal.diag_rankings(ctx)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
-            assert solver.solve_diagonal(ctx, top) == tops
+            assert solver.solve_diagonal(ctx, top).keys() == tops
 
 
 def test_top_sets_without_a_walk_equal_the_walk():
@@ -574,7 +600,7 @@ def test_top_sets_without_a_walk_equal_the_walk():
         hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
         for top in range(h + 2):
             walked = solver._walk_top_sets(ctx, hittable, top)
-            assert solver.solve_diagonal(ctx, top) == walked
+            assert solver.solve_diagonal(ctx, top).keys() == walked
             if top == 0 or top >= len(hittable):
                 assert walked == {tuple(hittable[:top])}
 
@@ -629,7 +655,7 @@ def test_level_walk_equals_the_reference_rankings_on_forced_ties():
         rankings = reference_diagonal.diag_rankings(ctx)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
-            assert solver.solve_diagonal(ctx, top) == tops
+            assert solver.solve_diagonal(ctx, top).keys() == tops
     assert two_classes >= 60
 
 
@@ -646,7 +672,7 @@ def test_one_set_read_is_taken_off_every_crossing():
     rankings = reference_diagonal.diag_rankings(ctx)
     tops = {tuple(sorted(ranking[:4])) for ranking in rankings}
     assert tops == {(1, 3, 4, 5)}
-    assert solver.solve_diagonal(ctx, 4) == tops
+    assert solver.solve_diagonal(ctx, 4).keys() == tops
 
 
 # Count bounds, one small seeded rung per path: a count over its bound
@@ -856,6 +882,106 @@ def test_cover_pool_equals_filtered_reference_pool(forced):
             assert candidates == {chi for chi in reference if len(chi) <= limit}
 
 
+def forced_ties(rng, k, spread=1):
+    """Blocks, b and k lambda columns whose supports often tie.
+
+    Entries are integers from -spread to spread.  Blocks are drawn with
+    repetition from two templates of two columns, each with its own pieces
+    of b and of the lambda columns, so identical blocks recur.  The first
+    template is 2x2; the second one's second column repeats its first or is
+    zero.
+    """
+    templates = []
+    for rows, tie in ((2, False), (rng.randint(1, 2), True)):
+        columns = [[rng.randint(-spread, spread) for _ in range(rows)] for _ in range(2)]
+        if tie:
+            columns[1] = rng.choice((columns[0], [0] * rows))
+        pieces = [[rng.randint(-spread, spread) for _ in range(rows)] for _ in range(k + 1)]
+        templates.append(([list(row) for row in zip(*columns)], pieces))
+    chosen = [rng.choice(templates) for _ in range(rng.randint(2, 4))]
+    blocks = [blk for blk, _ in chosen]
+    b = [v for _, pieces in chosen for v in pieces[0]]
+    cols = [[v for _, pieces in chosen for v in pieces[1 + l]] for l in range(k)]
+    return blocks, b, cols
+
+
+def forced_ties_rp(blocks, b, cols, sigma_p=0):
+    return ReducedProblem(
+        blocks=tuple(Instance.build(blocks).blocks),
+        b=tuple(Fraction(v) for v in b),
+        lambda_cols=tuple(tuple(Fraction(v) for v in col) for col in cols),
+        tags=tuple(range(len(cols))),
+        sigma_p=sigma_p,
+    )
+
+
+def test_cover_walk_takes_each_union_once_with_its_row():
+    # The walk branches only over the distinct winners of the profiles still
+    # consistent with its prefix, so no union is reached twice, and each
+    # carries the sum of its blocks' rows.  Spread 1 ties most rows; spread
+    # 3 keeps the repeated and zero columns and the identical blocks but
+    # gives several argmin profiles.
+    rng = random.Random(2020)
+    tied = several_profiles = 0
+    for trial in range(48):
+        spread = 1 if trial % 4 < 2 else 3
+        base = forced_ties_rp(*forced_ties(rng, 1 + trial % 2, spread))
+        ctx = ctx_of(base)
+        profiles = solver._cover_profiles(ctx)
+        reference = reference_cover._cover_pool(base)
+        for limit in range(base.n_total + 1):
+            walked = list(solver._cover_walk(ctx, profiles, limit))
+            supports = [chi for chi, _ in walked]
+            assert len(supports) == len(set(supports))
+            assert set(supports) == {chi for chi in reference if len(chi) <= limit}
+            for chi, row in walked:
+                assert row == candidate_row(ctx, chi)
+        several_profiles += len(profiles) > 1
+        tied += any(
+            len({row for _, row in slot}) < len(slot)
+            for per_size in ctx.rows
+            for slot in per_size
+        )
+    assert tied >= 20 and several_profiles >= 20
+
+
+def test_dp_matches_brute_force_and_forced_cover_on_ties(forced):
+    # Without free parameters dp returns one candidate, the optimum with
+    # the smallest support among ties, as finish() picks it from the pool.
+    rng = random.Random(2021)
+    for trial in range(30):
+        blocks, b, _ = forced_ties(rng, 0)
+        base = forced_ties_rp(blocks, b, ())
+        for sigma_p in range(base.n_total + 2):
+            rp = replace(base, sigma_p=sigma_p)
+            assert solver.route(rp) == "dp"
+            candidates, sol, regions = solve_block(rp)
+            assert (len(candidates), regions) == (1, 1)
+            with forced("cover"):
+                _, cover_sol, _ = solve_block(rp)
+            assert sol == cover_sol
+            assert sol.objective == rp_oracle(rp)
+            if sigma_p <= base.n_total:
+                brute = brute_force(Instance.build(blocks, b=b, sigma=sigma_p))
+                assert (brute.objective, brute.support) == (sol.objective, sol.support)
+
+
+def test_dp_solves_the_refused_cover_rung_with_one_candidate():
+    # 24 blocks of up to 2x2 at sigma 7 without free parameters: the cover
+    # pool's allocations are over MAX_PROFILE_UNIONS for its one profile.
+    inst = generate_instance(
+        blocks=24, block_rows=2, block_cols=2, coupling=0, intercept=False,
+        sigma=7, seed=5, spread=3,
+    )
+    (rp,) = reduce(inst)
+    widths = [blk.cols for blk in rp.blocks]
+    assert solver._allocation_count(widths, 7) > solver.MAX_PROFILE_UNIONS
+    candidates, sol, regions = solve_block(rp)
+    assert (solver.route(rp), len(candidates), regions) == ("dp", 1, 1)
+    # fixed_lambda_opt reads the per-block tables into reference_separable.dp_solve.
+    assert sol.objective == fixed_lambda_opt(rp, ())[0]
+
+
 def random_extended_rp(rng, k, spread, shapes=None):
     """A subproblem with k free parameters and blocks of the given shapes.
 
@@ -899,7 +1025,7 @@ def test_extended_candidates_equal_the_refined_cell_reference():
                 continue
             level = min(sigma_p, rp.n_total)
             got, regions = solver._extended_candidates(ctx_of(rp), level, solver.DEFAULT_MAX_CELLS)
-            assert got == want
+            assert got.keys() == want
             assert regions >= len(got)
             compared.add((k, spread, min(sigma_p, 2)))
     # Every parameter count, with and without ties, at sigma' 0, 1 and >= 2.
@@ -932,7 +1058,7 @@ def test_three_column_blocks_match_the_reference_and_brute_force():
                     continue
                 level = min(sigma_p, rp.n_total)
                 got, _ = solver._extended_candidates(ctx_of(rp), level, solver.DEFAULT_MAX_CELLS)
-                assert got == want
+                assert got.keys() == want
                 compared = True
             if compared:
                 break
@@ -1116,7 +1242,7 @@ def test_finish_breaks_ties_like_the_fraction_reference():
         ]
         scored = {chi: reference(chi) for chi in pool}
         best = min(pool, key=lambda chi: (scored[chi][0], chi))
-        sol = finish(reversed(pool), rp, ctx)
+        sol = finish(with_rows(ctx, reversed(pool)), rp, ctx)
         assert (sol.support, sol.objective, sol.lam) == (best, *scored[best])
         if sum(value == scored[best][0] for value, _ in scored.values()) > 1:
             tied += 1
@@ -1130,8 +1256,9 @@ def test_finish_raises_invariant_error_on_residual_mismatch(monkeypatch):
 
     monkeypatch.setattr(solver, "least_squares", off_by_one)
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
+    ctx = ctx_of(rp)
     with pytest.raises(InvariantError, match="rebuilt residual"):
-        finish({(0,), (1,)}, rp, ctx_of(rp))
+        finish(with_rows(ctx, [(0,), (1,)]), rp, ctx)
 
 
 def test_lift_raises_invariant_error_on_residual_mismatch(monkeypatch):
