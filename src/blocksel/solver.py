@@ -24,9 +24,9 @@ coefficients (linalg.least_squares).
 
 solve_block() is the one pipeline of a subproblem: route() picks one of
 four candidate generators from the subproblem's structure alone, the
-generator reads the budget-stripped context up to the level
-min(sigma', n), and finish() scores what it returns.  The generators
-trust route() and do not check its rule themselves:
+generator reads the subproblem's context up to the level min(sigma', n),
+and finish() scores what it returns.  The generators trust route() and
+do not check its rule themselves:
 
 * diagonal (solve_diagonal): all blocks 1x1 and at most two free
   parameters.  The optimal support is the top sigma' coordinates by
@@ -37,11 +37,14 @@ trust route() and do not check its rule themselves:
   coordinate with it, and a set is recorded only where the sigma'-level
   cuts the class.
 * dp (_dp_candidate): every other subproblem without free parameters,
-  solved by an integer DP over (block, columns used).
+  solved by an integer DP over (block, columns used), whose one table
+  holds every level's optimum.
 * cover (_cover_pool): every other subproblem with one or two free
   parameters.  Argmin profiles are read at the witnesses of one conic
-  cover of the plane; the allocation work is bounded by
-  MAX_PROFILE_UNIONS.
+  cover of the plane.  The pool of unions of their winners grows by
+  support size, each union scored once when it is built, and keeps the
+  best support over each size and below, which it hands to finish(); the
+  allocation work is bounded by MAX_PROFILE_UNIONS.
 * extended (_extended_candidates): three or more free parameters.  The
   comparisons are linear over the coordinates (lambda, pairwise products
   of lambda), and the space is split exactly into support regions, where
@@ -58,10 +61,15 @@ trust route() and do not check its rule themselves:
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
 
-Everything that does not depend on sigma' (residual rows, argmin
-profiles, candidate values) lives in one context per subproblem, held in
-a cache of MAX_CONTEXTS entries so that a sigma sweep over the same data
-reuses it.
+Everything that does not depend on sigma' lives in one context per
+subproblem, held in a cache of MAX_CONTEXTS entries keyed on the
+subproblem's data as integers, so that a sigma sweep over the same data
+reuses it.  Per level a context keeps: on cover, the supports of that
+size and the best support up to it (rows and profile masks only for the
+theta largest sizes built, which the next size extends); on dp, the
+optimum within that many columns.  A level at or below the largest one
+built is a lookup.  On every path the context also keeps each rebuilt
+winner by support.
 """
 
 from __future__ import annotations
@@ -69,10 +77,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import KeysView, Sequence
+from typing import AbstractSet, Sequence
 
 from .arrangement import argmin_regions
 from .cover import conic_cover_points, primitive
@@ -155,15 +163,9 @@ def reduce(instance: Instance) -> list[ReducedProblem]:
 
 # --- per-subproblem context -------------------------------------------------
 #
-# Everything below is keyed on the subproblem with its budget stripped, so a
-# sigma sweep over the same data reuses witnesses, argmin profiles, and
-# candidate values.  One bounded cache holds a context per subproblem; each
-# lookup hashes the subproblem once, and every helper then works on the
-# context's own tables.
-
-
-def _strip_budget(rp: ReducedProblem) -> ReducedProblem:
-    return replace(rp, sigma_p=0)
+# One bounded cache holds a context per subproblem's data, whatever its
+# budget; each lookup builds one key of integers, and every helper then
+# works on the context's own tables.
 
 
 def _col_offsets(blocks: Sequence) -> tuple[int, ...]:
@@ -187,15 +189,40 @@ def _row_pieces(base: ReducedProblem):
 
 
 @dataclass
+class _Pool:
+    """The cover pool of one context, grown by support size.
+
+    supports[s] lists the supports of size s, and best[s] is the smallest
+    (num, den, support, row) over the supports of size at most s, in
+    finish()'s order.  frontier holds the nodes (next block, support, row,
+    profile mask) of the theta largest sizes built that have a later
+    block, the only ones an extension reads.  branches[i][j - 1] lists
+    (shifted winner, row change, profile mask) per distinct winner of
+    block i at size j, and allocations[s] counts the cardinality
+    allocations of at most s columns.
+    """
+
+    witnesses: int
+    profiles: int
+    allocations: tuple[int, ...]
+    branches: list
+    supports: list = field(default_factory=list)
+    best: list = field(default_factory=list)
+    frontier: list = field(default_factory=list)
+
+
+@dataclass
 class _Context:
     """Sigma-independent data of one subproblem, shared by every budget.
 
-    The residual rows and the column offsets are built up front; the cover
-    profiles are filled in by the first cover solve, and candidate values
-    as candidates get scored.  Entry rows[i][j] lists (support, row) for
-    block i, size j, row_of[i] maps each support of block i to its row, and
-    empty is the empty support's row.  Every row shares the positive scale:
-    a support's residual at lam is row . (1, lam, lam_i lam_j) / scale.
+    The residual rows and the column offsets are built up front.  The
+    cover pool and the DP table are filled in by the first solve on their
+    path and extended by later ones; values caches the minima finish()
+    scores, and solutions each rebuilt winner by support.  Entry
+    rows[i][j] lists (support, row) for block i, size j, row_of[i] maps
+    each support of block i to its row, and empty is the empty support's
+    row.  Every row shares the positive scale: a support's residual at
+    lam is row . (1, lam, lam_i lam_j) / scale.
     """
 
     base: ReducedProblem
@@ -206,13 +233,35 @@ class _Context:
     offsets: tuple[int, ...]
     empty: tuple[int, ...]
     values: dict = field(default_factory=dict)
-    witness_count: int = 0
-    profiles: tuple | None = None
+    solutions: dict = field(default_factory=dict)
+    pool: _Pool | None = None
+    dp: list | None = None
 
 
-@lru_cache(maxsize=MAX_CONTEXTS)
-def _context(base: ReducedProblem) -> _Context:
-    """The context of a budget-stripped subproblem, built on first use.
+_CONTEXTS: OrderedDict[tuple, _Context] = OrderedDict()
+
+
+def _context(rp: ReducedProblem) -> _Context:
+    """The context of a subproblem's data, whatever its budget.
+
+    The key is the data as integer pairs: the blocks' widths and entries,
+    b and the lambda columns.  A hit moves to the end of the cache; past
+    MAX_CONTEXTS entries the least recently used one is dropped.
+    """
+    key = (
+        tuple((blk.cols, *(v.as_integer_ratio() for v in blk.entries)) for blk in rp.blocks),
+        tuple(v.as_integer_ratio() for v in rp.b),
+        tuple(tuple(v.as_integer_ratio() for v in col) for col in rp.lambda_cols),
+    )
+    ctx = _CONTEXTS.pop(key, None) or _new_context(replace(rp, sigma_p=0))
+    _CONTEXTS[key] = ctx
+    if len(_CONTEXTS) > MAX_CONTEXTS:
+        _CONTEXTS.popitem(last=False)
+    return ctx
+
+
+def _new_context(base: ReducedProblem) -> _Context:
+    """The context of a budget-stripped subproblem.
 
     Each support's (row, scale) comes from residual_quadratic; the rows are
     brought to the lcm of the scales and divided by the gcd of that common
@@ -306,59 +355,28 @@ def _argmins_at(rows, witness: Sequence[Fraction]) -> tuple:
     )
 
 
-def _cover_profiles(ctx: _Context) -> tuple:
-    """Distinct argmin profiles over the cover witnesses, computed once.
-
-    A sign condition of the differences fixes every slot's winner, so each
-    profile is read at one witness per sign condition; witness_count
-    records how many distinct sign conditions that is.
-    """
-    if ctx.profiles is None:
-        witnesses = _cover_witnesses(ctx.rows, ctx.base.k_prime)
-        ctx.profiles = tuple({_argmins_at(ctx.rows, w) for w in witnesses})
-        ctx.witness_count = len(witnesses)
-    return ctx.profiles
-
-
-def _allocation_count(widths: Sequence[int], limit: int) -> int:
-    """Cardinality allocations (j_i <= widths[i]) with sum at most limit."""
-    counts = [1] + [0] * limit  # counts[s]: partial allocations summing to s
+def _allocation_counts(widths: Sequence[int]) -> tuple[int, ...]:
+    """Cardinality allocations (j_i <= widths[i]) of at most s columns, per s."""
+    counts = [1] + [0] * sum(widths)  # counts[s]: partial allocations summing to s
     for width in widths:
         counts = [
             sum(counts[s - j] for j in range(min(width, s) + 1))
-            for s in range(limit + 1)
+            for s in range(len(counts))
         ]
-    return sum(counts)
+    return tuple(itertools.accumulate(counts))
 
 
-def _cover_pool(ctx: _Context, limit: int) -> CandidateRows:
-    """Union supports of every in-budget allocation under every argmin profile.
+def _new_pool(ctx: _Context) -> _Pool:
+    """The cover pool's tables, before any size is built.
 
-    A profile fixes one winner per (block, cardinality) slot; every
-    allocation of at most limit columns contributes the union of its
-    blocks' winners, taken once by _cover_walk.
+    A sign condition of the differences fixes every slot's winner, so the
+    distinct argmin profiles are read at the cover witnesses, one per sign
+    condition.  The branches of block i at size j are the distinct winners
+    of that slot over the profiles, each with the mask of the profiles it
+    wins in and its row less the block's empty row.
     """
-    profiles = _cover_profiles(ctx)
-    allocations = _allocation_count([blk.cols for blk in ctx.base.blocks], limit)
-    if allocations * max(len(profiles), 1) > MAX_PROFILE_UNIONS:
-        raise BudgetExceededError(
-            f"profile union enumeration needs {allocations} allocations of at "
-            f"most {limit} columns for each of {len(profiles)} argmin tables"
-        )
-    return dict(_cover_walk(ctx, profiles, limit))
-
-
-def _cover_walk(ctx: _Context, profiles: Sequence, limit: int):
-    """Yield each distinct in-budget union of winners once, with its row.
-
-    The walk chooses the blocks with a nonzero cardinality in increasing
-    order, so unions come out sorted, and carries the profiles consistent
-    with its choices as a bitmask: at each slot it branches once per
-    distinct winner among them.  A union's row is the empty support's row
-    plus, per chosen block, its winner's row less the block's empty row.
-    """
-    # branches[i][j - 1]: (shifted winner, row change, profile mask) per
-    # distinct winner of block i at size j.
+    witnesses = _cover_witnesses(ctx.rows, ctx.base.k_prime)
+    profiles = tuple({_argmins_at(ctx.rows, w) for w in witnesses})
     branches = []
     for i, (offset, row_of) in enumerate(zip(ctx.offsets, ctx.row_of)):
         per_size, empty = [], row_of[()]
@@ -372,16 +390,70 @@ def _cover_walk(ctx: _Context, profiles: Sequence, limit: int):
                 winners.append((tuple(offset + c for c in sup), change, mask))
             per_size.append(winners)
         branches.append(per_size)
-    stack = [(0, limit, (), ctx.empty, (1 << len(profiles)) - 1)]
-    while stack:
-        start, room, prefix, row, mask = stack.pop()
-        yield prefix, row
-        for i in range(start, len(branches)):
-            for j, winners in enumerate(branches[i][:room], 1):
-                for sup, change, bits in winners:
-                    if mask & bits:
-                        total = tuple(map(operator.add, row, change))
-                        stack.append((i + 1, room - j, prefix + sup, total, mask & bits))
+    widths = [blk.cols for blk in ctx.base.blocks]
+    return _Pool(len(witnesses), len(profiles), _allocation_counts(widths), branches)
+
+
+def _cover_pool(
+    ctx: _Context, limit: int
+) -> tuple[AbstractSet[tuple[int, ...]], CandidateRows]:
+    """The union supports of at most limit columns, and the best of them.
+
+    A profile fixes one winner per (block, cardinality) slot; every
+    allocation of at most limit columns contributes the union of its
+    blocks' winners.  The pool is grown to limit by _grow_pool, so a lower
+    limit is a lookup.  Returns a copy of the supports, which later growth
+    leaves unchanged, and the best one with its row; its minimum goes to
+    the context's values, where finish() reads it.
+    """
+    pool = ctx.pool
+    if pool is None:
+        pool = ctx.pool = _new_pool(ctx)
+    allocations = pool.allocations[limit]
+    if allocations * pool.profiles > MAX_PROFILE_UNIONS:
+        raise BudgetExceededError(
+            f"profile union enumeration needs {allocations} allocations of at "
+            f"most {limit} columns for each of {pool.profiles} argmin tables"
+        )
+    _grow_pool(ctx, pool, limit)
+    num, den, chi, row = pool.best[limit]
+    ctx.values[chi] = (num, den)
+    supports = frozenset(itertools.chain.from_iterable(pool.supports[: limit + 1]))
+    return supports, {chi: row}
+
+
+def _grow_pool(ctx: _Context, pool: _Pool, limit: int) -> None:
+    """Build the pool's sizes past the largest built, up to limit.
+
+    The one node of size 0 is the empty support under every profile.  A
+    node of size s is a node of size s - j followed by a winner of size j
+    of a later block whose profile mask meets the node's, so blocks come
+    in increasing order, supports come out sorted, each distinct union is
+    built once, and its row is its parent's plus the winner's row change.
+    Each node is scored by quadratic_minimum once, when it is built.
+    """
+    k, scale, h = ctx.base.k_prime, ctx.scale, len(pool.branches)
+    theta = max(blk.cols for blk in ctx.base.blocks)
+    for size in range(len(pool.best), limit + 1):
+        nodes = [] if size else [(0, (), ctx.empty, (1 << pool.profiles) - 1)]
+        for j, parents in enumerate(reversed(pool.frontier), 1):
+            for start, prefix, row, mask in parents:
+                for i in range(start, h):
+                    if j <= len(pool.branches[i]):
+                        for sup, change, bits in pool.branches[i][j - 1]:
+                            if mask & bits:
+                                total = tuple(map(operator.add, row, change))
+                                nodes.append((i + 1, prefix + sup, total, mask & bits))
+        best = pool.best[-1] if size else None
+        for _, chi, row, _ in nodes:
+            num, den = quadratic_minimum(row, k, scale)
+            # finish()'s order: the smaller minimum, then the smaller support.
+            if best is None or (num * best[1], chi) < (best[0] * den, best[2]):
+                best = (num, den, chi, row)
+        pool.supports.append([chi for _, chi, _, _ in nodes])
+        pool.best.append(best)
+        extensible = [node for node in nodes if node[0] < h]
+        pool.frontier = [*pool.frontier, extensible][-theta:]
 
 
 def _candidate_value(
@@ -401,13 +473,15 @@ def _candidate_value(
 def finish(candidates: CandidateRows, rp: ReducedProblem, ctx: _Context) -> RpSolution:
     """Best subproblem solution over the candidate supports.
 
-    ctx is the context of rp with its budget stripped.  candidates maps each
-    sorted support to its summed residual row, minimized over lambda in
-    closed form, as an integer ratio; the minima are compared by
-    cross-multiplication, and the empty support always participates.  Ties
-    prefer the lexicographically smallest support.  Only the winner gets
-    Fractions: its value, its lambda, and its block coefficients, rebuilt
-    by per-block least squares at that lambda from the blocks' columns and b.
+    ctx is the context of rp.  candidates maps each sorted support to its
+    summed residual row, minimized over lambda in closed form, as an
+    integer ratio; the minima are compared by cross-multiplication, and the
+    empty support always participates.  Ties prefer the lexicographically
+    smallest support.  Only the winner gets Fractions: its value, its
+    lambda, and its block coefficients, rebuilt by per-block least squares
+    at that lambda from the blocks' columns and b.  The rebuilt winner is
+    kept in the context by support, so a later budget with the same winner
+    reuses it.
     """
     if any(len(chi) > rp.sigma_p for chi in candidates):
         raise ValueError("candidate support exceeds the subproblem budget")
@@ -418,6 +492,9 @@ def finish(candidates: CandidateRows, rp: ReducedProblem, ctx: _Context) -> RpSo
         lhs, rhs = n * den, num * d
         if lhs < rhs or (lhs == rhs and other < chi):
             chi, row, num, den = other, other_row, n, d
+    kept = ctx.solutions.get(chi)
+    if kept is not None:
+        return kept
     value = Fraction(num, den)
     best_lam = quadratic_minimizer(row, rp.k_prime)
 
@@ -440,7 +517,8 @@ def finish(candidates: CandidateRows, rp: ReducedProblem, ctx: _Context) -> RpSo
         raise InvariantError(
             f"rebuilt residual {rebuilt} differs from the closed-form value {value}"
         )
-    return RpSolution(tuple(x), best_lam, value, chi)
+    sol = ctx.solutions[chi] = RpSolution(tuple(x), best_lam, value, chi)
+    return sol
 
 
 # --- diagonal specialization ------------------------------------------------
@@ -783,22 +861,25 @@ def _dp_candidate(ctx: _Context, level: int) -> CandidateRows:
 
     Every row is a constant, so each slot has one smallest (value, support)
     and an integer DP over (block, columns used) combines them.  It runs
-    from the last block backwards: best[c] is the smallest (value, support)
-    of the later blocks within c columns, their shifted supports
-    concatenated, so ties go to the smallest sorted support, as in finish().
+    once per context, to every column, from the last block backwards:
+    best[c] is the smallest (value, support) of the later blocks within c
+    columns, their shifted supports concatenated, so ties go to the
+    smallest sorted support, as in finish().  Each level reads its entry.
     """
-    best = [(0, ())] * (level + 1)
-    for i in reversed(range(len(ctx.rows))):
-        picks = [
-            min((row[0], tuple(ctx.offsets[i] + c for c in sup)) for sup, row in slot)
-            for slot in ctx.rows[i]
-        ]
-        best = [
-            min((v + best[c - j][0], sup + best[c - j][1])
-                for j, (v, sup) in enumerate(picks[: c + 1]))
-            for c in range(level + 1)
-        ]
-    value, chi = best[level]
+    if ctx.dp is None:
+        best = [(0, ())] * (ctx.offsets[-1] + 1)
+        for i in reversed(range(len(ctx.rows))):
+            picks = [
+                min((row[0], tuple(ctx.offsets[i] + c for c in sup)) for sup, row in slot)
+                for slot in ctx.rows[i]
+            ]
+            best = [
+                min((v + best[c - j][0], sup + best[c - j][1])
+                    for j, (v, sup) in enumerate(picks[: c + 1]))
+                for c in range(len(best))
+            ]
+        ctx.dp = best
+    value, chi = ctx.dp[level]
     return {chi: (value,)}
 
 
@@ -825,27 +906,28 @@ def route(rp: ReducedProblem) -> str:
 
 def solve_block(
     rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
-) -> tuple[KeysView[tuple[int, ...]], RpSolution, int]:
+) -> tuple[AbstractSet[tuple[int, ...]], RpSolution, int]:
     """Candidate supports, optimum and region count of one reduced subproblem.
 
-    The generator route() picks reads the budget-stripped context up to
-    level min(sigma', n), and finish() scores its candidates.  The regions
+    The generator route() picks reads rp's context up to level
+    min(sigma', n), and finish() scores its candidates; on cover the pool
+    has scored them already and finish() gets its best one.  The regions
     are the distinct top sets on the diagonal path, so one candidate per
     region; 1 on dp; the witnesses on cover, one per distinct sign
     condition of the comparison surfaces; and the chain regions (the leaves
     of the chain tree, summed over the support regions) on extended.
     """
     path = route(rp)
-    ctx = _context(_strip_budget(rp))
+    ctx = _context(rp)
     level = min(rp.sigma_p, rp.n_total)
+    if path == "cover":
+        supports, best = _cover_pool(ctx, level)
+        return supports, finish(best, rp, ctx), ctx.pool.witnesses
     if path == "diagonal":
         candidates = solve_diagonal(ctx, level)
         regions = len(candidates)
     elif path == "dp":
         candidates, regions = _dp_candidate(ctx, level), 1
-    elif path == "cover":
-        candidates = _cover_pool(ctx, level)
-        regions = ctx.witness_count
     else:
         candidates, regions = _extended_candidates(ctx, level, max_cells)
     return candidates.keys(), finish(candidates, rp, ctx), regions

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import reference_arrangement
 from blocksel.linalg import extended_dim
 from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
-from blocksel.solver import DEFAULT_MAX_CELLS, CandidateSet, _context, _strip_budget
+from blocksel.solver import DEFAULT_MAX_CELLS, CandidateSet, _context
 from reference_arrangement import (
     Cell,
     Hyperplane,
@@ -97,7 +97,7 @@ def build_support_tables(
     comparison keeps one sign, fixing a winning support per
     (block, cardinality) slot.
     """
-    base = _strip_budget(rp)
+    base = _context(rp).base
     planes = _support_planes(base)
     cells = reference_arrangement.enumerate_cells(
         planes, extended_dim(rp.k_prime), max_cells=max_cells
@@ -244,7 +244,7 @@ def extended_candidates(
     hyperplanes, and each refined cell contributes the support realized by
     the incremental chain at the evaluated witness.
     """
-    ctx = _context(_strip_budget(rp))
+    ctx = _context(rp)
     planes = _support_planes(ctx.base)
     cells, tables = build_support_tables(rp, max_cells=max_cells)
     regions = 0

@@ -18,7 +18,6 @@ from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import (
     DEFAULT_MAX_CELLS,
     _context,
-    _strip_budget,
     _support_regions,
     aug_set,
     solve,
@@ -343,9 +342,7 @@ def test_criterion_7_cell_closure_coverage():
     with criterion(7):
         rng = random.Random(707)
         for rp in coverage_problems():
-            regions = _support_regions(
-                _context(_strip_budget(rp)), DEFAULT_MAX_CELLS
-            )
+            regions = _support_regions(_context(rp), DEFAULT_MAX_CELLS)
             pieces = []
             r0 = 0
             for blk in rp.blocks:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ import reference_forms
 import reference_diagonal
 import reference_extended
 from reference_separable import diag_greedy, fixed_lambda_opt
-from blocksel.cli import generate_instance
+from blocksel.cli import dump_instance, generate_instance, load_instance
 from blocksel.cover import conic_cover_points, primitive
-from blocksel.linalg import extended_dim, least_squares
+from blocksel.linalg import extended_dim, least_squares, quadratic_minimum
 from blocksel.model import (
     BudgetExceededError,
     Instance,
@@ -47,7 +48,7 @@ def rp_1x1(values, b, lambda_cols=(), tags=(), sigma_p=0):
 
 def ctx_of(rp):
     """The context of a subproblem, as solve_block looks it up."""
-    return solver._context(solver._strip_budget(rp))
+    return solver._context(rp)
 
 
 def candidate_row(ctx, chi):
@@ -62,6 +63,12 @@ def candidate_row(ctx, chi):
         for i, row_of in enumerate(ctx.row_of)
     ]
     return tuple(map(sum, zip(*rows)))
+
+
+def minimum(ctx, chi):
+    """One candidate's exact minimum over lambda, as finish() scores it."""
+    row = candidate_row(ctx, chi)
+    return Fraction(*quadratic_minimum(row, ctx.base.k_prime, ctx.scale))
 
 
 def with_rows(ctx, supports):
@@ -264,9 +271,7 @@ def test_support_tables_single_column_block():
         tags=(0,),
         sigma_p=1,
     )
-    regions = solver._support_regions(
-        solver._context(solver._strip_budget(rp)), solver.DEFAULT_MAX_CELLS
-    )
+    regions = solver._support_regions(solver._context(rp), solver.DEFAULT_MAX_CELLS)
     assert len(regions) == 1
     assert regions[0][2] == (((), (0,)),)
 
@@ -280,9 +285,7 @@ def test_support_tables_pick_argmin_at_witness():
         tags=(0,),
         sigma_p=1,
     )
-    regions = solver._support_regions(
-        solver._context(solver._strip_budget(rp)), solver.DEFAULT_MAX_CELLS
-    )
+    regions = solver._support_regions(solver._context(rp), solver.DEFAULT_MAX_CELLS)
     assert len(regions) >= 2
     blk = rp.blocks[0]
     forms = {
@@ -688,7 +691,7 @@ def test_diagonal_top_sets_within_the_line_arrangement_bound():
     )
     walked = 0
     for rp in reduce(inst):
-        ctx = solver._context(solver._strip_budget(rp))
+        ctx = solver._context(rp)
         cols = rp.lambda_cols + ((Fraction(0),) * rp.n_total,) * (2 - rp.k_prime)
         funcs = [
             (cols[0][i], cols[1][i], rp.b[i])
@@ -750,7 +753,7 @@ def test_level_walk_meets_only_lines_that_share_a_coordinate(monkeypatch):
 
     monkeypatch.setattr(solver, "_class_top_sets", class_walk)
     monkeypatch.setattr(solver, "_line_anchors", anchors)
-    solver.solve_diagonal(solver._context(solver._strip_budget(rp)), rp.sigma_p)
+    solver.solve_diagonal(solver._context(rp), rp.sigma_p)
     assert walked and len(entries) == len(walked) + 1
     n = len(hittable)
     bound = sum(2 * (n - 1) * len(members) for members in walked) + len(carried)
@@ -761,7 +764,7 @@ def test_support_regions_within_the_hyperplane_arrangement_bound():
     # N distinct hyperplanes cut D-space into at most sum_{i<=D} C(N, i)
     # regions (Buck 1943), and support regions are unions of those cells.
     rp = random_extended_rp(random.Random(2), 3, 9, shapes=[(2, 2), (3, 3)])
-    ctx = solver._context(solver._strip_budget(rp))
+    ctx = solver._context(rp)
     planes = set()
     for per_size in ctx.rows:
         for slot in per_size:
@@ -778,7 +781,7 @@ def test_cover_witnesses_have_distinct_sign_vectors():
     # Full 2x2 blocks, as on the cover benchmark, at one and two parameters.
     for k in (1, 2):
         rp = random_extended_rp(random.Random(5), k, 3, shapes=[(2, 2)] * 6)
-        ctx = solver._context(solver._strip_budget(rp))
+        ctx = solver._context(rp)
         family = reference_cover.split_family(
             solver._plane_conic([u - v for u, v in zip(r1, r2)], k)
             for per_size in ctx.rows
@@ -817,7 +820,7 @@ def test_diagonal_ranking_serves_budgets_past_the_allocation_limit(monkeypatch, 
             tags=(0, 1),
             sigma_p=sigma_p,
         )
-        assert solver._allocation_count([1] * h, sigma_p) > 30
+        assert solver._allocation_counts([1] * h)[sigma_p] > 30
         with forced("cover"), pytest.raises(BudgetExceededError, match="profile union"):
             solve_block(rp)
         candidates, sol, regions = solve_block(rp)
@@ -841,7 +844,7 @@ def test_diagonal_ranking_solves_a_large_budget_at_full_size():
         b=[entry() for _ in range(h)],
         sigma=12,
     )
-    assert solver._allocation_count([1] * h, 10) > solver.MAX_PROFILE_UNIONS
+    assert solver._allocation_counts([1] * h)[10] > solver.MAX_PROFILE_UNIONS
     _, report = solve_detailed(inst)
     assert (report[-1]["path"], report[-1]["budget"]) == ("diagonal", 10)
     assert report[-1]["candidates"] <= report[-1]["regions"]
@@ -915,28 +918,43 @@ def forced_ties_rp(blocks, b, cols, sigma_p=0):
     )
 
 
-def test_cover_walk_takes_each_union_once_with_its_row():
-    # The walk branches only over the distinct winners of the profiles still
-    # consistent with its prefix, so no union is reached twice, and each
-    # carries the sum of its blocks' rows.  Spread 1 ties most rows; spread
-    # 3 keeps the repeated and zero columns and the identical blocks but
-    # gives several argmin profiles.
+def test_cover_walk_takes_each_union_once_with_its_row(monkeypatch):
+    # The pool grows one size at a time, extending each node only by the
+    # distinct winners of the profiles still consistent with it, so no
+    # union is built twice, and each is scored once with the sum of its
+    # blocks' rows.  Its best entry is finish()'s pick over the supports
+    # built so far.
+    # Spread 1 ties most rows; spread 3 keeps the repeated and zero columns
+    # and the identical blocks but gives several argmin profiles.
+    scored = []
+
+    def recorded(row, k, scale):
+        scored.append(row)
+        return quadratic_minimum(row, k, scale)
+
+    monkeypatch.setattr(solver, "quadratic_minimum", recorded)
     rng = random.Random(2020)
     tied = several_profiles = 0
     for trial in range(48):
         spread = 1 if trial % 4 < 2 else 3
         base = forced_ties_rp(*forced_ties(rng, 1 + trial % 2, spread))
-        ctx = ctx_of(base)
-        profiles = solver._cover_profiles(ctx)
+        ctx = solver._new_context(base)
         reference = reference_cover._cover_pool(base)
+        built = []
         for limit in range(base.n_total + 1):
-            walked = list(solver._cover_walk(ctx, profiles, limit))
-            supports = [chi for chi, _ in walked]
-            assert len(supports) == len(set(supports))
-            assert set(supports) == {chi for chi in reference if len(chi) <= limit}
-            for chi, row in walked:
-                assert row == candidate_row(ctx, chi)
-        several_profiles += len(profiles) > 1
+            scored.clear()
+            pooled, best = solver._cover_pool(ctx, limit)
+            walked = ctx.pool.supports[limit]
+            built.extend(walked)
+            assert len(built) == len(set(built))
+            expected = {chi for chi in reference if len(chi) <= limit}
+            assert set(built) == set(pooled) == expected
+            assert len(scored) == len(walked)
+            for chi, row in zip(walked, scored):
+                assert len(chi) == limit and row == candidate_row(ctx, chi)
+            winner = min(expected, key=lambda chi: (minimum(ctx, chi), chi))
+            assert best == {winner: candidate_row(ctx, winner)}
+        several_profiles += ctx.pool.profiles > 1
         tied += any(
             len({row for _, row in slot}) < len(slot)
             for per_size in ctx.rows
@@ -975,7 +993,7 @@ def test_dp_solves_the_refused_cover_rung_with_one_candidate():
     )
     (rp,) = reduce(inst)
     widths = [blk.cols for blk in rp.blocks]
-    assert solver._allocation_count(widths, 7) > solver.MAX_PROFILE_UNIONS
+    assert solver._allocation_counts(widths)[7] > solver.MAX_PROFILE_UNIONS
     candidates, sol, regions = solve_block(rp)
     assert (solver.route(rp), len(candidates), regions) == ("dp", 1, 1)
     # fixed_lambda_opt reads the per-block tables into reference_separable.dp_solve.
@@ -1174,13 +1192,15 @@ def test_profile_union_budget_names_the_subproblem(monkeypatch, forced):
 
 def test_allocation_count_matches_enumeration():
     for widths in ((1,), (2, 2, 2), (3, 1, 2, 2)):
+        counts = solver._allocation_counts(widths)
+        assert len(counts) == sum(widths) + 1
         for limit in range(sum(widths) + 2):
             allocations = [
                 alloc
                 for alloc in itertools.product(*(range(w + 1) for w in widths))
                 if sum(alloc) <= limit
             ]
-            assert solver._allocation_count(widths, limit) == len(allocations)
+            assert counts[min(limit, sum(widths))] == len(allocations)
 
 
 def _tied_subproblem(rng, k):
@@ -1256,9 +1276,22 @@ def test_finish_raises_invariant_error_on_residual_mismatch(monkeypatch):
 
     monkeypatch.setattr(solver, "least_squares", off_by_one)
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
-    ctx = ctx_of(rp)
+    ctx = solver._new_context(rp)
     with pytest.raises(InvariantError, match="rebuilt residual"):
         finish(with_rows(ctx, [(0,), (1,)]), rp, ctx)
+
+
+def test_finish_keeps_each_rebuilt_winner_and_checks_every_new_one(monkeypatch):
+    # A winner rebuilt once is returned again without a rebuild; a support
+    # that wins for the first time is rebuilt and checked.
+    rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
+    ctx = solver._new_context(rp)
+    sol = finish(with_rows(ctx, [(0,), (1,)]), rp, ctx)
+    assert sol.support == (1,)
+    monkeypatch.setattr(solver, "least_squares", lambda columns, target: 1 / 0)
+    assert finish(with_rows(ctx, [(1,)]), rp, ctx) is sol
+    with pytest.raises(ZeroDivisionError):
+        finish(with_rows(ctx, [(0,)]), rp, ctx)
 
 
 def test_lift_raises_invariant_error_on_residual_mismatch(monkeypatch):
@@ -1272,3 +1305,111 @@ def test_lift_raises_invariant_error_on_residual_mismatch(monkeypatch):
     inst = Instance.build([[[1]], [[1]]], coupling=[[1, 1]], b=[2, 1], sigma=1)
     with pytest.raises(InvariantError, match="lifted residual"):
         solve(inst)
+
+
+def solve_fresh(rp):
+    """solve_block with an empty context cache, so nothing is reused."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_CONTEXTS", OrderedDict())
+        candidates, sol, regions = solve_block(rp)
+    return set(candidates), sol, regions
+
+
+def test_every_level_answers_alike_in_any_order(forced):
+    # One context serves every budget: its cover pool and DP table grow with
+    # the largest level asked and answer lower levels by lookup.  Levels 0
+    # to n + 1 asked in increasing, decreasing and shuffled order must each
+    # give what a fresh context gives, and the optimum.
+    rng = random.Random(2121)
+    for trial in range(18):
+        k = trial % 3
+        base = forced_ties_rp(*forced_ties(rng, k, 1 if trial % 2 else 3))
+        levels = list(range(base.n_total + 2))
+        shuffled = rng.sample(levels, len(levels))
+        for path in ("dp", "cover") if k == 0 else ("cover",):
+            with forced(path):
+                fresh = [solve_fresh(replace(base, sigma_p=s)) for s in levels]
+                for order in (levels, levels[::-1], shuffled):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(solver, "_CONTEXTS", OrderedDict())
+                        for sigma_p in order:
+                            rp = replace(base, sigma_p=sigma_p)
+                            candidates, sol, regions = solve_block(rp)
+                            assert (set(candidates), sol, regions) == fresh[sigma_p]
+            for sigma_p in levels:
+                rp = replace(base, sigma_p=sigma_p)
+                assert fresh[sigma_p][1].objective == rp_oracle(rp)
+
+
+def test_profile_union_refusal_leaves_lower_levels_answerable(monkeypatch, forced):
+    # A level whose pool would pass MAX_PROFILE_UNIONS is refused before
+    # the pool grows, with the allocation count of that level; the levels
+    # below still answer as a fresh context does.
+    rng = random.Random(2122)
+    base = None
+    while base is None or base.n_total < 5:
+        base = forced_ties_rp(*forced_ties(rng, 1, 3))
+    widths = [blk.cols for blk in base.blocks]
+
+    def allocations(limit):
+        every = itertools.product(*(range(w + 1) for w in widths))
+        return sum(sum(alloc) <= limit for alloc in every)
+
+    profiles = solver._new_pool(solver._new_context(base)).profiles
+    low, high = 2, base.n_total
+    fresh = [solve_fresh(replace(base, sigma_p=s)) for s in range(low + 1)]
+    monkeypatch.setattr(solver, "MAX_PROFILE_UNIONS", allocations(low) * profiles)
+    monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+    message = (
+        f"profile union enumeration needs {allocations(high)} allocations of at "
+        f"most {high} columns for each of {profiles} argmin tables"
+    )
+    with forced("cover"):
+        for warm in (False, True):
+            if warm:
+                solve_block(replace(base, sigma_p=low))
+            with pytest.raises(BudgetExceededError) as excinfo:
+                solve_block(replace(base, sigma_p=high))
+            assert str(excinfo.value) == message
+            assert len(solver._context(base).pool.best) == (low + 1 if warm else 0)
+            for sigma_p in reversed(range(low + 1)):
+                candidates, sol, regions = solve_block(replace(base, sigma_p=sigma_p))
+                assert (set(candidates), sol, regions) == fresh[sigma_p]
+            monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+
+
+def test_equal_documents_share_one_context(monkeypatch):
+    # Two documents loaded apart hold equal but distinct Fractions; their
+    # subproblems with equal data find one context, whatever the budget.
+    monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+    inst = generate_instance(
+        blocks=3, block_rows=2, block_cols=2, coupling=1, intercept=True,
+        sigma=2, seed=4, spread=3,
+    )
+    text = dump_instance(inst)
+    first = load_instance(text)
+    second = load_instance(text.replace('"sigma": 2', '"sigma": 3'))
+    assert second.sigma == 3 and first.b[0] is not second.b[0]
+    contexts = [solver._context(rp) for rp in reduce(first)]
+    again = [solver._context(rp) for rp in reduce(second)]
+    assert len(again) == len(contexts) == len(solver._CONTEXTS) == 2
+    assert all(a is b for a, b in zip(contexts, again))
+
+
+def test_contexts_evict_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+    limit = solver.MAX_CONTEXTS
+    rps = [rp_1x1((1,), (i,)) for i in range(1, limit + 3)]
+
+    def held(ctx):
+        return any(ctx is other for other in solver._CONTEXTS.values())
+
+    built = [solver._context(rp) for rp in rps[: limit + 1]]
+    assert len(solver._CONTEXTS) == limit
+    assert not held(built[0]) and all(map(held, built[1:]))
+    # A hit makes a context the most recent, so the next one out is the
+    # least recently used, not the oldest built.
+    assert solver._context(rps[1]) is built[1]
+    solver._context(rps[limit + 1])
+    assert len(solver._CONTEXTS) == limit
+    assert held(built[1]) and not held(built[2])
