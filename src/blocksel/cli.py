@@ -26,9 +26,7 @@ from .model import (
     validate,
 )
 from .oracle import brute_force
-from .solver import DEFAULT_MAX_CELLS, solve, solve_detailed
-
-DEFAULT_MAX_ORACLE = 10**6
+from .solver import solve, solve_detailed
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -228,7 +226,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if instance is None:
         return EXIT_INPUT
     try:
-        solution, report = solve_detailed(instance, max_cells=args.max_cells)
+        solution, report = solve_detailed(instance)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -240,7 +238,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if instance is None:
         return EXIT_INPUT
     try:
-        solution = brute_force(instance, max_supports=args.max_oracle)
+        solution = brute_force(instance)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -253,7 +251,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if instance is None:
         return EXIT_INPUT
     try:
-        reference = brute_force(instance, max_supports=args.max_oracle)
+        reference = brute_force(instance)
     except BudgetExceededError as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -262,7 +260,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _unprintable(exc)
     try:
-        solution = solve(instance, max_cells=args.max_cells)
+        solution = solve(instance)
     except BudgetExceededError as exc:
         print(f"solver budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -372,33 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cells = dict(
-        type=_at_least(0),
-        default=DEFAULT_MAX_CELLS,
-        help="support and chain region budget of the extended path (default %(default)s)",
-    )
-    oracle = dict(
-        type=_at_least(0),
-        default=DEFAULT_MAX_ORACLE,
-        help="support enumeration budget (default %(default)s)",
-    )
-
     ps = sub.add_parser("solve", help="solve an instance exactly")
     ps.add_argument("path", help="instance file, or - for stdin")
     ps.add_argument("--json", action="store_true", help="machine-readable report")
-    ps.add_argument("--max-cells", **cells)
     ps.set_defaults(func=cmd_solve)
 
     po = sub.add_parser("oracle", help="brute-force reference answer")
     po.add_argument("path", help="instance file, or - for stdin")
     po.add_argument("--json", action="store_true", help="machine-readable report")
-    po.add_argument("--max-oracle", **oracle)
     po.set_defaults(func=cmd_oracle)
 
     pc = sub.add_parser("compare", help="check solver against brute force")
     pc.add_argument("path", help="instance file, or - for stdin")
-    pc.add_argument("--max-cells", **cells)
-    pc.add_argument("--max-oracle", **oracle)
     pc.set_defaults(func=cmd_compare)
 
     pg = sub.add_parser("gen", help="generate a seeded random instance")

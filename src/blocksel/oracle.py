@@ -2,8 +2,8 @@
 
 Nothing here shares candidate generation with the solver module: brute
 force enumerates every support directly and reuses only the exact least
-squares.  brute_force answers one budget, brute_force_levels every budget
-from one enumeration.  Agreement between the two stacks is what the test
+squares.  One enumeration keeps the best support of each size;
+brute_force reads one budget from it, brute_force_levels every budget.  Agreement between the two stacks is what the test
 suite, the compare command and the benchmark lean on.
 """
 
@@ -24,6 +24,9 @@ from .model import (
     validate,
 )
 
+# Bounds the supports one enumeration may try.
+MAX_SUPPORTS = 10**6
+
 
 def _all_columns(instance: Instance) -> list[tuple[Fraction, ...]]:
     """The d selectable columns of the stacked system, block part first."""
@@ -41,39 +44,42 @@ def _all_columns(instance: Instance) -> list[tuple[Fraction, ...]]:
     return cols
 
 
-def _support_count(d: int, sigma: int) -> int:
-    return sum(math.comb(d, s) for s in range(sigma + 1))
+def _best_by_size(instance: Instance, top: int) -> list[tuple]:
+    """Per size 0..min(top, d): the smallest (res2, support), with its coefficients.
 
-
-def brute_force(instance: Instance, max_supports: int = 10**6) -> Solution:
-    """Exact optimum by enumerating every support of size at most sigma.
-
-    The intercept column, when present, is appended free to every support.
-    Ties prefer the lexicographically smallest support.  Raises
-    BudgetExceededError before starting when the enumeration is too large.
+    Validates first, and raises BudgetExceededError before enumerating
+    when there are more than MAX_SUPPORTS supports of size at most top.
     """
     problems = validate(instance)
     if problems:
         raise ValueError("; ".join(problems))
-    total = _support_count(instance.d, instance.sigma)
-    if total > max_supports:
+    if top < 0:
+        raise ValueError("levels must be non-negative")
+    sizes = range(min(top, instance.d) + 1)
+    total = sum(math.comb(instance.d, s) for s in sizes)
+    if total > MAX_SUPPORTS:
         raise BudgetExceededError(
-            f"brute force over {total} supports exceeds the limit of {max_supports}"
+            f"brute force over {total} supports exceeds the limit of {MAX_SUPPORTS}"
         )
     cols = _all_columns(instance)
-    best = None
-    for size in range(instance.sigma + 1):
+    table = []
+    for size in sizes:
+        best = None
         for sup in itertools.combinations(range(instance.d), size):
             chosen = [cols[i] for i in sup]
             if instance.intercept is not None:
                 chosen.append(instance.intercept)
             coeffs, res2 = least_squares(chosen, instance.b)
-            key = (res2, sup)
-            if best is None or key < best[0]:
-                best = (key, coeffs)
-    if best is None:
-        raise InvariantError("the empty support is always tried")
-    (res2, sup), coeffs = best
+            if best is None or (res2, sup) < best[:2]:
+                best = (res2, sup, coeffs)
+        table.append(best)
+    return table
+
+
+def _solution(
+    instance: Instance, res2: Fraction, sup: tuple[int, ...], coeffs: list[Fraction]
+) -> Solution:
+    """The Solution of one enumerated support, checked against its residual."""
     x = [Fraction(0)] * instance.d
     for idx, v in zip(sup, coeffs):
         x[idx] = v
@@ -86,52 +92,30 @@ def brute_force(instance: Instance, max_supports: int = 10**6) -> Solution:
     return solution
 
 
-def brute_force_levels(
-    instance: Instance,
-    levels: Optional[int] = None,
-    max_supports: int = 10**6,
-) -> list[Solution]:
+def brute_force(instance: Instance) -> Solution:
+    """Exact optimum by enumerating every support of size at most sigma.
+
+    The intercept column, when present, is appended free to every support.
+    Ties prefer the lexicographically smallest support.  Raises
+    BudgetExceededError before starting when the enumeration is too large.
+    """
+    table = _best_by_size(instance, instance.sigma)
+    return _solution(instance, *min(table, key=lambda entry: entry[:2]))
+
+
+def brute_force_levels(instance: Instance, levels: Optional[int] = None) -> list[Solution]:
     """Brute-force optima for every budget 0..levels in one enumeration.
 
-    Entry s is the best solution using at most s variables; the list is
-    non-increasing in objective by construction.  levels defaults to d.
+    Entry s is the best solution using at most s variables, ties to the
+    lexicographically smallest support; the list is non-increasing in
+    objective by construction.  levels defaults to d.
     """
-    problems = validate(instance)
-    if problems:
-        raise ValueError("; ".join(problems))
     top = instance.d if levels is None else levels
-    if top < 0:
-        raise ValueError("levels must be non-negative")
-    total = _support_count(instance.d, min(top, instance.d))
-    if total > max_supports:
-        raise BudgetExceededError(
-            f"brute force over {total} supports exceeds the limit of {max_supports}"
-        )
-    cols = _all_columns(instance)
-    best_by_size: list = [None] * (min(top, instance.d) + 1)
-    for size in range(len(best_by_size)):
-        for sup in itertools.combinations(range(instance.d), size):
-            chosen = [cols[i] for i in sup]
-            if instance.intercept is not None:
-                chosen.append(instance.intercept)
-            coeffs, res2 = least_squares(chosen, instance.b)
-            key = (res2, sup)
-            if best_by_size[size] is None or key < best_by_size[size][0]:
-                best_by_size[size] = (key, coeffs)
-
+    table = _best_by_size(instance, top)
     out: list[Solution] = []
-    running = None
+    running = table[0]
     for size in range(top + 1):
-        if size < len(best_by_size) and best_by_size[size] is not None:
-            if running is None or best_by_size[size][0] < running[0]:
-                running = best_by_size[size]
-        if running is None:
-            raise InvariantError("every budget has at least the empty support")
-        (res2, sup), coeffs = running
-        x = [Fraction(0)] * instance.d
-        for idx, v in zip(sup, coeffs):
-            x[idx] = v
-        mu = coeffs[-1] if instance.intercept is not None else None
-        out.append(make_solution(instance, x, mu, sup))
+        if size < len(table) and table[size][:2] < running[:2]:
+            running = table[size]
+        out.append(_solution(instance, *running))
     return out
-

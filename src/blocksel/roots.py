@@ -36,7 +36,6 @@ Sturm chains stay in integer arithmetic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import InvariantError
@@ -218,15 +217,6 @@ class AlgebraicNumber:
             return cls((-p, q), p, p, q.bit_length() - 1)
         return cls((-p, q), *surd_bracket((p, 0, 0, q)), PRECISION)
 
-    @property
-    def value(self) -> Optional[Fraction]:
-        """The root as a Fraction when it is known to be rational, else None."""
-        if self.lo == self.hi:
-            return Fraction(self.lo, 1 << self.k)
-        if self.poly is not None and len(self.poly) == 2:
-            return Fraction(-self.poly[0], self.poly[1])
-        return None
-
     def refine(self) -> None:
         """Halve the bracket; a midpoint that is the root makes it exact."""
         if self.lo == self.hi:
@@ -292,11 +282,6 @@ class AlgebraicNumber:
                 self.refine()
             if b_width >= a_width:
                 other.refine()
-
-    def __repr__(self) -> str:  # debugging aid only
-        if self.value is not None:
-            return f"AlgebraicNumber({self.value})"
-        return f"AlgebraicNumber({self.poly}, [{self.lo}, {self.hi}] / 2^{self.k})"
 
 
 def isolate_real_roots(poly: Sequence[int]) -> list[AlgebraicNumber]:

@@ -22,11 +22,12 @@ cross-multiplication and builds Fractions only for the winner: its
 value, its lambda (linalg.quadratic_minimizer) and its block
 coefficients (linalg.least_squares).
 
-solve_block() is the one pipeline of a subproblem: route() picks one of
-four candidate generators from the subproblem's structure alone, the
-generator reads the subproblem's context up to the level min(sigma', n),
-and finish() scores what it returns.  The generators trust route() and
-do not check its rule themselves:
+solve_block() is the one pipeline of a subproblem: route() names one of
+four candidate generators from the subproblem's structure alone, called
+with the subproblem's context and the level min(sigma', n).  Each returns
+(supports, candidates, regions): the supports it found, the ones finish()
+scores, with their rows, and its region count.  The generators trust
+route() and do not check its rule themselves:
 
 * diagonal (solve_diagonal): all blocks 1x1 and at most two free
   parameters.  The optimal support is the top sigma' coordinates by
@@ -43,8 +44,8 @@ do not check its rule themselves:
   parameters.  Argmin profiles are read at the witnesses of one conic
   cover of the plane.  The pool of unions of their winners grows by
   support size, each union scored once when it is built, and keeps the
-  best support over each size and below, which it hands to finish(); the
-  allocation work is bounded by MAX_PROFILE_UNIONS.
+  best support over each size and below, which alone goes to finish();
+  the allocation work is bounded by MAX_PROFILE_UNIONS.
 * extended (_extended_candidates): three or more free parameters.  The
   comparisons are linear over the coordinates (lambda, pairwise products
   of lambda), and the space is split exactly into support regions, where
@@ -55,8 +56,9 @@ do not check its rule themselves:
   chain step goes to one of the next-level allocations of aug_set, which
   remove at most theta_bar units: by the proximity radius theta_bar of
   the block structure, some optimal allocation one level up is always
-  that close.  It has no parameter-count limit; the tests also force it
-  onto subproblems with at most two free parameters as a cross-check.
+  that close.  Both region counts are bounded by MAX_CELLS.  It has no
+  parameter-count limit; the tests also force it onto subproblems with at
+  most two free parameters as a cross-check.
 
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
@@ -102,7 +104,8 @@ from .model import (
     validate,
 )
 
-DEFAULT_MAX_CELLS = 200000
+# Bounds the extended path's support regions and its chain regions.
+MAX_CELLS = 200000
 # Bounds the cover path's pool work at one and two free parameters:
 # in-budget allocations times distinct argmin profiles.
 MAX_PROFILE_UNIONS = 1000000
@@ -113,6 +116,8 @@ MAX_CONTEXTS = 64
 CandidateSet = set[tuple[int, ...]]
 # Each candidate support with its summed residual row.
 CandidateRows = dict[tuple[int, ...], tuple[int, ...]]
+# A generator's supports, candidates for finish() and region count.
+Generated = tuple[AbstractSet[tuple[int, ...]], CandidateRows, int]
 
 
 @dataclass(frozen=True)
@@ -394,17 +399,16 @@ def _new_pool(ctx: _Context) -> _Pool:
     return _Pool(len(witnesses), len(profiles), _allocation_counts(widths), branches)
 
 
-def _cover_pool(
-    ctx: _Context, limit: int
-) -> tuple[AbstractSet[tuple[int, ...]], CandidateRows]:
-    """The union supports of at most limit columns, and the best of them.
+def _cover_pool(ctx: _Context, limit: int) -> Generated:
+    """The union supports of at most limit columns, their best, the witnesses.
 
     A profile fixes one winner per (block, cardinality) slot; every
     allocation of at most limit columns contributes the union of its
     blocks' winners.  The pool is grown to limit by _grow_pool, so a lower
     limit is a lookup.  Returns a copy of the supports, which later growth
-    leaves unchanged, and the best one with its row; its minimum goes to
-    the context's values, where finish() reads it.
+    leaves unchanged, the best one with its row, whose minimum goes to the
+    context's values, where finish() reads it, and the cover's witness
+    count.
     """
     pool = ctx.pool
     if pool is None:
@@ -413,13 +417,14 @@ def _cover_pool(
     if allocations * pool.profiles > MAX_PROFILE_UNIONS:
         raise BudgetExceededError(
             f"profile union enumeration needs {allocations} allocations of at "
-            f"most {limit} columns for each of {pool.profiles} argmin tables"
+            f"most {limit} columns for each of {pool.profiles} argmin tables, "
+            f"over the limit of {MAX_PROFILE_UNIONS}"
         )
     _grow_pool(ctx, pool, limit)
     num, den, chi, row = pool.best[limit]
     ctx.values[chi] = (num, den)
     supports = frozenset(itertools.chain.from_iterable(pool.supports[: limit + 1]))
-    return supports, {chi: row}
+    return supports, {chi: row}, pool.witnesses
 
 
 def _grow_pool(ctx: _Context, pool: _Pool, limit: int) -> None:
@@ -524,7 +529,7 @@ def finish(candidates: CandidateRows, rp: ReducedProblem, ctx: _Context) -> RpSo
 # --- diagonal specialization ------------------------------------------------
 
 
-def solve_diagonal(ctx: _Context, top: int) -> CandidateRows:
+def solve_diagonal(ctx: _Context, top: int) -> Generated:
     """Top sets of the hittable coordinates over the regions of lambda space.
 
     With all blocks 1x1, at any lambda the optimal support is the top
@@ -542,10 +547,11 @@ def solve_diagonal(ctx: _Context, top: int) -> CandidateRows:
     else:
         top_sets = _walk_top_sets(ctx, hittable, top)
     changes = [tuple(map(operator.sub, row_of[(0,)], row_of[()])) for row_of in ctx.row_of]
-    return {
+    candidates = {
         chi: tuple(map(sum, zip(ctx.empty, *(changes[i] for i in chi))))
         for chi in top_sets
     }
+    return candidates.keys(), candidates, len(candidates)
 
 
 def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet:
@@ -714,7 +720,7 @@ def _class_top_sets(line, members, crossing, int_funcs, hittable, top) -> Candid
 # --- general blocks ---------------------------------------------------------
 
 
-def _support_regions(ctx: _Context, max_cells: int) -> list:
+def _support_regions(ctx: _Context) -> list:
     """Open regions of extended space on which every slot has one winner.
 
     The residual comparisons are quadratic in lambda but linear over the
@@ -725,7 +731,7 @@ def _support_regions(ctx: _Context, max_cells: int) -> list:
     so a slot whose rows are all equal splits nothing.  Returns
     (constraints, witness, selections) per region, selections[i][j] being
     the winning support of block i at size j.  Regions count against
-    max_cells as they grow.
+    MAX_CELLS as they grow.
     """
     regions = [([], (Fraction(0),) * extended_dim(ctx.base.k_prime), ())]
     for per_size in ctx.rows:
@@ -735,10 +741,10 @@ def _support_regions(ctx: _Context, max_cells: int) -> list:
                 for constraints, witness, picks in regions
                 for sup, region, point in argmin_regions(slot, constraints, witness)
             ]
-            if len(regions) > max_cells:
+            if len(regions) > MAX_CELLS:
                 raise BudgetExceededError(
                     f"support regions reached {len(regions)}, over the budget "
-                    f"of {max_cells}"
+                    f"of {MAX_CELLS}"
                 )
     out = []
     for constraints, witness, picks in regions:
@@ -809,9 +815,7 @@ def _chain_steps(
     ]
 
 
-def _extended_candidates(
-    ctx: _Context, level: int, max_cells: int
-) -> tuple[CandidateRows, int]:
+def _extended_candidates(ctx: _Context, level: int) -> Generated:
     """Candidates and chain-region count from the extended-space regions.
 
     In each support region the winning supports fix an integer row per
@@ -822,12 +826,12 @@ def _extended_candidates(
     in the region.  The leaves fill the support region up to finitely many
     hyperplanes, the chain's outcome is constant on each, and each
     contributes its support with the chain's total row.  Leaves count
-    against max_cells.
+    against MAX_CELLS.
     """
     structure = ctx.base.structure()
     regions = 0
     candidates: CandidateRows = {}
-    for root, start, selections in _support_regions(ctx, max_cells):
+    for root, start, selections in _support_regions(ctx):
         slots = [
             [ctx.row_of[i][sup] for sup in per_size]
             for i, per_size in enumerate(selections)
@@ -837,10 +841,10 @@ def _extended_candidates(
             region, witness, alloc, total = stack.pop()
             if sum(alloc) == level:
                 regions += 1
-                if regions > max_cells:
+                if regions > MAX_CELLS:
                     raise BudgetExceededError(
                         f"chain regions reached {regions}, over the budget of "
-                        f"{max_cells}"
+                        f"{MAX_CELLS}"
                     )
                 chi: list[int] = []
                 for i, j in enumerate(alloc):
@@ -853,10 +857,10 @@ def _extended_candidates(
                 (child, point, target, totals[target])
                 for target, child, point in argmin_regions(steps, region, witness)
             )
-    return candidates, regions
+    return candidates.keys(), candidates, regions
 
 
-def _dp_candidate(ctx: _Context, level: int) -> CandidateRows:
+def _dp_candidate(ctx: _Context, level: int) -> Generated:
     """The one optimum of a subproblem without free parameters, with its row.
 
     Every row is a constant, so each slot has one smallest (value, support)
@@ -880,7 +884,8 @@ def _dp_candidate(ctx: _Context, level: int) -> CandidateRows:
             ]
         ctx.dp = best
     value, chi = ctx.dp[level]
-    return {chi: (value,)}
+    candidates = {chi: (value,)}
+    return candidates.keys(), candidates, 1
 
 
 def _describe(rp: ReducedProblem) -> str:
@@ -904,33 +909,28 @@ def route(rp: ReducedProblem) -> str:
     return "dp" if rp.k_prime == 0 else "cover"
 
 
-def solve_block(
-    rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
-) -> tuple[AbstractSet[tuple[int, ...]], RpSolution, int]:
+def solve_block(rp: ReducedProblem) -> tuple[AbstractSet[tuple[int, ...]], RpSolution, int]:
     """Candidate supports, optimum and region count of one reduced subproblem.
 
-    The generator route() picks reads rp's context up to level
+    The generator route() names reads rp's context up to level
     min(sigma', n), and finish() scores its candidates; on cover the pool
-    has scored them already and finish() gets its best one.  The regions
-    are the distinct top sets on the diagonal path, so one candidate per
+    has scored them already and hands on its best one.  The regions are
+    the distinct top sets on the diagonal path, so one candidate per
     region; 1 on dp; the witnesses on cover, one per distinct sign
     condition of the comparison surfaces; and the chain regions (the leaves
-    of the chain tree, summed over the support regions) on extended.
+    of the chain tree, summed over the support regions) on extended.  The
+    generators are looked up on every call, so replacing one, or route(),
+    by attribute takes effect.
     """
-    path = route(rp)
+    generate = {
+        "diagonal": solve_diagonal,
+        "dp": _dp_candidate,
+        "cover": _cover_pool,
+        "extended": _extended_candidates,
+    }[route(rp)]
     ctx = _context(rp)
-    level = min(rp.sigma_p, rp.n_total)
-    if path == "cover":
-        supports, best = _cover_pool(ctx, level)
-        return supports, finish(best, rp, ctx), ctx.pool.witnesses
-    if path == "diagonal":
-        candidates = solve_diagonal(ctx, level)
-        regions = len(candidates)
-    elif path == "dp":
-        candidates, regions = _dp_candidate(ctx, level), 1
-    else:
-        candidates, regions = _extended_candidates(ctx, level, max_cells)
-    return candidates.keys(), finish(candidates, rp, ctx), regions
+    supports, candidates, regions = generate(ctx, min(rp.sigma_p, rp.n_total))
+    return supports, finish(candidates, rp, ctx), regions
 
 
 def _lift(instance: Instance, rp: ReducedProblem, sol: RpSolution) -> Solution:
@@ -956,9 +956,7 @@ def _lift(instance: Instance, rp: ReducedProblem, sol: RpSolution) -> Solution:
     return lifted
 
 
-def solve_detailed(
-    instance: Instance, max_cells: int = DEFAULT_MAX_CELLS
-) -> tuple[Solution, list[dict]]:
+def solve_detailed(instance: Instance) -> tuple[Solution, list[dict]]:
     """Exact optimum of a full instance, with one stats entry per subproblem.
 
     Validates, reduces, solves each subproblem with solve_block, and lifts
@@ -978,7 +976,7 @@ def solve_detailed(
     report: list[dict] = []
     for rp in reduce(instance):
         try:
-            candidates, sol, regions = solve_block(rp, max_cells=max_cells)
+            candidates, sol, regions = solve_block(rp)
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{_describe(rp)}: {exc}") from exc
         report.append(
@@ -1000,6 +998,6 @@ def solve_detailed(
     return best, report
 
 
-def solve(instance: Instance, max_cells: int = DEFAULT_MAX_CELLS) -> Solution:
+def solve(instance: Instance) -> Solution:
     """Exact optimum of a full instance; see solve_detailed for strategy."""
-    return solve_detailed(instance, max_cells=max_cells)[0]
+    return solve_detailed(instance)[0]

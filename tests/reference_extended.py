@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import reference_arrangement
 from blocksel.linalg import extended_dim
 from blocksel.model import BlockStructure, BudgetExceededError, ReducedProblem
-from blocksel.solver import DEFAULT_MAX_CELLS, CandidateSet, _context
+from blocksel.solver import CandidateSet, _context
 from reference_arrangement import (
     Cell,
     Hyperplane,
@@ -87,7 +87,7 @@ def _support_planes(base: ReducedProblem) -> tuple[Hyperplane, ...]:
 
 
 def build_support_tables(
-    rp: ReducedProblem, max_cells: int = DEFAULT_MAX_CELLS
+    rp: ReducedProblem, max_cells: int = 200000
 ) -> tuple[list[Cell], list[SupportTable]]:
     """Cells of the lifted comparison arrangement with their argmin tables.
 

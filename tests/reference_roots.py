@@ -10,6 +10,9 @@ dyadic brackets in integers.  Tests compare the library against these.
 integer_squarefree is the library's former integer squarefree step: a gcd
 with the derivative, then one pseudo-division.  The library now reads the
 gcd off the last member of the Sturm chain it builds anyway.
+
+library_value and library_repr were blocksel.roots.AlgebraicNumber's value
+property and __repr__; only tests read a library root as a Fraction.
 """
 
 from __future__ import annotations
@@ -336,3 +339,20 @@ def library_samples(sorted_roots: list) -> list[Fraction]:
         Fraction(n, 1 << j)
         for n, j in (roots.sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
     ]
+
+
+def library_value(root: roots.AlgebraicNumber) -> Optional[Fraction]:
+    """A library root as a Fraction when it is known to be rational, else None."""
+    if root.lo == root.hi:
+        return Fraction(root.lo, 1 << root.k)
+    if root.poly is not None and len(root.poly) == 2:
+        return Fraction(-root.poly[0], root.poly[1])
+    return None
+
+
+def library_repr(root: roots.AlgebraicNumber) -> str:
+    """A library root for assertion messages: its value, else its bracket."""
+    value = library_value(root)
+    if value is not None:
+        return f"AlgebraicNumber({value})"
+    return f"AlgebraicNumber({root.poly}, [{root.lo}, {root.hi}] / 2^{root.k})"

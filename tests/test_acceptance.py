@@ -16,7 +16,6 @@ from blocksel.linalg import least_squares, residual_quadratic
 from blocksel.model import Instance, ReducedProblem
 from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import (
-    DEFAULT_MAX_CELLS,
     _context,
     _support_regions,
     aug_set,
@@ -342,7 +341,7 @@ def test_criterion_7_cell_closure_coverage():
     with criterion(7):
         rng = random.Random(707)
         for rp in coverage_problems():
-            regions = _support_regions(_context(rp), DEFAULT_MAX_CELLS)
+            regions = _support_regions(_context(rp))
             pieces = []
             r0 = 0
             for blk in rp.blocks:

@@ -31,6 +31,9 @@ def test_brute_force_refuses_a_residual_its_solution_does_not_reach(monkeypatch)
     monkeypatch.setattr(oracle, "least_squares", off_by_one)
     with pytest.raises(InvariantError, match="least-squares residual"):
         brute_force(diag_instance((1, 2), (3, 4), 1))
+    # Every budget's solution is checked, the empty support's too.
+    with pytest.raises(InvariantError, match="least-squares residual"):
+        brute_force_levels(diag_instance((1, 2), (3, 4), 0), levels=0)
 
 
 def test_brute_force_budget_extremes():
@@ -52,10 +55,11 @@ def test_brute_force_intercept_is_free():
     assert sol.mu == 3
 
 
-def test_brute_force_refuses_large_enumerations():
+def test_brute_force_refuses_large_enumerations(monkeypatch):
     inst = diag_instance((1, 2), (3, 4), 2)
+    monkeypatch.setattr(oracle, "MAX_SUPPORTS", 3)
     with pytest.raises(BudgetExceededError):
-        brute_force(inst, max_supports=3)
+        brute_force(inst)
 
 
 def test_brute_force_rejects_invalid():

@@ -271,7 +271,7 @@ def test_support_tables_single_column_block():
         tags=(0,),
         sigma_p=1,
     )
-    regions = solver._support_regions(solver._context(rp), solver.DEFAULT_MAX_CELLS)
+    regions = solver._support_regions(solver._context(rp))
     assert len(regions) == 1
     assert regions[0][2] == (((), (0,)),)
 
@@ -285,7 +285,7 @@ def test_support_tables_pick_argmin_at_witness():
         tags=(0,),
         sigma_p=1,
     )
-    regions = solver._support_regions(solver._context(rp), solver.DEFAULT_MAX_CELLS)
+    regions = solver._support_regions(solver._context(rp))
     assert len(regions) >= 2
     blk = rp.blocks[0]
     forms = {
@@ -333,15 +333,16 @@ def test_candidate_union_covers_oracle_support():
         )
 
 
-def test_budget_error_names_the_subproblem():
+def test_budget_error_names_the_subproblem(monkeypatch):
     inst = Instance.build(
         [[[1]], [[1]]],
         coupling=[[1, 2], [2, 1], [1, -1]],
         b=[1, 2],
         sigma=4,
     )
+    monkeypatch.setattr(solver, "MAX_CELLS", 1)
     with pytest.raises(BudgetExceededError) as excinfo:
-        solve(inst, max_cells=1)
+        solve(inst)
     assert "coupling columns [1, 2, 3]" in str(excinfo.value)
     # A 3x3 block at three free parameters: its slots split the support
     # regions past the budget before any chain is walked.
@@ -352,8 +353,9 @@ def test_budget_error_names_the_subproblem():
         b=[1, 2, 3, 4, -1],
         sigma=3,
     )
+    monkeypatch.setattr(solver, "MAX_CELLS", 5)
     with pytest.raises(BudgetExceededError) as excinfo:
-        solve(inst, max_cells=5)
+        solve(inst)
     message = str(excinfo.value)
     assert "subproblem with coupling columns [1, 2]" in message
     assert "support regions reached 9" in message
@@ -545,7 +547,7 @@ def test_edge_rankings_match_rankings_at_cover_witnesses():
         ctx = solver._context(rp)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in expected}
-            assert solver.solve_diagonal(ctx, top).keys() == tops
+            assert solver.solve_diagonal(ctx, top)[0] == tops
 
 
 def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
@@ -583,7 +585,7 @@ def test_kinetic_rankings_equal_the_anchor_by_anchor_walk():
         rankings = reference_diagonal.diag_rankings(ctx)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
-            assert solver.solve_diagonal(ctx, top).keys() == tops
+            assert solver.solve_diagonal(ctx, top)[0] == tops
 
 
 def test_top_sets_without_a_walk_equal_the_walk():
@@ -603,7 +605,7 @@ def test_top_sets_without_a_walk_equal_the_walk():
         hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
         for top in range(h + 2):
             walked = solver._walk_top_sets(ctx, hittable, top)
-            assert solver.solve_diagonal(ctx, top).keys() == walked
+            assert solver.solve_diagonal(ctx, top)[0] == walked
             if top == 0 or top >= len(hittable):
                 assert walked == {tuple(hittable[:top])}
 
@@ -658,7 +660,7 @@ def test_level_walk_equals_the_reference_rankings_on_forced_ties():
         rankings = reference_diagonal.diag_rankings(ctx)
         for top in range(h + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
-            assert solver.solve_diagonal(ctx, top).keys() == tops
+            assert solver.solve_diagonal(ctx, top)[0] == tops
     assert two_classes >= 60
 
 
@@ -675,7 +677,7 @@ def test_one_set_read_is_taken_off_every_crossing():
     rankings = reference_diagonal.diag_rankings(ctx)
     tops = {tuple(sorted(ranking[:4])) for ranking in rankings}
     assert tops == {(1, 3, 4, 5)}
-    assert solver.solve_diagonal(ctx, 4).keys() == tops
+    assert solver.solve_diagonal(ctx, 4)[0] == tops
 
 
 # Count bounds, one small seeded rung per path: a count over its bound
@@ -707,7 +709,7 @@ def test_diagonal_top_sets_within_the_line_arrangement_bound():
                     lines.add(tuple(u / lead for u in line))
         n = len(lines)
         for top in range(rp.n_total + 2):
-            top_sets = solver.solve_diagonal(ctx, top)
+            top_sets = solver.solve_diagonal(ctx, top)[0]
             assert len(top_sets) <= 2 * (1 + n + n * (n - 1) // 2)
             walked += len(top_sets) > 1
     assert walked
@@ -773,7 +775,7 @@ def test_support_regions_within_the_hyperplane_arrangement_bound():
                 if any(diff[1:]):
                     planes.add(primitive(diff))
     n, dim = len(planes), extended_dim(rp.k_prime)
-    regions = solver._support_regions(ctx, solver.DEFAULT_MAX_CELLS)
+    regions = solver._support_regions(ctx)
     assert 1 < len(regions) <= sum(math.comb(n, i) for i in range(dim + 1))
 
 
@@ -943,7 +945,8 @@ def test_cover_walk_takes_each_union_once_with_its_row(monkeypatch):
         built = []
         for limit in range(base.n_total + 1):
             scored.clear()
-            pooled, best = solver._cover_pool(ctx, limit)
+            pooled, best, regions = solver._cover_pool(ctx, limit)
+            assert regions == ctx.pool.witnesses
             walked = ctx.pool.supports[limit]
             built.extend(walked)
             assert len(built) == len(set(built))
@@ -1042,7 +1045,7 @@ def test_extended_candidates_equal_the_refined_cell_reference():
             except BudgetExceededError:
                 continue
             level = min(sigma_p, rp.n_total)
-            got, regions = solver._extended_candidates(ctx_of(rp), level, solver.DEFAULT_MAX_CELLS)
+            _, got, regions = solver._extended_candidates(ctx_of(rp), level)
             assert got.keys() == want
             assert regions >= len(got)
             compared.add((k, spread, min(sigma_p, 2)))
@@ -1075,7 +1078,7 @@ def test_three_column_blocks_match_the_reference_and_brute_force():
                 except BudgetExceededError:
                     continue
                 level = min(sigma_p, rp.n_total)
-                got, _ = solver._extended_candidates(ctx_of(rp), level, solver.DEFAULT_MAX_CELLS)
+                _, got, _ = solver._extended_candidates(ctx_of(rp), level)
                 assert got.keys() == want
                 compared = True
             if compared:
@@ -1362,7 +1365,8 @@ def test_profile_union_refusal_leaves_lower_levels_answerable(monkeypatch, force
     monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
     message = (
         f"profile union enumeration needs {allocations(high)} allocations of at "
-        f"most {high} columns for each of {profiles} argmin tables"
+        f"most {high} columns for each of {profiles} argmin tables, "
+        f"over the limit of {allocations(low) * profiles}"
     )
     with forced("cover"):
         for warm in (False, True):
