@@ -32,11 +32,11 @@ route() and do not check its rule themselves:
 * diagonal (solve_diagonal): all blocks 1x1 and at most two free
   parameters.  The optimal support is the top sigma' coordinates by
   |b'(lambda)|, so the candidates are the top sets over the regions of
-  lambda space.  They are read off the edges of a line arrangement in
-  the plane, in integers: each tie class of a line (coordinates of equal
-  |b'| along it) is walked only against the lines that share a
-  coordinate with it, and a set is recorded only where the sigma'-level
-  cuts the class.
+  a line arrangement in the plane, read in integers: one kinetic sweep
+  along lambda_2 = 0, the whole walk at k' <= 1, and at k' = 2 a walk of
+  each tie class of a line (coordinates of equal |b'| along it) against
+  the lines through its least member, recording a set only where the
+  sigma'-level cuts the class.
 * dp (_dp_candidate): every other subproblem without free parameters,
   solved by an integer DP over (block, columns used), whose one table
   holds every level's optimum.
@@ -555,24 +555,18 @@ def solve_diagonal(ctx: _Context, top: int) -> Generated:
 
 
 def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet:
-    """Top sets over the regions of the plane, read where the level cuts a class.
+    """Top sets over the regions of the plane: one sweep, then the class walks.
 
     Rankings change only across the pairwise difference and sum lines of
-    the hittable b' functionals, where |b'_i| = |b'_j|.  The functionals
-    get zero coefficients up to two parameters, so lambda space is read as
-    the plane.  Each merged line keeps the pairs it carries, and their
-    union splits its coordinates into tie classes, equal in |b'| along the
-    whole line.  Unless the top set is the same in every region, each
-    region's top set changes across some edge of its boundary; at a point
-    of that edge off every crossing the classes of the line have distinct
-    |b'|, so the change is the level cutting one class: some of its
-    members are in the top set, not all.  Each class is walked only
-    against the lines that carry one of its members (_class_top_sets),
-    since a coordinate outside it passes it only there.  One more set is
-    read from a full ranking just off an edge of one line, walked against
-    all of its crossings (without any line, the line lambda_2 = 0): when
-    no class is cut anywhere, the top set is the same in every region, and
-    that is the only one.
+    the hittable b' functionals (zero coefficients on missing parameters
+    make lambda space the plane); the pairs a merged line carries split
+    its coordinates into tie classes, equal in |b'| along it.  The sweep
+    reads each region it passes: every region when all lines are
+    lambda_1 = c, as at k' <= 1.  Otherwise, unless the top set is the
+    same everywhere, each region's changes across an edge of its boundary,
+    where the level cuts one class of the edge's line; each class is
+    walked against the lines that carry its least member q, since a
+    coordinate outside it ties the class exactly where it ties q.
     """
     k = ctx.base.k_prime
     # b'_i(lambda) = b_i - sum_l lambda_l col_l[i] as (p, q, r) for
@@ -591,6 +585,9 @@ def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet
             if p1 + s * p2 or q1 + s * q2:
                 line = primitive((p1 + s * p2, q1 + s * q2, r1 + s * r2))
                 pairs.setdefault(line, []).append((i, j))
+    top_sets = _sweep_top_sets(pairs, int_funcs, hittable, top)
+    if not any(b for _, b, _ in pairs):
+        return top_sets
     # classes[line] maps each coordinate the line carries to its tie class;
     # carrying[i] lists the lines that carry coordinate i.
     classes: dict[tuple[int, ...], dict[int, frozenset[int]]] = {}
@@ -602,65 +599,49 @@ def _walk_top_sets(ctx: _Context, hittable: list[int], top: int) -> CandidateSet
             class_of.update(dict.fromkeys(merged, merged))
         for i in class_of:
             carrying.setdefault(i, []).append(line)
-    top_sets: CandidateSet = set()
     for line, class_of in classes.items():
-        a, b, _ = line
         for members in set(class_of.values()):
-            crossing: dict[tuple[int, ...], frozenset[int]] = {}
-            for q in members:
-                for other in carrying[q]:
-                    if a * other[1] != b * other[0]:
-                        tied = classes[other][q]
-                        crossing[other] = crossing.get(other, tied) | tied
-            top_sets.update(
-                _class_top_sets(line, members, crossing, int_funcs, hittable, top)
-            )
-    line = next(iter(classes), (0, 1, 0))
-    a, b, _ = line
-    crossing = {other: frozenset() for other in classes if a * other[1] != b * other[0]}
-    rows, u, _ = _line_anchors(line, crossing, int_funcs, hittable)
-    top_sets.add(tuple(sorted(_ranked(rows, hittable, u, 1)[:top])))
+            q = min(members)
+            crossing = ((other, classes[other][q]) for other in carrying[q])
+            top_sets.update(_class_top_sets(line, members, crossing, int_funcs, hittable, top))
     return top_sets
 
 
 def _line_anchors(line, crossing, int_funcs, hittable):
     """Values along one line, its first anchor and its crossings.
 
-    The line a x + b y + c = 0 is walked as P(t) = base + t (-b, a); the
-    lines of crossing, a dict from each to a set of coordinates, cut it at
-    parameters t = n / d with 0 < d <= D.  With M = 2 D^2 the integer key
-    floor(n M / d) orders the crossings and tells distinct ones apart by at
-    least 2, so the edge after the crossing of key K is read at (K + 1) / M
-    and the first edge at (K_0 - 1) / M: every anchor shares the
-    denominator M.  Returns rows, the first anchor's numerator and the
-    sorted (key, coordinates) of the crossings, the coordinates of lines
-    through one point merged.  For each hittable i, rows[i] = (A, B, s)
-    gives f_i(P(u / M)) * |g| * M = A + B u, g the base's denominator, and
-    s the slope f_i . (a, b) along the normal; one positive factor per
-    point keeps every comparison.  Lines and int_funcs entries are integer
-    triples (a, b, c) of a x + b y + c.
+    The line a x + b y + c = 0 is walked as P(t) = base + t (-b, a); each
+    (line, coordinates) pair of crossing cuts it at t = n / d, 0 < |d| <= D,
+    unless parallel (d = 0).  With M = 2 D^2 the integer key floor(n M / d)
+    orders the crossings and parts distinct ones by at least 2, so the edge
+    after key K is read at (K + 1) / M and the first at (K_0 - 1) / M.
+    Returns rows, the first anchor's numerator and the sorted (key,
+    coordinates) of the crossings, merged over lines through one point.
+    For hittable i, rows[i] = (A, B, s): f_i(P(u / M)) |g| M = A + B u, g
+    the base's denominator, and s is the slope f_i . (a, b) along the
+    normal; one positive factor per point keeps every comparison.  Lines
+    and functionals are integer triples (a, b, c) of a x + b y + c.
     """
     a, b, c = line
-    g = b if b != 0 else a  # base has denominator g
+    x0, y0, g = (0, -c, b) if b != 0 else (-c, 0, a)  # base (x0, y0) / g
     sign, mag = (1, g) if g > 0 else (-1, -g)
+    hits = []
+    most = 0
+    for (a2, b2, c2), carried in crossing:
+        d = g * (a * b2 - b * a2)
+        if d:
+            hits.append((-a2 * x0 - b2 * y0 - c2 * g, d, carried))
+            if d * d > most:
+                most = d * d
+    w = 2 * most or 1
     swaps: dict[int, set[int]] = {}
-    w, u = 1, 0
-    if crossing:
-        hits = []
-        for (a2, b2, c2), carried in crossing.items():
-            n = b2 * c - c2 * b if b != 0 else a2 * c - c2 * a
-            d = g * (a * b2 - b * a2)
-            hits.append((n, d, carried) if d > 0 else (-n, -d, carried))
-        w = 2 * max(d for _, d, _ in hits) ** 2
-        for n, d, carried in hits:
-            swaps.setdefault(n * w // d, set()).update(carried)
-        u = min(swaps) - 1
+    for n, d, carried in hits:
+        swaps.setdefault(n * w // d, set()).update(carried)
     rows = {}
     for i in hittable:
         p, q, r = int_funcs[i]
-        at_base = r * b - q * c if b != 0 else r * a - p * c
-        rows[i] = (sign * at_base * w, (q * a - p * b) * mag, p * a + q * b)
-    return rows, u, sorted(swaps.items())
+        rows[i] = (sign * (p * x0 + q * y0 + r * g) * w, (q * a - p * b) * mag, p * a + q * b)
+    return rows, min(swaps, default=1) - 1, sorted(swaps.items())
 
 
 def _ranked(rows, coords, u, side) -> list[int]:
@@ -681,35 +662,54 @@ def _ranked(rows, coords, u, side) -> list[int]:
     return [key[3] for key in sorted(keys)]
 
 
+def _sweep_top_sets(pairs, int_funcs, hittable, top) -> CandidateSet:
+    """Top sets of the regions along lambda_2 = 0, just off it on its + side.
+
+    The transversal is walked against every line that crosses it (see
+    _line_anchors) from one full ranking at the first anchor.  Two
+    coordinates swap only where they tie, on their pair's line, or, when
+    that is the transversal, where both vanish, on the pair's other line;
+    so each crossing ranks again only its lines' coordinates, in the slots
+    they hold, and the top set changes only where those straddle the level.
+    """
+    crossing = ((line, itertools.chain(*carried)) for line, carried in pairs.items())
+    rows, u, swaps = _line_anchors((0, 1, 0), crossing, int_funcs, hittable)
+    slot = {i: s for s, i in enumerate(_ranked(rows, hittable, u, 1))}
+    out = {tuple(i for i in hittable if slot[i] < top)}
+    for key, coords in swaps:
+        slots = sorted(slot[i] for i in coords)
+        slot.update(zip(_ranked(rows, coords, key + 1, 1), slots))
+        if slots[0] < top <= slots[-1]:
+            out.add(tuple(i for i in hittable if slot[i] < top))
+    return out
+
+
 def _class_top_sets(line, members, crossing, int_funcs, hittable, top) -> CandidateSet:
     """Top sets on both sides of one line where the level cuts a tie class.
 
-    members is a tie class of the line, and crossing maps each line of
-    another direction that carries a member to the coordinates tied with a
-    member along it (see _line_anchors for the walk).  A coordinate
+    members is a tie class of the line, and crossing pairs each line that
+    carries its least member q with q's tie class along it.  A coordinate
     outside the class stays above or below it along the line except where
-    it ties a member, at such a crossing; so the set above the class is
-    compared once at the first anchor and afterwards, at the anchor past
-    each crossing, only among that crossing's coordinates.  The members'
-    own order just off the line changes only where they vanish, which is
-    all along it or at its crossing with the other line of two of them.
-    With n = top - |above|, an edge where 0 < n < |members| reads, on each
+    it ties q, where such a line crosses, and members tie q all along it;
+    so the set above is compared once at the first anchor and afterwards,
+    past each crossing, only among its coordinates.  The members' own
+    order just off the line changes only where they vanish: all along it,
+    or where the other line of q's pair with a member crosses.  With
+    n = top - |above|, an edge where 0 < n < |members| reads, on each
     side, above and the best n members.
     """
     rows, u, swaps = _line_anchors(line, crossing, int_funcs, hittable)
-    q = next(iter(members))
+    big_a, big_b, _ = rows[min(members)]
     above: set[int] = set()
     out: CandidateSet = set()
     for u, coords in [(u, hittable), *((key + 1, coords) for key, coords in swaps)]:
-        big_a, big_b, _ = rows[q]
-        level = (big_a + big_b * u) ** 2
+        level = abs(big_a + big_b * u)
         for i in coords:
-            if i not in members:
-                big_a, big_b, _ = rows[i]
-                if (big_a + big_b * u) ** 2 > level:
-                    above.add(i)
-                else:
-                    above.discard(i)
+            a_i, b_i, _ = rows[i]
+            if abs(a_i + b_i * u) > level:
+                above.add(i)
+            else:
+                above.discard(i)
         n = top - len(above)
         if 0 < n < len(members):
             for side in (1, -1):

@@ -629,7 +629,10 @@ def test_level_walk_equals_the_reference_rankings_on_forced_ties():
     # Each draw forces a twin (f_t = +-f_i), a zero functional, and a line
     # carrying two tie classes: f_d = f_c - f_a + f_b puts the pairs
     # (a, b) and (c, d) on the line f_a = f_b.  Every fourth draw has no
-    # free parameter, and some diagonal entries are zero.
+    # free parameter, and some diagonal entries are zero.  The last input
+    # has one free parameter: at lambda_1 = 1, |b'| is 1 for f_0 to f_4
+    # (f_4 = -f_0 a twin) and 2 for f_6 and f_7, so that line carries two
+    # classes; f_5 is zero and f_8 has a zero diagonal entry.
     rng = random.Random(59)
 
     def tied_along(line, f, g):
@@ -643,6 +646,7 @@ def test_level_walk_equals_the_reference_rankings_on_forced_ties():
         )
 
     two_classes = 0
+    inputs = []
     for trial in range(120):
         k = 0 if trial % 4 == 0 else 1 + trial % 2
         h = rng.randint(6, 8)
@@ -656,9 +660,15 @@ def test_level_walk_equals_the_reference_rankings_on_forced_ties():
         line = [x - y for x, y in zip(funcs[a], funcs[b])]
         if k and any(line[:k]) and not tied_along(line, funcs[a], funcs[c]):
             two_classes += 1
+        inputs.append((values, funcs))
+    inputs.append((
+        [1, 2, -1, 1, 1, 1, 2, 1, 0],
+        [(1, 0), (-2, 3), (3, -4), (2, -1), (-1, 0), (0, 0), (1, 1), (0, 2), (1, -3)],
+    ))
+    for values, funcs in inputs:
         ctx = solver._context(rp_from_funcs(values, funcs))
         rankings = reference_diagonal.diag_rankings(ctx)
-        for top in range(h + 2):
+        for top in range(len(funcs) + 2):
             tops = {tuple(sorted(ranking[:top])) for ranking in rankings}
             assert solver.solve_diagonal(ctx, top)[0] == tops
     assert two_classes >= 60
@@ -717,49 +727,64 @@ def test_diagonal_top_sets_within_the_line_arrangement_bound():
 
 def test_level_walk_meets_only_lines_that_share_a_coordinate(monkeypatch):
     # Each of the n hittable coordinates lies on at most 2 (n - 1)
-    # difference and sum lines, so a tie class Q is walked against at most
-    # 2 (n - 1) |Q| of them, and the one full ranking adds one line's
-    # crossings.
+    # difference and sum lines, so a tie class, walked against the lines
+    # that carry its least member, meets at most 2 (n - 1) of them, and the
+    # sweep along lambda_2 = 0 meets each line at most once.  At k' <= 1
+    # every line is lambda_1 = c: the sweep alone reads every region, with
+    # at most one event per line, and no class is walked.
     h = 16
     inst = generate_instance(
         blocks=h, block_rows=1, block_cols=1, coupling=2, intercept=False,
         sigma=4, seed=3, spread=5,
     )
-    rp = next(rp for rp in reduce(inst) if rp.k_prime == 2)
-    cols = rp.lambda_cols
-    scale = math.lcm(*(v.denominator for v in rp.b + cols[0] + cols[1]))
-    funcs = [
-        tuple(int(v * scale) for v in (-cols[0][i], -cols[1][i], rp.b[i]))
-        for i in range(h)
-    ]
-    hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
-    carried = {}
-    for i, j in itertools.combinations(hittable, 2):
-        for s in (1, -1):
-            line = [u + s * v for u, v in zip(funcs[i], funcs[j])]
-            if any(line[:2]):
-                carried.setdefault(primitive(line), set()).update((i, j))
-    walked = []
-    entries = []
     class_top_sets, line_anchors = solver._class_top_sets, solver._line_anchors
+    walked = []
+    calls = []
+
+    def cutting(line, crossing):
+        return [(other, coords) for other, coords in crossing
+                if line[0] * other[1] != line[1] * other[0]]
 
     def class_walk(line, members, crossing, *args):
-        walked.append(members)
-        for other in crossing:
-            assert carried[other] & members
+        crossing = list(crossing)
+        walked.append((members, cutting(line, crossing)))
+        for other, _ in crossing:
+            assert min(members) in carried[other]
         return class_top_sets(line, members, crossing, *args)
 
     def anchors(line, crossing, *args):
-        entries.append(len(crossing))
-        return line_anchors(line, crossing, *args)
+        crossing = cutting(line, crossing)
+        rows, u, swaps = line_anchors(line, crossing, *args)
+        calls.append((len(crossing), len(swaps)))
+        return rows, u, swaps
 
     monkeypatch.setattr(solver, "_class_top_sets", class_walk)
     monkeypatch.setattr(solver, "_line_anchors", anchors)
-    solver.solve_diagonal(solver._context(rp), rp.sigma_p)
-    assert walked and len(entries) == len(walked) + 1
-    n = len(hittable)
-    bound = sum(2 * (n - 1) * len(members) for members in walked) + len(carried)
-    assert sum(entries) <= bound
+    for rp in reduce(inst):
+        cols = rp.lambda_cols + ((Fraction(0),) * h,) * (2 - rp.k_prime)
+        scale = math.lcm(*(v.denominator for v in rp.b + cols[0] + cols[1]))
+        funcs = [
+            tuple(int(v * scale) for v in (-cols[0][i], -cols[1][i], rp.b[i]))
+            for i in range(h)
+        ]
+        hittable = [i for i in range(h) if rp.blocks[i].at(0, 0) != 0]
+        carried = {}
+        for i, j in itertools.combinations(hittable, 2):
+            for s in (1, -1):
+                line = [u + s * v for u, v in zip(funcs[i], funcs[j])]
+                if any(line[:2]):
+                    carried.setdefault(primitive(line), set()).update((i, j))
+        walked.clear()
+        calls.clear()
+        solver.solve_diagonal(solver._context(rp), rp.sigma_p)
+        n = len(hittable)
+        assert len(calls) == len(walked) + 1
+        assert all(len(crossing) <= 2 * (n - 1) for _, crossing in walked)
+        assert sum(entries for entries, _ in calls) <= 2 * (n - 1) * len(walked) + len(carried)
+        if rp.k_prime == 2:
+            assert walked
+        else:
+            assert not walked and calls[0][1] <= len(carried)
 
 
 def test_support_regions_within_the_hyperplane_arrangement_bound():
