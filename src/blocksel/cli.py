@@ -222,27 +222,16 @@ def _print_solution(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    """solve and oracle: args.run gives the solution and its report, or None."""
     instance = _load(args.path)
     if instance is None:
         return EXIT_INPUT
     try:
-        solution, report = solve_detailed(instance)
+        solution, report = args.run(instance)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     return _print_solution(instance, solution, report, args.json)
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    instance = _load(args.path)
-    if instance is None:
-        return EXIT_INPUT
-    try:
-        solution = brute_force(instance)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    return _print_solution(instance, solution, None, args.json)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -250,25 +239,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     instance = _load(args.path)
     if instance is None:
         return EXIT_INPUT
-    try:
-        reference = brute_force(instance)
-    except BudgetExceededError as exc:
-        print(f"oracle budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    try:
-        print(f"oracle  {format_rational(reference.objective)}", flush=True)
-    except ValueError as exc:
-        return _unprintable(exc)
-    try:
-        solution = solve(instance)
-    except BudgetExceededError as exc:
-        print(f"solver budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    try:
-        print(f"solver  {format_rational(solution.objective)}")
-    except ValueError as exc:
-        return _unprintable(exc)
-    if solution.objective == reference.objective:
+    objectives = []
+    for name, run in (("oracle", brute_force), ("solver", solve)):
+        try:
+            objectives.append(run(instance).objective)
+        except BudgetExceededError as exc:
+            print(f"{name} budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        try:
+            print(f"{name}  {format_rational(objectives[-1])}", flush=True)
+        except ValueError as exc:
+            return _unprintable(exc)
+    if objectives[0] == objectives[1]:
         print("PASS")
         return EXIT_OK
     print("MISMATCH")
@@ -370,15 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="solve an instance exactly")
-    ps.add_argument("path", help="instance file, or - for stdin")
-    ps.add_argument("--json", action="store_true", help="machine-readable report")
-    ps.set_defaults(func=cmd_solve)
-
-    po = sub.add_parser("oracle", help="brute-force reference answer")
-    po.add_argument("path", help="instance file, or - for stdin")
-    po.add_argument("--json", action="store_true", help="machine-readable report")
-    po.set_defaults(func=cmd_oracle)
+    for name, text, run in (
+        ("solve", "solve an instance exactly", solve_detailed),
+        ("oracle", "brute-force reference answer", lambda inst: (brute_force(inst), None)),
+    ):
+        ps = sub.add_parser(name, help=text)
+        ps.add_argument("path", help="instance file, or - for stdin")
+        ps.add_argument("--json", action="store_true", help="machine-readable report")
+        ps.set_defaults(func=cmd_solve, run=run)
 
     pc = sub.add_parser("compare", help="check solver against brute force")
     pc.add_argument("path", help="instance file, or - for stdin")

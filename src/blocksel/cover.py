@@ -162,10 +162,10 @@ def _y_degree(conic: Conic) -> int:
     return 0
 
 
-def _padd(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+def _psub(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     n = max(len(u), len(v))
     return tuple(
-        (u[i] if i < len(u) else 0) + (v[i] if i < len(v) else 0) for i in range(n)
+        (u[i] if i < len(u) else 0) - (v[i] if i < len(v) else 0) for i in range(n)
     )
 
 
@@ -178,10 +178,6 @@ def _pmul(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
             for j, vj in enumerate(v):
                 out[i + j] += ui * vj
     return tuple(out)
-
-
-def _pneg(u: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-x for x in u)
 
 
 def _y_view(conic: Conic) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -203,11 +199,11 @@ def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:
     a1, b1, g1 = _y_view(c1)
     a2, b2, g2 = _y_view(c2)
     if c1[2] or c2[2]:
-        ac = _padd(_pmul(a1, g2), _pneg(_pmul(a2, g1)))
-        ab = _padd(_pmul(a1, b2), _pneg(_pmul(a2, b1)))
-        bc = _padd(_pmul(b1, g2), _pneg(_pmul(b2, g1)))
-        return ipoly_normalize(_padd(_pmul(ac, ac), _pneg(_pmul(ab, bc))))
-    return ipoly_normalize(_padd(_pmul(b1, g2), _pneg(_pmul(b2, g1))))
+        ac = _psub(_pmul(a1, g2), _pmul(a2, g1))
+        ab = _psub(_pmul(a1, b2), _pmul(a2, b1))
+        bc = _psub(_pmul(b1, g2), _pmul(b2, g1))
+        return ipoly_normalize(_psub(_pmul(ac, ac), _pmul(ab, bc)))
+    return ipoly_normalize(_psub(_pmul(b1, g2), _pmul(b2, g1)))
 
 
 def conic_cover_points(conics: Iterable[Sequence[int]]) -> list[Point2]:

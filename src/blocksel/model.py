@@ -11,6 +11,7 @@ Indices are 0-based throughout the library; the CLI renders them 1-based.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -108,6 +109,11 @@ def _entries(value, what: str):
 
 def _freeze_vector(entries: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(parse_rational(e) for e in _entries(entries, "a vector"))
+
+
+def offsets(sizes: Iterable[int]) -> tuple[int, ...]:
+    """Where each block starts, given the blocks' sizes, and the total last."""
+    return tuple(itertools.accumulate(sizes, initial=0))
 
 
 @dataclass(frozen=True)
@@ -239,17 +245,11 @@ class Instance:
     def structure(self) -> BlockStructure:
         return BlockStructure(self.h, tuple(blk.cols for blk in self.blocks))
 
-    def row_offsets(self) -> list[int]:
-        offsets = [0]
-        for blk in self.blocks:
-            offsets.append(offsets[-1] + blk.rows)
-        return offsets
+    def row_offsets(self) -> tuple[int, ...]:
+        return offsets(blk.rows for blk in self.blocks)
 
-    def col_offsets(self) -> list[int]:
-        offsets = [0]
-        for blk in self.blocks:
-            offsets.append(offsets[-1] + blk.cols)
-        return offsets
+    def col_offsets(self) -> tuple[int, ...]:
+        return offsets(blk.cols for blk in self.blocks)
 
 
 @dataclass(frozen=True)

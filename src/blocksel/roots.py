@@ -62,18 +62,20 @@ def ipoly_degree(p: IPoly) -> int:
     return len(p) - 1
 
 
+def _positive_scale(p: IPoly) -> IPoly:
+    """Divide out the content without touching the sign of the polynomial.
+
+    Sturm chain members may only be scaled by positive constants, so the
+    lead-sign normalization of ipoly_primitive must not be used here.
+    """
+    g = math.gcd(*p)
+    return tuple(c // g for c in p) if g else p
+
+
 def ipoly_primitive(p: IPoly) -> IPoly:
     """Divide out the content, keeping the leading coefficient positive."""
-    if not p:
-        return p
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(c))
-    if g == 0:
-        return ()
-    if p[-1] < 0:
-        g = -g
-    return tuple(c // g for c in p)
+    q = _positive_scale(p)
+    return tuple(-c for c in q) if q and q[-1] < 0 else q
 
 
 def ipoly_derivative(p: IPoly) -> IPoly:
@@ -135,20 +137,6 @@ def ipoly_gcd(p: IPoly, q: IPoly) -> IPoly:
     return a
 
 
-def _positive_scale(p: IPoly) -> IPoly:
-    """Divide out the content without touching the sign of the polynomial.
-
-    Sturm chain members may only be scaled by positive constants, so the
-    lead-sign normalization of ipoly_primitive must not be used here.
-    """
-    if not p:
-        return p
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(c))
-    return tuple(c // g for c in p)
-
-
 def _sturm_chain(p: IPoly) -> list[IPoly]:
     chain: list[IPoly] = [p, ipoly_derivative(p)]
     while len(chain[-1]) > 1:
@@ -192,14 +180,7 @@ class AlgebraicNumber:
 
     __slots__ = ("poly", "lo", "hi", "k", "rising")
 
-    def __init__(
-        self,
-        poly: Optional[IPoly] = None,
-        lo: int = 0,
-        hi: int = 0,
-        k: int = 0,
-        rising: bool = True,
-    ) -> None:
+    def __init__(self, poly: IPoly, lo: int, hi: int, k: int, rising: bool = True) -> None:
         self.poly = poly
         self.lo = lo
         self.hi = hi
@@ -221,8 +202,6 @@ class AlgebraicNumber:
         """Halve the bracket; a midpoint that is the root makes it exact."""
         if self.lo == self.hi:
             return
-        if self.poly is None:
-            raise InvariantError("an interval root lacks its polynomial")
         mid = self.lo + self.hi
         self.lo <<= 1
         self.hi <<= 1
@@ -257,8 +236,6 @@ class AlgebraicNumber:
                 if a_lo == a_hi and b_lo == b_hi:
                     return 0
                 point, wide = (a_lo, other) if a_lo == a_hi else (b_lo, self)
-                if wide.poly is None:
-                    raise InvariantError("an interval root lacks its polynomial")
                 if ipoly_eval_sign(wide.poly, point, top) == 0:
                     return 0  # the point is the only root in wide's bracket
                 wide.refine()
@@ -268,8 +245,6 @@ class AlgebraicNumber:
                 self.poly == other.poly
                 or max(a_width, b_width) << PRECISION <= 1 << top
             ):
-                if self.poly is None or other.poly is None:
-                    raise InvariantError("an interval root lacks its polynomial")
                 common = ipoly_gcd(self.poly, other.poly)
                 chain = _sturm_chain(common) if ipoly_degree(common) >= 1 else []
             if chain:

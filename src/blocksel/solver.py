@@ -101,6 +101,7 @@ from .model import (
     ReducedProblem,
     Solution,
     make_solution,
+    offsets,
     validate,
 )
 
@@ -173,24 +174,13 @@ def reduce(instance: Instance) -> list[ReducedProblem]:
 # works on the context's own tables.
 
 
-def _col_offsets(blocks: Sequence) -> tuple[int, ...]:
-    offsets = [0]
-    for blk in blocks:
-        offsets.append(offsets[-1] + blk.cols)
-    return tuple(offsets)
-
-
 def _row_pieces(base: ReducedProblem):
     """Per block: (piece of b, pieces of each lambda column)."""
-    pieces = []
-    offset = 0
-    for blk in base.blocks:
-        rows = range(offset, offset + blk.rows)
-        b_piece = tuple(base.b[r] for r in rows)
-        lam_pieces = tuple(tuple(col[r] for r in rows) for col in base.lambda_cols)
-        pieces.append((b_piece, lam_pieces))
-        offset += blk.rows
-    return tuple(pieces)
+    bounds = offsets(blk.rows for blk in base.blocks)
+    return tuple(
+        (tuple(base.b[lo:hi]), tuple(tuple(col[lo:hi]) for col in base.lambda_cols))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
 
 
 @dataclass
@@ -302,7 +292,8 @@ def _new_context(base: ReducedProblem) -> _Context:
         dict(pair for slot in per_size for pair in slot) for per_size in rows
     )
     empty = tuple(map(sum, zip(*(per_size[0][0][1] for per_size in rows))))
-    return _Context(base, pieces, rows, row_of, common // g, _col_offsets(base.blocks), empty)
+    cols = offsets(blk.cols for blk in base.blocks)
+    return _Context(base, pieces, rows, row_of, common // g, cols, empty)
 
 
 def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:
@@ -452,13 +443,22 @@ def _grow_pool(ctx: _Context, pool: _Pool, limit: int) -> None:
         best = pool.best[-1] if size else None
         for _, chi, row, _ in nodes:
             num, den = quadratic_minimum(row, k, scale)
-            # finish()'s order: the smaller minimum, then the smaller support.
-            if best is None or (num * best[1], chi) < (best[0] * den, best[2]):
+            if best is None or _precedes(num, den, chi, best):
                 best = (num, den, chi, row)
         pool.supports.append([chi for _, chi, _, _ in nodes])
         pool.best.append(best)
         extensible = [node for node in nodes if node[0] < h]
         pool.frontier = [*pool.frontier, extensible][-theta:]
+
+
+def _precedes(num: int, den: int, chi: tuple[int, ...], best: tuple) -> bool:
+    """finish()'s order: does num / den at support chi come before best?
+
+    best starts with (num, den, support).  The smaller minimum wins, by
+    cross-multiplication, and a tie goes to the lexicographically smaller
+    support.
+    """
+    return (num * best[1], chi) < (best[0] * den, best[2])
 
 
 def _candidate_value(
@@ -489,25 +489,24 @@ def finish(candidates: CandidateRows, rp: ReducedProblem, ctx: _Context) -> RpSo
     reuses it.
     """
     if any(len(chi) > rp.sigma_p for chi in candidates):
-        raise ValueError("candidate support exceeds the subproblem budget")
-    chi, row = (), ctx.empty
-    num, den = _candidate_value(ctx, chi, row)
-    for other, other_row in candidates.items():
-        n, d = _candidate_value(ctx, other, other_row)
-        lhs, rhs = n * den, num * d
-        if lhs < rhs or (lhs == rhs and other < chi):
-            chi, row, num, den = other, other_row, n, d
+        raise InvariantError("candidate support exceeds the subproblem budget")
+    best = (*_candidate_value(ctx, (), ctx.empty), (), ctx.empty)
+    for chi, row in candidates.items():
+        num, den = _candidate_value(ctx, chi, row)
+        if _precedes(num, den, chi, best):
+            best = (num, den, chi, row)
+    num, den, chi, row = best
     kept = ctx.solutions.get(chi)
     if kept is not None:
         return kept
     value = Fraction(num, den)
     best_lam = quadratic_minimizer(row, rp.k_prime)
 
-    offsets = ctx.offsets
+    starts = ctx.offsets
     x = [Fraction(0)] * rp.n_total
     rebuilt = Fraction(0)
     for i, blk in enumerate(rp.blocks):
-        local = [c - offsets[i] for c in chi if offsets[i] <= c < offsets[i + 1]]
+        local = [c - starts[i] for c in chi if starts[i] <= c < starts[i + 1]]
         b_piece, lam_pieces = ctx.pieces[i]
         target = list(b_piece)
         for coeff, piece in zip(best_lam, lam_pieces):
@@ -516,7 +515,7 @@ def finish(candidates: CandidateRows, rp: ReducedProblem, ctx: _Context) -> RpSo
                     target[r] -= coeff * piece[r]
         coeffs, res2 = least_squares([blk.column(c) for c in local], target)
         for c, v in zip(local, coeffs):
-            x[offsets[i] + c] = v
+            x[starts[i] + c] = v
         rebuilt += res2
     if rebuilt != value:
         raise InvariantError(

@@ -19,11 +19,12 @@ It and sweep_1d isolate roots with the Fraction-interval root layer of
 reference_roots, which the library replaced by integer brackets.
 split_family lists the components over which both read sign vectors.
 
-_disc_in_x, vanishes_somewhere, split_rational_lines and _resultant_in_y
-are the former blocksel.cover helpers, unchanged: the library now runs
-the x^2 branches as its y^2 branches on the swapped conic, and takes one
-resultant formula for every pair with a y^2 member.  The references above
-use them, and tests compare the library's helpers against them.
+_disc_in_x, vanishes_somewhere, split_rational_lines, _padd, _pneg and
+_resultant_in_y are the former blocksel.cover helpers, unchanged: the
+library now runs the x^2 branches as its y^2 branches on the swapped
+conic, takes one resultant formula for every pair with a y^2 member, and
+subtracts polynomials with one _psub.  The references above use them, and
+tests compare the library's helpers against them.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from blocksel.cover import (
     Conic,
     Point2,
     _disc_in_y,
-    _padd,
     _perfect_square_quadratic,
     _pmul,
-    _pneg,
     _unonneg,
     _y_degree,
     _y_view,
@@ -120,6 +119,17 @@ def split_rational_lines(conic: Conic) -> list[Conic]:
             ]
         return [conic]
     return [conic]
+
+
+def _padd(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    n = max(len(u), len(v))
+    return tuple(
+        (u[i] if i < len(u) else 0) + (v[i] if i < len(v) else 0) for i in range(n)
+    )
+
+
+def _pneg(u: Sequence[int]) -> tuple[int, ...]:
+    return tuple(-x for x in u)
 
 
 def _resultant_in_y(c1: Conic, c2: Conic) -> tuple[int, ...]:

@@ -97,6 +97,17 @@ def test_oracle_command(tmp_path, capsys):
     assert "objective  1/2" in capsys.readouterr().out
 
 
+def test_oracle_json_has_the_solution_without_subproblems(tmp_path, capsys):
+    path = write_doc(tmp_path)
+    assert main(["oracle", "--json", path]) == 0
+    oracle_doc = json.loads(capsys.readouterr().out)
+    assert "subproblems" not in oracle_doc
+    assert main(["solve", "--json", path]) == 0
+    solve_doc = json.loads(capsys.readouterr().out)
+    for key in ("objective", "support", "x"):
+        assert oracle_doc[key] == solve_doc[key]
+
+
 def test_oracle_budget_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("blocksel.oracle.MAX_SUPPORTS", 2)
     assert main(["oracle", write_doc(tmp_path)]) == 2
@@ -242,6 +253,14 @@ def test_compare_keeps_oracle_answer_on_solver_refusal(tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert "oracle  1/2" in captured.out
     assert "solver budget exceeded" in captured.err
+
+
+def test_compare_stops_at_an_oracle_refusal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("blocksel.oracle.MAX_SUPPORTS", 2)
+    assert main(["compare", write_doc(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "oracle budget exceeded" in captured.err
+    assert "solver" not in captured.out
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

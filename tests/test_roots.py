@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from blocksel.model import InvariantError
 from blocksel.roots import (
     AlgebraicNumber,
     ipoly_eval_sign,
+    ipoly_primitive,
     isolate_real_roots,
     sort_unique_roots,
     sturm_count,
@@ -30,6 +32,22 @@ def test_squarefree_part_refuses_a_gcd_that_does_not_divide(monkeypatch):
     monkeypatch.setattr(roots_module, "_sturm_chain", lambda p: [p, (1, 1)])
     with pytest.raises(InvariantError, match="gcd must divide"):
         isolate_real_roots((0, 1, 0, 1))
+
+
+@given(
+    st.lists(st.integers(-60, 60), min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0)
+)
+def test_content_division_keeps_one_rule(coeffs):
+    # Nonzero normalized polynomials: the lead coefficient is nonzero.
+    p = tuple(coeffs)
+    primitive = ipoly_primitive(p)
+    assert math.gcd(*primitive) == 1 and primitive[-1] > 0
+    multiple = p[-1] // primitive[-1]
+    assert tuple(multiple * c for c in primitive) == p
+    scaled = roots_module._positive_scale(p)
+    assert math.gcd(*scaled) == 1
+    assert [(c > 0) - (c < 0) for c in scaled] == [(c > 0) - (c < 0) for c in p]
+    assert ipoly_primitive(()) == roots_module._positive_scale(()) == ()
 
 
 def test_isolate_sqrt_two():
@@ -78,14 +96,6 @@ def test_cubics_with_repeated_factors_fall_to_lower_degree():
     # (x - 1)^2 (x + 2) = x^3 - 3x + 2 keeps the quadratic (x - 1)(x + 2).
     roots = isolate_real_roots((2, -3, 0, 1))
     assert [library_value(r) for r in roots] == [-2, 1]
-
-
-def test_an_interval_root_without_its_polynomial_is_an_invariant_error():
-    lost = AlgebraicNumber(lo=0, hi=1)
-    with pytest.raises(InvariantError):
-        lost.refine()
-    with pytest.raises(InvariantError):
-        lost.cmp(AlgebraicNumber(lo=1, hi=4, k=1))
 
 
 def test_cubic_mixed_roots():

@@ -180,9 +180,28 @@ def test_finish_joint_block_and_free_solve():
 
 def test_finish_rejects_oversized_candidates():
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError, match="exceeds the subproblem budget"):
         ctx = ctx_of(rp)
         finish(with_rows(ctx, [(0, 1)]), rp, ctx)
+
+
+def test_a_generator_past_the_budget_is_an_invariant_error(monkeypatch):
+    # A support longer than sigma' is a defect of the generator that made
+    # it, not bad input; solve_block looks its generators up on every call.
+    rp = ReducedProblem(
+        blocks=Instance.build([[[1, 2]], [[1], [1]]]).blocks,
+        b=(Fraction(3), Fraction(1), Fraction(2)),
+        lambda_cols=(),
+        tags=(),
+        sigma_p=1,
+    )
+    assert solver.route(rp) == "dp"
+    oversized = {(0, 1): (0,)}
+    monkeypatch.setattr(
+        solver, "_dp_candidate", lambda ctx, level: (oversized.keys(), oversized, 1)
+    )
+    with pytest.raises(InvariantError, match="exceeds the subproblem budget"):
+        solve_block(rp)
 
 
 def test_diagonal_breakpoint_example():
