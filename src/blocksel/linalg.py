@@ -6,12 +6,13 @@ the coupling coefficients pinned to the support.  Per-block residuals are
 quadratic forms in lam; comparisons between such forms are linear over the
 extended coordinates (lam followed by all monomials lam_i * lam_j with
 i <= j), so residual_quadratic writes each form once as an integer row over
-(1, extended coordinates) with a positive scale, which is what every
-comparison consumes, and quadratic_minimum takes the exact minimum of such a
-row as an integer ratio.  Everything rests on one kernel, eliminate:
-fraction-free symmetric elimination of an integer positive-semidefinite
-matrix (Bareiss, Math. Comp. 1968), which least_squares also applies to the
-Gram matrix of its columns.
+(1, extended coordinates) with a positive scale, every support of a block
+from one Gram matrix; every comparison consumes these rows, and
+quadratic_minimum takes the exact minimum of such a row as an integer ratio.
+Everything rests on one kernel, eliminate: fraction-free symmetric
+elimination of an integer positive-semidefinite matrix (Bareiss, Math.
+Comp. 1968), which least_squares also applies to the Gram matrix of its
+columns.
 
 All arithmetic is in integers.  Fractions are built only for what a caller
 keeps: least_squares's coefficients and residual, and the minimizer of the
@@ -20,6 +21,7 @@ one form that quadratic_minimizer is asked for.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -123,30 +125,36 @@ def residual_quadratic(
     block: RatMatrix,
     b_piece: Sequence[Fraction],
     lambda_pieces: Sequence[Sequence[Fraction]],
-    support: Sequence[int],
-) -> tuple[tuple[int, ...], int]:
-    """Squared distance from p(lam) = b - sum_l lambda_l * col_l to span(A[:, support]).
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    """Squared distance from p(lam) = b - sum_l lambda_l * col_l to span(A[:, S]), per S.
 
-    Returned as (row, scale): the distance at lam is
-    row . (1, lam, lam_i lam_j for i <= j) / scale, with scale > 0.  The
-    columns [A_S | Lambda | -b], scaled to integers by one factor L, have a
-    Gram matrix G with z^T G z = L^2 |A_S x + Lambda lam - b|^2 at
-    z = (x, lam, 1); eliminating x leaves the trailing block T over
-    (lam, 1), d L^2 times the residual's form, with d the last pivot.  The
-    row reads T's constant, the lam_i terms 2 T_i1, then T_ii and, for
-    i < j, 2 T_ij (lam^T P lam counts lam_i lam_j twice).  Works for any
-    support, including rank-deficient ones.
+    Maps each support S, by size and then lexicographically, to
+    (row, scale): the distance at lam is row . (1, lam, lam_i lam_j for
+    i <= j) / scale, with scale > 0.  The columns [A | Lambda | -b], scaled
+    to integers by one factor L, have a Gram matrix G with
+    z^T G z = L^2 |A x + Lambda lam - b|^2 at z = (x, lam, 1); eliminating
+    x_S from G's principal block over (x_S, lam, 1) leaves the trailing
+    block T over (lam, 1), d L^2 times the residual's form, with d the last
+    pivot.  The row reads T's constant, the lam_i terms 2 T_i1, then T_ii
+    and, for i < j, 2 T_ij (lam^T P lam counts lam_i lam_j twice).  Each
+    entry of T depends on its own row, its own column and S alone, so with
+    only some lambda columns free the row is this one at their monomials.
+    Works for any support, including rank-deficient ones.
     """
-    gram, factor = _target_gram(
-        [*(block.column(c) for c in support), *lambda_pieces, b_piece]
-    )
-    trail, pivot = eliminate(gram, len(support))
-    k = len(lambda_pieces)
-    row = [trail[k][k], *(2 * trail[i][k] for i in range(k))]
-    for i in range(k):
-        row.append(trail[i][i])
-        row.extend(2 * trail[i][j] for j in range(i + 1, k))
-    return tuple(row), pivot * factor * factor
+    n, k = block.cols, len(lambda_pieces)
+    gram, factor = _target_gram([*map(block.column, range(n)), *lambda_pieces, b_piece])
+    tail = range(n, n + k + 1)
+    table = {}
+    for size in range(n + 1):
+        for support in itertools.combinations(range(n), size):
+            keep = [*support, *tail]
+            trail, pivot = eliminate([[gram[r][c] for c in keep] for r in keep], size)
+            row = [trail[k][k], *(2 * trail[i][k] for i in range(k))]
+            for i in range(k):
+                row.append(trail[i][i])
+                row.extend(2 * trail[i][j] for j in range(i + 1, k))
+            table[support] = (tuple(row), pivot * factor * factor)
+    return table
 
 
 def _form_matrix(row: Sequence[int], k: int) -> list[list[int]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -258,8 +258,10 @@ class ReducedProblem:
 
     lambda_cols are the columns whose coefficients become free parameters
     (intercept first when present, then the chosen coupling columns).  tags
-    records where each came from: the string "mu" or a 0-based coupling index.
-    sigma_p is the residual cardinality budget for the block variables.
+    records where each came from: the string "mu" or a 0-based coupling index,
+    no two alike.  sigma_p is the residual cardinality budget for the block
+    variables.  forms, set by the solver's reduce(), is the residual form
+    table that the subproblems of one instance share.
     """
 
     blocks: tuple[RatMatrix, ...]
@@ -267,10 +269,11 @@ class ReducedProblem:
     lambda_cols: tuple[tuple[Fraction, ...], ...]
     tags: tuple[Union[str, int], ...]
     sigma_p: int
+    forms: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.lambda_cols) != len(self.tags):
-            raise ValueError("one tag per lambda column")
+        if not len(self.lambda_cols) == len(self.tags) == len(set(self.tags)):
+            raise ValueError("one distinct tag per lambda column")
         if self.sigma_p < 0:
             raise ValueError("sigma_p must be non-negative")
 

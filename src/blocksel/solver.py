@@ -13,14 +13,15 @@ minimizes each candidate's residual over lambda in closed form and keeps
 the best.
 
 Each support's residual is held as one integer row over (1, lambda,
-lambda_i lambda_j), all rows of a subproblem at one positive scale
-(linalg.residual_quadratic); comparisons read these rows, and a
-candidate's residual is the integer sum of its blocks' rows, which its
-generator forms with it.  finish() minimizes each such row by
-linalg.quadratic_minimum as an integer ratio, compares these ratios by
-cross-multiplication and builds Fractions only for the winner: its
-value, its lambda (linalg.quadratic_minimizer) and its block
-coefficients (linalg.least_squares).
+lambda_i lambda_j), all rows of a subproblem at one positive scale, read
+off one table per instance (linalg.residual_quadratic, over every free
+column); comparisons read these rows, and a candidate's residual is the
+integer sum of its blocks' rows, which its generator forms with it.
+finish() minimizes each such row by linalg.quadratic_minimum as an
+integer ratio, compares these ratios by cross-multiplication and builds
+Fractions only for the winner: its value, its lambda
+(linalg.quadratic_minimizer) and its block coefficients
+(linalg.least_squares).
 
 solve_block() is the one pipeline of a subproblem: route() names one of
 four candidate generators from the subproblem's structure alone, called
@@ -66,12 +67,12 @@ space as the plane, with zero coefficients on the missing parameters.
 Everything that does not depend on sigma' lives in one context per
 subproblem, held in a cache of MAX_CONTEXTS entries keyed on the
 subproblem's data as integers, so that a sigma sweep over the same data
-reuses it.  Per level a context keeps: on cover, the supports of that
-size and the best support up to it (rows and profile masks only for the
-theta largest sizes built, which the next size extends); on dp, the
-optimum within that many columns.  A level at or below the largest one
-built is a lookup.  On every path the context also keeps each rebuilt
-winner by support.
+reuses it; the form table is filled only on a miss.  Per level a context
+keeps: on cover, the supports of that size and the best support up to it
+(rows and profile masks only for the theta largest sizes built, which the
+next size extends); on dp, the optimum within that many columns.  A level
+at or below the largest one built is a lookup.  On every path the context
+also keeps each rebuilt winner by support.
 """
 
 from __future__ import annotations
@@ -142,26 +143,25 @@ def reduce(instance: Instance) -> list[ReducedProblem]:
     One per subset L of coupling columns with |L| <= sigma: the lambda
     columns are the intercept (when present) followed by the columns of L,
     and the block budget drops to sigma - |L|.  Ordered by subset size,
-    then lexicographically, so the empty subset comes first.
+    then lexicographically, so the empty subset comes first.  They share
+    one _FormTable over the intercept and, unless sigma is 0 and none is
+    pinned, every coupling column.
     """
+    lead = () if instance.intercept is None else (instance.intercept,)
+    mu = ("mu",) * len(lead)
+    free = instance.coupling if instance.sigma else ()
+    table = _FormTable(instance.blocks, instance.b, (*lead, *free), mu + tuple(range(len(free))))
     problems: list[ReducedProblem] = []
     for size in range(min(instance.k, instance.sigma) + 1):
         for combo in itertools.combinations(range(instance.k), size):
-            lambda_cols: list[tuple[Fraction, ...]] = []
-            tags: list = []
-            if instance.intercept is not None:
-                lambda_cols.append(instance.intercept)
-                tags.append("mu")
-            for idx in combo:
-                lambda_cols.append(instance.coupling[idx])
-                tags.append(idx)
             problems.append(
                 ReducedProblem(
                     blocks=instance.blocks,
                     b=instance.b,
-                    lambda_cols=tuple(lambda_cols),
-                    tags=tuple(tags),
+                    lambda_cols=lead + tuple(map(instance.coupling.__getitem__, combo)),
+                    tags=mu + combo,
                     sigma_p=instance.sigma - size,
+                    forms=table,
                 )
             )
     return problems
@@ -174,13 +174,30 @@ def reduce(instance: Instance) -> list[ReducedProblem]:
 # works on the context's own tables.
 
 
-def _row_pieces(base: ReducedProblem):
-    """Per block: (piece of b, pieces of each lambda column)."""
-    bounds = offsets(blk.rows for blk in base.blocks)
-    return tuple(
-        (tuple(base.b[lo:hi]), tuple(tuple(col[lo:hi]) for col in base.lambda_cols))
-        for lo, hi in zip(bounds, bounds[1:])
-    )
+class _FormTable:
+    """Every block's residual rows over all free columns of one instance.
+
+    reduce() shares one among an instance's subproblems, and the first
+    context built from it fills it: pieces[i] is block i's (piece of b,
+    pieces of each column), and rows[i] its residual_quadratic table.  A
+    subproblem finds each of its columns by its tag.
+    """
+
+    def __init__(self, blocks, b, columns, tags) -> None:
+        self.blocks, self.b, self.columns, self.tags = blocks, b, columns, tags
+        self.pieces = self.rows = None
+
+    def filled(self) -> _FormTable:
+        if self.rows is None:
+            bounds = offsets(blk.rows for blk in self.blocks)
+            self.pieces = [
+                (tuple(self.b[lo:hi]), tuple(tuple(col[lo:hi]) for col in self.columns))
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            self.rows = [
+                residual_quadratic(blk, *pair) for blk, pair in zip(self.blocks, self.pieces)
+            ]
+        return self
 
 
 @dataclass
@@ -240,8 +257,10 @@ def _context(rp: ReducedProblem) -> _Context:
     """The context of a subproblem's data, whatever its budget.
 
     The key is the data as integer pairs: the blocks' widths and entries,
-    b and the lambda columns.  A hit moves to the end of the cache; past
-    MAX_CONTEXTS entries the least recently used one is dropped.
+    b and the lambda columns.  A hit moves to the end of the cache and
+    reads nothing else; a miss builds the context, filling rp's form table
+    if it is empty.  Past MAX_CONTEXTS entries the least recently used one
+    is dropped.
     """
     key = (
         tuple((blk.cols, *(v.as_integer_ratio() for v in blk.entries)) for blk in rp.blocks),
@@ -258,20 +277,25 @@ def _context(rp: ReducedProblem) -> _Context:
 def _new_context(base: ReducedProblem) -> _Context:
     """The context of a budget-stripped subproblem.
 
-    Each support's (row, scale) comes from residual_quadratic; the rows are
+    Its rows and pieces are read off base's form table (or a table over
+    its own columns) at the positions of base's tags.  The rows are
     brought to the lcm of the scales and divided by the gcd of that common
-    scale and all their entries, so they share one integer scale.
+    scale and all their entries, so they share one integer scale: the
+    least that makes every form integral, whichever table they came from.
     """
-    pieces = _row_pieces(base)
+    table = (base.forms or _FormTable(base.blocks, base.b, base.lambda_cols, base.tags)).filled()
+    at = [table.tags.index(tag) for tag in base.tags]
+    f = len(table.columns)
+    # Where each monomial of base's parameters sits in a row over all f.
+    square = itertools.combinations_with_replacement(range(f), 2)
+    spot = {pair: 1 + f + n for n, pair in enumerate(square)}
+    picks = [0, *(1 + p for p in at), *(spot[p, q] for n, p in enumerate(at) for q in at[n:])]
     raw = [
         [
-            [
-                (sup, *residual_quadratic(blk, b_piece, lam_pieces, sup))
-                for sup in itertools.combinations(range(blk.cols), j)
-            ]
-            for j in range(blk.cols + 1)
+            [(sup, [row[p] for p in picks], scale) for sup, (row, scale) in slot]
+            for _, slot in itertools.groupby(by_support.items(), lambda item: len(item[0]))
         ]
-        for blk, (b_piece, lam_pieces) in zip(base.blocks, pieces)
+        for by_support in table.rows
     ]
     flat = [entry for per_size in raw for slot in per_size for entry in slot]
     common = math.lcm(*(scale for _, _, scale in flat))
@@ -292,8 +316,11 @@ def _new_context(base: ReducedProblem) -> _Context:
         dict(pair for slot in per_size for pair in slot) for per_size in rows
     )
     empty = tuple(map(sum, zip(*(per_size[0][0][1] for per_size in rows))))
+    pieces = tuple(
+        (b_piece, tuple(col_pieces[p] for p in at)) for b_piece, col_pieces in table.pieces
+    )
     cols = offsets(blk.cols for blk in base.blocks)
-    return _Context(base, pieces, rows, row_of, common // g, cols, empty)
+    return _Context(replace(base, forms=None), pieces, rows, row_of, common // g, cols, empty)
 
 
 def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:

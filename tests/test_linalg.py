@@ -179,7 +179,7 @@ def test_least_squares_normal_equations(data):
 
 def test_residual_quadratic_empty_support():
     blk = RatMatrix.from_rows([[1]])
-    row, scale = residual_quadratic(blk, (frac(1),), [(frac(1),)], ())
+    row, scale = residual_quadratic(blk, (frac(1),), [(frac(1),)])[()]
     # (1 - lam)^2
     assert row_form_value(row, scale, (frac(0),)) == 1
     assert row_form_value(row, scale, (frac(1),)) == 0
@@ -190,14 +190,14 @@ def test_residual_quadratic_empty_support():
 
 def test_residual_quadratic_full_square_block():
     blk = RatMatrix.from_rows([[1]])
-    row, scale = residual_quadratic(blk, (frac(1),), [(frac(1),)], (0,))
+    row, scale = residual_quadratic(blk, (frac(1),), [(frac(1),)])[(0,)]
     assert not any(row)
     assert scale > 0
 
 
 def test_residual_quadratic_column_block():
     blk = RatMatrix.from_rows([[1], [1]])
-    row, scale = residual_quadratic(blk, (frac(0), frac(2)), [(frac(1), frac(0))], (0,))
+    row, scale = residual_quadratic(blk, (frac(0), frac(2)), [(frac(1), frac(0))])[(0,)]
     # (lam^2 + 4 lam + 4) / 2, zero at lam = -2.
     assert row_form_value(row, scale, (frac(-2),)) == 0
     for lam in (frac(-2), frac(0), frac(1), frac(3)):
@@ -235,7 +235,7 @@ def test_residual_quadratic_matches_least_squares(k, n, data):
     support = tuple(
         sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
     )
-    row, scale = residual_quadratic(blk, b_piece, pieces, support)
+    row, scale = residual_quadratic(blk, b_piece, pieces)[support]
     lam = tuple(Fraction(v) for v in data.draw(st.lists(rationals, min_size=k, max_size=k)))
     target = list(b_piece)
     for coeff, piece in zip(lam, pieces):
@@ -385,7 +385,7 @@ def test_residual_quadratic_wide_block_zero_pivot():
     # A 1x2 block spans the line at support (0, 1): its second column is a
     # zero pivot, and every residual vanishes.
     blk = RatMatrix.from_rows([[2, 3]])
-    row, scale = residual_quadratic(blk, (frac(5),), [(frac(1),)], (0, 1))
+    row, scale = residual_quadratic(blk, (frac(5),), [(frac(1),)])[(0, 1)]
     assert not any(row)
     assert scale > 0
 
@@ -395,8 +395,9 @@ def test_residual_quadratic_repeated_column_zero_pivot():
     blk = RatMatrix.from_rows([[1, 1], [Fraction(1, 2), Fraction(1, 2)]])
     b_piece = (frac(1), frac(3))
     pieces = [(frac(0), frac(1)), (frac(2), Fraction(-1, 3))]
-    both, both_scale = residual_quadratic(blk, b_piece, pieces, (0, 1))
-    one, one_scale = residual_quadratic(blk, b_piece, pieces, (0,))
+    table = residual_quadratic(blk, b_piece, pieces)
+    both, both_scale = table[(0, 1)]
+    one, one_scale = table[(0,)]
     for lam in ((frac(0), frac(0)), (frac(1), Fraction(-2, 3)), (frac(-3), frac(5))):
         value = row_form_value(both, both_scale, lam)
         assert value == row_form_value(one, one_scale, lam)
@@ -408,7 +409,7 @@ def test_quadratic_minimum_zero_coupling_column():
     # A zero coupling column leaves lam_2 without a pivot; it is set to 0.
     blk = RatMatrix.from_rows([[1], [2]])
     pieces = [(frac(1), frac(1)), (frac(0), frac(0))]
-    row, scale = residual_quadratic(blk, (frac(1), frac(4)), pieces, ())
+    row, scale = residual_quadratic(blk, (frac(1), frac(4)), pieces)[()]
     value = Fraction(*quadratic_minimum(row, 2, scale))
     lam = quadratic_minimizer(row, 2)
     # |(1, 4) - lam_1 (1, 1)|^2 is least at lam_1 = 5/2.

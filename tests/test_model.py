@@ -11,6 +11,7 @@ from blocksel.model import (
     BlockStructure,
     Instance,
     RatMatrix,
+    ReducedProblem,
     format_rational,
     make_solution,
     parse_rational,
@@ -160,6 +161,16 @@ def test_make_solution_rejects_uncovered_support():
     inst = Instance.build(blocks=[[[1]], [[2]]], b=[3, 4], sigma=1)
     with pytest.raises(ValueError):
         make_solution(inst, [Fraction(1), Fraction(2)], None, {1})
+
+
+def test_reduced_problem_takes_one_distinct_tag_per_column():
+    # The solver finds a subproblem's columns in its form table by tag.
+    blocks = Instance.build(blocks=[[[1]]]).blocks
+    col = (Fraction(1),)
+    for cols, tags in (((col,), ()), ((col, col), ("mu", "mu")), ((col, col), (0, 0))):
+        with pytest.raises(ValueError, match="one distinct tag per lambda column"):
+            ReducedProblem(blocks, (Fraction(1),), cols, tags, 0)
+    assert ReducedProblem(blocks, (Fraction(1),), (col, col), ("mu", 0), 0).k_prime == 2
 
 
 def test_instance_counts():

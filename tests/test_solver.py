@@ -1461,3 +1461,110 @@ def test_contexts_evict_the_least_recently_used(monkeypatch):
     solver._context(rps[limit + 1])
     assert len(solver._CONTEXTS) == limit
     assert held(built[1]) and not held(built[2])
+
+
+def _degenerate_instance(rng, k):
+    """An instance whose blocks and free columns repeat and vanish.
+
+    A rank-deficient 2x3 block (its third column repeats its first) and a
+    3x2 block whose second column is zero or repeats the first, then one
+    more block of up to 2x2; k coupling columns, the last of which repeats
+    the intercept or the first coupling column, or is zero.
+    """
+
+    def entry():
+        return Fraction(rng.choice((0, 1, -1, 2, -3)), rng.randint(1, 3))
+
+    def vector(m):
+        return [entry() for _ in range(m)]
+
+    wide = [vector(2) for _ in range(2)]
+    tall = vector(3)
+    rows = rng.randint(1, 2)
+    extra = [vector(rows) for _ in range(rng.randint(1, 2))]
+    columns = [
+        [*wide, wide[0]],
+        [tall, rng.choice(([Fraction(0)] * 3, list(tall)))],
+        extra,
+    ]
+    blocks = [[list(r) for r in zip(*cols)] for cols in columns]
+    m = 5 + rows
+    intercept = vector(m) if rng.random() < 0.5 else None
+    coupling = [vector(m) for _ in range(k)]
+    if k:
+        twins = [col for col in (intercept, *coupling[:-1]) if col is not None]
+        coupling[-1] = list(rng.choice(twins)) if twins else [Fraction(0)] * m
+    return Instance.build(blocks, coupling, intercept, vector(m), sigma=k + 1)
+
+
+def _rational_row(form):
+    """A reference form as (constant, lam_i, lam_i lam_j for i <= j)."""
+    return (
+        form.s0,
+        *form.r,
+        *(
+            form.p[i][j] if i == j else 2 * form.p[i][j]
+            for i in range(form.dim)
+            for j in range(i, form.dim)
+        ),
+    )
+
+
+def test_shared_form_table_gives_the_standalone_contexts(monkeypatch):
+    # Every context solve_detailed builds off its instance's shared form
+    # table equals the context built from that subproblem alone, and its
+    # rows are the Gram-Schmidt residual forms.
+    rng = random.Random(2525)
+    for trial in range(40):
+        inst = _degenerate_instance(rng, trial % 4)
+        monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+        solve_detailed(inst)
+        built = list(solver._CONTEXTS.values())
+        bounds = inst.row_offsets()
+        for rp in reduce(inst):
+            shared = solver._context(rp)
+            assert any(shared is ctx for ctx in built)
+            alone = solver._new_context(replace(rp, sigma_p=0, forms=None))
+            assert (shared.rows, shared.scale, shared.empty) == (
+                alone.rows, alone.scale, alone.empty
+            )
+            for i, blk in enumerate(inst.blocks):
+                lo, hi = bounds[i], bounds[i + 1]
+                lam_pieces = [col[lo:hi] for col in rp.lambda_cols]
+                for slot in shared.rows[i]:
+                    for sup, row in slot:
+                        form = residual_quadratic(blk, inst.b[lo:hi], lam_pieces, sup)
+                        expected = _rational_row(form)
+                        assert tuple(Fraction(v, shared.scale) for v in row) == expected
+
+
+def test_one_residual_table_per_block_per_instance(monkeypatch):
+    # A cold solve fills its instance's form table once, one
+    # residual_quadratic per block, whatever the number of coupling
+    # columns; the same data at another sigma reuses every context and
+    # builds nothing.  A hand-built subproblem fills a table of its own.
+    calls = []
+    real = solver.residual_quadratic
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "residual_quadratic", counted)
+    for coupling in range(4):
+        inst = generate_instance(
+            blocks=4, block_rows=2, block_cols=2, coupling=coupling,
+            intercept=True, sigma=3, seed=7, spread=3,
+        )
+        monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+        solve_detailed(inst)
+        assert len(calls) == len(inst.blocks)
+        for sigma in (2, 4):
+            calls.clear()
+            solve_detailed(replace(inst, sigma=sigma))
+            assert calls == []
+        rp = reduce(inst)[-1]
+        monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+        solve_block(replace(rp, forms=None))
+        assert len(calls) == len(inst.blocks)
+        calls.clear()
