@@ -261,7 +261,8 @@ class ReducedProblem:
     records where each came from: the string "mu" or a 0-based coupling index,
     no two alike.  sigma_p is the residual cardinality budget for the block
     variables.  forms, set by the solver's reduce(), is the residual form
-    table that the subproblems of one instance share.
+    table that the subproblems of one instance share, and that holds each
+    one's context; without it the solver finds the table by the data.
     """
 
     blocks: tuple[RatMatrix, ...]
@@ -274,6 +275,9 @@ class ReducedProblem:
     def __post_init__(self) -> None:
         if not len(self.lambda_cols) == len(self.tags) == len(set(self.tags)):
             raise ValueError("one distinct tag per lambda column")
+        m = sum(blk.rows for blk in self.blocks)
+        if any(len(v) != m for v in (self.b, *self.lambda_cols)):
+            raise ValueError(f"b and every lambda column must have length {m}")
         if self.sigma_p < 0:
             raise ValueError("sigma_p must be non-negative")
 

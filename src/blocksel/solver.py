@@ -65,9 +65,10 @@ With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
 
 Everything that does not depend on sigma' lives in one context per
-subproblem, held in a cache of MAX_CONTEXTS entries keyed on the
-subproblem's data as integers, so that a sigma sweep over the same data
-reuses it; the form table is filled only on a miss.  Per level a context
+subproblem, held by its instance's form table under the subproblem's
+tags.  Between solves the solver keeps only the last instance's table,
+and reduce() reuses it while the next instance's data equal it, so a
+sigma sweep over the same data reuses every context.  Per level a context
 keeps: on cover, the supports of that size and the best support up to it
 (rows and profile masks only for the theta largest sizes built, which the
 next size extends); on dp, the optimum within that many columns.  A level
@@ -80,7 +81,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import AbstractSet, Sequence
@@ -111,9 +111,6 @@ MAX_CELLS = 200000
 # Bounds the cover path's pool work at one and two free parameters:
 # in-budget allocations times distinct argmin profiles.
 MAX_PROFILE_UNIONS = 1000000
-# Subproblem contexts kept for reuse across solves; the least recently used
-# is dropped first.
-MAX_CONTEXTS = 64
 
 CandidateSet = set[tuple[int, ...]]
 # Each candidate support with its summed residual row.
@@ -144,13 +141,13 @@ def reduce(instance: Instance) -> list[ReducedProblem]:
     columns are the intercept (when present) followed by the columns of L,
     and the block budget drops to sigma - |L|.  Ordered by subset size,
     then lexicographically, so the empty subset comes first.  They share
-    one _FormTable over the intercept and, unless sigma is 0 and none is
-    pinned, every coupling column.
+    one _FormTable over the intercept and every coupling column: the last
+    one when its data equal the instance's, whatever sigma.
     """
     lead = () if instance.intercept is None else (instance.intercept,)
     mu = ("mu",) * len(lead)
-    free = instance.coupling if instance.sigma else ()
-    table = _FormTable(instance.blocks, instance.b, (*lead, *free), mu + tuple(range(len(free))))
+    tags = mu + tuple(range(instance.k))
+    table = _form_table(instance.blocks, instance.b, (*lead, *instance.coupling), tags)
     problems: list[ReducedProblem] = []
     for size in range(min(instance.k, instance.sigma) + 1):
         for combo in itertools.combinations(range(instance.k), size):
@@ -169,35 +166,41 @@ def reduce(instance: Instance) -> list[ReducedProblem]:
 
 # --- per-subproblem context -------------------------------------------------
 #
-# One bounded cache holds a context per subproblem's data, whatever its
-# budget; each lookup builds one key of integers, and every helper then
-# works on the context's own tables.
+# The last instance's form table is all that outlives a solve; it holds a
+# context per subproblem by tags, whatever its budget, and every helper
+# then works on the context's own tables.
 
 
 class _FormTable:
     """Every block's residual rows over all free columns of one instance.
 
-    reduce() shares one among an instance's subproblems, and the first
-    context built from it fills it: pieces[i] is block i's (piece of b,
-    pieces of each column), and rows[i] its residual_quadratic table.  A
-    subproblem finds each of its columns by its tag.
+    pieces[i] is block i's (piece of b, pieces of each column), and rows[i]
+    its residual_quadratic table.  A subproblem finds each of its columns
+    by its tag, and its context in contexts under its tags.
     """
 
     def __init__(self, blocks, b, columns, tags) -> None:
         self.blocks, self.b, self.columns, self.tags = blocks, b, columns, tags
-        self.pieces = self.rows = None
+        bounds = offsets(blk.rows for blk in blocks)
+        self.pieces = [
+            (tuple(b[lo:hi]), tuple(tuple(col[lo:hi]) for col in columns))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        self.rows = [residual_quadratic(blk, *pair) for blk, pair in zip(blocks, self.pieces)]
+        self.contexts: dict[tuple, _Context] = {}
 
-    def filled(self) -> _FormTable:
-        if self.rows is None:
-            bounds = offsets(blk.rows for blk in self.blocks)
-            self.pieces = [
-                (tuple(self.b[lo:hi]), tuple(tuple(col[lo:hi]) for col in self.columns))
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            self.rows = [
-                residual_quadratic(blk, *pair) for blk, pair in zip(self.blocks, self.pieces)
-            ]
-        return self
+
+_last: _FormTable | None = None
+
+
+def _form_table(blocks, b, columns, tags) -> _FormTable:
+    """The last table when its data equal these, else a new one, now the last."""
+    global _last
+    if _last is None or (_last.blocks, _last.b, _last.columns, _last.tags) != (
+        blocks, b, columns, tags
+    ):
+        _last = _FormTable(blocks, b, columns, tags)
+    return _last
 
 
 @dataclass
@@ -250,40 +253,29 @@ class _Context:
     dp: list | None = None
 
 
-_CONTEXTS: OrderedDict[tuple, _Context] = OrderedDict()
-
-
 def _context(rp: ReducedProblem) -> _Context:
     """The context of a subproblem's data, whatever its budget.
 
-    The key is the data as integer pairs: the blocks' widths and entries,
-    b and the lambda columns.  A hit moves to the end of the cache and
-    reads nothing else; a miss builds the context, filling rp's form table
-    if it is empty.  Past MAX_CONTEXTS entries the least recently used one
-    is dropped.
+    It is read off rp's form table under rp's tags, and built on a miss.  A
+    subproblem without a table, built by hand, takes the one of its own
+    blocks, b and columns through the same memo as reduce().
     """
-    key = (
-        tuple((blk.cols, *(v.as_integer_ratio() for v in blk.entries)) for blk in rp.blocks),
-        tuple(v.as_integer_ratio() for v in rp.b),
-        tuple(tuple(v.as_integer_ratio() for v in col) for col in rp.lambda_cols),
-    )
-    ctx = _CONTEXTS.pop(key, None) or _new_context(replace(rp, sigma_p=0))
-    _CONTEXTS[key] = ctx
-    if len(_CONTEXTS) > MAX_CONTEXTS:
-        _CONTEXTS.popitem(last=False)
+    table = rp.forms or _form_table(rp.blocks, rp.b, rp.lambda_cols, rp.tags)
+    ctx = table.contexts.get(rp.tags)
+    if ctx is None:
+        ctx = table.contexts[rp.tags] = _new_context(replace(rp, sigma_p=0, forms=None), table)
     return ctx
 
 
-def _new_context(base: ReducedProblem) -> _Context:
+def _new_context(base: ReducedProblem, table: _FormTable) -> _Context:
     """The context of a budget-stripped subproblem.
 
-    Its rows and pieces are read off base's form table (or a table over
-    its own columns) at the positions of base's tags.  The rows are
-    brought to the lcm of the scales and divided by the gcd of that common
-    scale and all their entries, so they share one integer scale: the
-    least that makes every form integral, whichever table they came from.
+    Its rows and pieces are read off table at the positions of base's
+    tags.  The rows are brought to the lcm of the scales and divided by
+    the gcd of that common scale and all their entries, so they share one
+    integer scale: the least that makes every form integral, whichever
+    table they came from.
     """
-    table = (base.forms or _FormTable(base.blocks, base.b, base.lambda_cols, base.tags)).filled()
     at = [table.tags.index(tag) for tag in base.tags]
     f = len(table.columns)
     # Where each monomial of base's parameters sits in a row over all f.
@@ -320,7 +312,7 @@ def _new_context(base: ReducedProblem) -> _Context:
         (b_piece, tuple(col_pieces[p] for p in at)) for b_piece, col_pieces in table.pieces
     )
     cols = offsets(blk.cols for blk in base.blocks)
-    return _Context(replace(base, forms=None), pieces, rows, row_of, common // g, cols, empty)
+    return _Context(base, pieces, rows, row_of, common // g, cols, empty)
 
 
 def _plane_conic(row: Sequence[int], k: int) -> tuple[int, ...]:

@@ -173,6 +173,18 @@ def test_reduced_problem_takes_one_distinct_tag_per_column():
     assert ReducedProblem(blocks, (Fraction(1),), (col, col), ("mu", 0), 0).k_prime == 2
 
 
+def test_reduced_problem_refuses_a_column_of_the_wrong_length():
+    # Blocks of 2 and 1 rows: b and every lambda column need 3 entries.  A
+    # short or long b used to be solved anyway (objective 1/2, or 5 with
+    # the extra entry dropped), and a short lambda column hit IndexError.
+    blocks = Instance.build(blocks=[[[1], [1]], [[1]]]).blocks
+    three = tuple(map(Fraction, (1, 2, 3)))
+    for b, cols in ((three[:2], ()), ((*three, Fraction(4)), ()), (three, ((Fraction(1),),))):
+        with pytest.raises(ValueError, match="must have length 3"):
+            ReducedProblem(blocks, b, cols, tuple(range(len(cols))), 1)
+    assert ReducedProblem(blocks, three, (three,), (0,), 1).k_prime == 1
+
+
 def test_instance_counts():
     inst = Instance.build(
         blocks=[[[1, 2]], [[3]]],

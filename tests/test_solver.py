@@ -1,7 +1,8 @@
+import gc
 import itertools
 import math
 import random
-from collections import OrderedDict
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -49,6 +50,17 @@ def rp_1x1(values, b, lambda_cols=(), tags=(), sigma_p=0):
 def ctx_of(rp):
     """The context of a subproblem, as solve_block looks it up."""
     return solver._context(rp)
+
+
+def forget():
+    """Empty the solver's memo, so the next subproblem builds its context anew."""
+    solver._last = None
+
+
+def standalone(rp):
+    """A new context of rp alone, read off a form table over its own columns."""
+    table = solver._FormTable(rp.blocks, rp.b, rp.lambda_cols, rp.tags)
+    return solver._new_context(replace(rp, forms=None), table)
 
 
 def candidate_row(ctx, chi):
@@ -984,7 +996,7 @@ def test_cover_walk_takes_each_union_once_with_its_row(monkeypatch):
     for trial in range(48):
         spread = 1 if trial % 4 < 2 else 3
         base = forced_ties_rp(*forced_ties(rng, 1 + trial % 2, spread))
-        ctx = solver._new_context(base)
+        ctx = standalone(base)
         reference = reference_cover._cover_pool(base)
         built = []
         for limit in range(base.n_total + 1):
@@ -1323,7 +1335,7 @@ def test_finish_raises_invariant_error_on_residual_mismatch(monkeypatch):
 
     monkeypatch.setattr(solver, "least_squares", off_by_one)
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
-    ctx = solver._new_context(rp)
+    ctx = standalone(rp)
     with pytest.raises(InvariantError, match="rebuilt residual"):
         finish(with_rows(ctx, [(0,), (1,)]), rp, ctx)
 
@@ -1332,7 +1344,7 @@ def test_finish_keeps_each_rebuilt_winner_and_checks_every_new_one(monkeypatch):
     # A winner rebuilt once is returned again without a rebuild; a support
     # that wins for the first time is rebuilt and checked.
     rp = rp_1x1((1, 1), (3, 4), sigma_p=1)
-    ctx = solver._new_context(rp)
+    ctx = standalone(rp)
     sol = finish(with_rows(ctx, [(0,), (1,)]), rp, ctx)
     assert sol.support == (1,)
     monkeypatch.setattr(solver, "least_squares", lambda columns, target: 1 / 0)
@@ -1355,10 +1367,9 @@ def test_lift_raises_invariant_error_on_residual_mismatch(monkeypatch):
 
 
 def solve_fresh(rp):
-    """solve_block with an empty context cache, so nothing is reused."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_CONTEXTS", OrderedDict())
-        candidates, sol, regions = solve_block(rp)
+    """solve_block from an empty memo, so nothing is reused."""
+    forget()
+    candidates, sol, regions = solve_block(rp)
     return set(candidates), sol, regions
 
 
@@ -1377,12 +1388,11 @@ def test_every_level_answers_alike_in_any_order(forced):
             with forced(path):
                 fresh = [solve_fresh(replace(base, sigma_p=s)) for s in levels]
                 for order in (levels, levels[::-1], shuffled):
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(solver, "_CONTEXTS", OrderedDict())
-                        for sigma_p in order:
-                            rp = replace(base, sigma_p=sigma_p)
-                            candidates, sol, regions = solve_block(rp)
-                            assert (set(candidates), sol, regions) == fresh[sigma_p]
+                    forget()
+                    for sigma_p in order:
+                        rp = replace(base, sigma_p=sigma_p)
+                        candidates, sol, regions = solve_block(rp)
+                        assert (set(candidates), sol, regions) == fresh[sigma_p]
             for sigma_p in levels:
                 rp = replace(base, sigma_p=sigma_p)
                 assert fresh[sigma_p][1].objective == rp_oracle(rp)
@@ -1402,11 +1412,11 @@ def test_profile_union_refusal_leaves_lower_levels_answerable(monkeypatch, force
         every = itertools.product(*(range(w + 1) for w in widths))
         return sum(sum(alloc) <= limit for alloc in every)
 
-    profiles = solver._new_pool(solver._new_context(base)).profiles
+    profiles = solver._new_pool(standalone(base)).profiles
     low, high = 2, base.n_total
     fresh = [solve_fresh(replace(base, sigma_p=s)) for s in range(low + 1)]
     monkeypatch.setattr(solver, "MAX_PROFILE_UNIONS", allocations(low) * profiles)
-    monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+    forget()
     message = (
         f"profile union enumeration needs {allocations(high)} allocations of at "
         f"most {high} columns for each of {profiles} argmin tables, "
@@ -1423,13 +1433,13 @@ def test_profile_union_refusal_leaves_lower_levels_answerable(monkeypatch, force
             for sigma_p in reversed(range(low + 1)):
                 candidates, sol, regions = solve_block(replace(base, sigma_p=sigma_p))
                 assert (set(candidates), sol, regions) == fresh[sigma_p]
-            monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+            forget()
 
 
-def test_equal_documents_share_one_context(monkeypatch):
+def test_equal_documents_share_one_context():
     # Two documents loaded apart hold equal but distinct Fractions; their
     # subproblems with equal data find one context, whatever the budget.
-    monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+    forget()
     inst = generate_instance(
         blocks=3, block_rows=2, block_cols=2, coupling=1, intercept=True,
         sigma=2, seed=4, spread=3,
@@ -1438,29 +1448,42 @@ def test_equal_documents_share_one_context(monkeypatch):
     first = load_instance(text)
     second = load_instance(text.replace('"sigma": 2', '"sigma": 3'))
     assert second.sigma == 3 and first.b[0] is not second.b[0]
-    contexts = [solver._context(rp) for rp in reduce(first)]
+    rps = reduce(first)
+    contexts = [solver._context(rp) for rp in rps]
     again = [solver._context(rp) for rp in reduce(second)]
-    assert len(again) == len(contexts) == len(solver._CONTEXTS) == 2
-    assert all(a is b for a, b in zip(contexts, again))
+    held = list(rps[0].forms.contexts.values())
+    assert len(again) == len(contexts) == len(held) == 2
+    assert all(a is b is c for a, b, c in zip(contexts, again, held))
 
 
-def test_contexts_evict_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
-    limit = solver.MAX_CONTEXTS
-    rps = [rp_1x1((1,), (i,)) for i in range(1, limit + 3)]
+def test_the_memo_holds_one_instance():
+    # Between solves the solver keeps only the last instance's form table:
+    # solving B lets A's go, solving A again gives the same answer, and
+    # after many distinct solves one table is alive.  B holds A's blocks,
+    # b and columns, its intercept moved to the coupling columns, so the
+    # two tables differ only in their tags.
+    def instance(seed):
+        return generate_instance(
+            blocks=3, block_rows=2, block_cols=2, coupling=1, intercept=True,
+            sigma=2, seed=seed, spread=3,
+        )
 
-    def held(ctx):
-        return any(ctx is other for other in solver._CONTEXTS.values())
-
-    built = [solver._context(rp) for rp in rps[: limit + 1]]
-    assert len(solver._CONTEXTS) == limit
-    assert not held(built[0]) and all(map(held, built[1:]))
-    # A hit makes a context the most recent, so the next one out is the
-    # least recently used, not the oldest built.
-    assert solver._context(rps[1]) is built[1]
-    solver._context(rps[limit + 1])
-    assert len(solver._CONTEXTS) == limit
-    assert held(built[1]) and not held(built[2])
+    forget()
+    a = instance(1)
+    first = solve_detailed(a)
+    held = reduce(a)[0].forms
+    assert len(held.contexts) == 2
+    table = weakref.ref(held)
+    del held
+    b = replace(a, coupling=(a.intercept, *a.coupling), intercept=None)
+    assert solve(b).objective == brute_force(b).objective
+    gc.collect()
+    assert table() is None
+    assert solve_detailed(a) == first
+    for seed in range(100, 300):
+        solve(instance(seed))
+    gc.collect()
+    assert sum(isinstance(obj, solver._FormTable) for obj in gc.get_objects()) == 1
 
 
 def _degenerate_instance(rng, k):
@@ -1510,21 +1533,21 @@ def _rational_row(form):
     )
 
 
-def test_shared_form_table_gives_the_standalone_contexts(monkeypatch):
+def test_shared_form_table_gives_the_standalone_contexts():
     # Every context solve_detailed builds off its instance's shared form
     # table equals the context built from that subproblem alone, and its
     # rows are the Gram-Schmidt residual forms.
     rng = random.Random(2525)
     for trial in range(40):
         inst = _degenerate_instance(rng, trial % 4)
-        monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+        forget()
         solve_detailed(inst)
-        built = list(solver._CONTEXTS.values())
+        built = list(solver._last.contexts.values())
         bounds = inst.row_offsets()
         for rp in reduce(inst):
             shared = solver._context(rp)
             assert any(shared is ctx for ctx in built)
-            alone = solver._new_context(replace(rp, sigma_p=0, forms=None))
+            alone = standalone(replace(rp, sigma_p=0))
             assert (shared.rows, shared.scale, shared.empty) == (
                 alone.rows, alone.scale, alone.empty
             )
@@ -1556,7 +1579,7 @@ def test_one_residual_table_per_block_per_instance(monkeypatch):
             blocks=4, block_rows=2, block_cols=2, coupling=coupling,
             intercept=True, sigma=3, seed=7, spread=3,
         )
-        monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+        forget()
         solve_detailed(inst)
         assert len(calls) == len(inst.blocks)
         for sigma in (2, 4):
@@ -1564,7 +1587,33 @@ def test_one_residual_table_per_block_per_instance(monkeypatch):
             solve_detailed(replace(inst, sigma=sigma))
             assert calls == []
         rp = reduce(inst)[-1]
-        monkeypatch.setattr(solver, "_CONTEXTS", OrderedDict())
+        forget()
         solve_block(replace(rp, forms=None))
         assert len(calls) == len(inst.blocks)
         calls.clear()
+
+
+def test_a_sigma_sweep_fills_one_table(monkeypatch):
+    # Documents of one instance solved at sigma = 0, 1, ..., d in order, as
+    # a sigma sweep does, build each block's residual table once in all:
+    # the table spans every coupling column even at sigma = 0, where no
+    # subproblem pins one, so the first coupling subsets at sigma = 1 find
+    # their rows already there.
+    calls = []
+    real = solver.residual_quadratic
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "residual_quadratic", counted)
+    for seed in range(6):
+        inst = generate_instance(
+            blocks=3, block_rows=2, block_cols=2, coupling=1 + seed % 2,
+            intercept=True, sigma=0, seed=seed, spread=3,
+        )
+        forget()
+        calls.clear()
+        for sigma in range(inst.d + 1):
+            solve_detailed(load_instance(dump_instance(replace(inst, sigma=sigma))))
+        assert len(calls) == len(inst.blocks)
