@@ -49,17 +49,17 @@ route() and do not check its rule themselves:
   the allocation work is bounded by MAX_PROFILE_UNIONS.
 * extended (_extended_candidates): three or more free parameters.  The
   comparisons are linear over the coordinates (lambda, pairwise products
-  of lambda), and the space is split exactly into support regions, where
-  every (block, cardinality) slot has one winner, by the argmin of each
-  slot's integer rows; each support region is then split into the
-  regions where the incremental allocation chain makes the same choices,
-  found by walking the chain as a tree with the same argmin step.  A
-  chain step goes to one of the next-level allocations of aug_set, which
-  remove at most theta_bar units: by the proximity radius theta_bar of
-  the block structure, some optimal allocation one level up is always
-  that close.  Both region counts are bounded by MAX_CELLS.  It has no
-  parameter-count limit; the tests also force it onto subproblems with at
-  most two free parameters as a cross-check.
+  of lambda), and the space is split exactly into the regions where the
+  incremental allocation chain makes the same choices, found by walking
+  the chain as a tree.  A node is split by the argmin of a (block,
+  cardinality) slot's integer rows the first time one of its steps reads
+  that slot, then steps by the same argmin over its targets' total rows.
+  A chain step goes to one of the next-level allocations of aug_set,
+  which remove at most theta_bar units: by the proximity radius
+  theta_bar of the block structure, some optimal allocation one level up
+  is always that close.  The chain regions are bounded by MAX_CELLS.  It
+  has no parameter-count limit; the tests also force it onto subproblems
+  with at most two free parameters as a cross-check.
 
 With fewer than two free parameters, diagonal and cover still read lambda
 space as the plane, with zero coefficients on the missing parameters.
@@ -106,7 +106,7 @@ from .model import (
     validate,
 )
 
-# Bounds the extended path's support regions and its chain regions.
+# Bounds the extended path's chain regions.
 MAX_CELLS = 200000
 # Bounds the cover path's pool work at one and two free parameters:
 # in-budget allocations times distinct argmin profiles.
@@ -738,40 +738,6 @@ def _class_top_sets(line, members, crossing, int_funcs, hittable, top) -> Candid
 # --- general blocks ---------------------------------------------------------
 
 
-def _support_regions(ctx: _Context) -> list:
-    """Open regions of extended space on which every slot has one winner.
-
-    The residual comparisons are quadratic in lambda but linear over the
-    extended coordinates (lambda, then pairwise products).  Each
-    (block, cardinality) slot labels each row with its support, so equal
-    rows keep the lexicographically smallest; starting from the whole
-    space, every region is split by argmin_regions over the slot's rows,
-    so a slot whose rows are all equal splits nothing.  Returns
-    (constraints, witness, selections) per region, selections[i][j] being
-    the winning support of block i at size j.  Regions count against
-    MAX_CELLS as they grow.
-    """
-    regions = [([], (Fraction(0),) * extended_dim(ctx.base.k_prime), ())]
-    for per_size in ctx.rows:
-        for slot in per_size:
-            regions = [
-                (region, point, picks + (sup,))
-                for constraints, witness, picks in regions
-                for sup, region, point in argmin_regions(slot, constraints, witness)
-            ]
-            if len(regions) > MAX_CELLS:
-                raise BudgetExceededError(
-                    f"support regions reached {len(regions)}, over the budget "
-                    f"of {MAX_CELLS}"
-                )
-    out = []
-    for constraints, witness, picks in regions:
-        it = iter(picks)
-        selections = tuple(tuple(next(it) for _ in rows) for rows in ctx.rows)
-        out.append((constraints, witness, selections))
-    return out
-
-
 def aug_set(
     structure: BlockStructure,
     j_source: Sequence[int],
@@ -814,67 +780,61 @@ def aug_set(
     return out
 
 
-def _chain_steps(
-    structure: BlockStructure, slots: Sequence[Sequence[tuple[int, ...]]], alloc
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The chain's step rule from alloc, as (target, total row) pairs.
-
-    slots[i][j] is the row of block i at size j, and an allocation's total
-    is the sum of its blocks' rows.  The incremental chain steps to the
-    aug_set target with the smallest total, ties to the lexicographically
-    smallest target; a step's exchange value is the target's total less
-    the source's, so targets compare by total.  The pairs come in aug_set's
-    lexicographic order, so their argmin, equal rows keeping the first
-    label as in argmin_regions, is that step.
-    """
-    return [
-        (target, tuple(map(sum, zip(*(row[j] for row, j in zip(slots, target))))))
-        for target in aug_set(structure, alloc)
-    ]
-
-
 def _extended_candidates(ctx: _Context, level: int) -> Generated:
-    """Candidates and chain-region count from the extended-space regions.
+    """Candidates and chain-region count from one walk of extended space.
 
-    In each support region the winning supports fix an integer row per
-    (block, cardinality) slot.  The incremental chain climbs from the zero
-    allocation to level by _chain_steps.  It is walked as a tree whose
-    node is an open region, a witness in it and the allocation reached; its
-    children are the targets whose totals are strictly smallest somewhere
-    in the region.  The leaves fill the support region up to finitely many
-    hyperplanes, the chain's outcome is constant on each, and each
-    contributes its support with the chain's total row.  Leaves count
-    against MAX_CELLS.
+    The incremental chain climbs from the zero allocation to level,
+    stepping to the aug_set target with the smallest total, the sum of its
+    blocks' winning rows.  It is walked as a tree whose node is an open
+    region, a witness in it, the allocation reached with its total, and
+    known: the winning support of each (block, cardinality) slot split so
+    far, from every slot of one support.  A node whose targets need a slot
+    outside known is split by that slot's argmin; otherwise its children
+    are the targets whose totals are strictly smallest somewhere in it.
+    Labels come in lexicographic order, so equal rows keep the smallest
+    support or target.  The leaves, the nodes at level, fill the space up
+    to finitely many hyperplanes, and each contributes its support with
+    its total.  Leaves count against MAX_CELLS.
     """
     structure = ctx.base.structure()
     regions = 0
     candidates: CandidateRows = {}
-    for root, start, selections in _support_regions(ctx):
-        slots = [
-            [ctx.row_of[i][sup] for sup in per_size]
-            for i, per_size in enumerate(selections)
-        ]
-        stack = [(root, start, (0,) * len(slots), ctx.empty)]
-        while stack:
-            region, witness, alloc, total = stack.pop()
-            if sum(alloc) == level:
-                regions += 1
-                if regions > MAX_CELLS:
-                    raise BudgetExceededError(
-                        f"chain regions reached {regions}, over the budget of "
-                        f"{MAX_CELLS}"
-                    )
-                chi: list[int] = []
-                for i, j in enumerate(alloc):
-                    chi.extend(ctx.offsets[i] + c for c in selections[i][j])
-                candidates[tuple(chi)] = total
-                continue
-            steps = _chain_steps(structure, slots, alloc)
-            totals = dict(steps)
+    origin = (Fraction(0),) * extended_dim(ctx.base.k_prime)
+    known = {
+        (i, j): slot[0][0]
+        for i, per_size in enumerate(ctx.rows)
+        for j, slot in enumerate(per_size)
+        if len(slot) == 1
+    }
+    stack = [([], origin, (0,) * len(ctx.rows), ctx.empty, known)]
+    while stack:
+        region, witness, alloc, total, known = stack.pop()
+        if sum(alloc) == level:
+            regions += 1
+            if regions > MAX_CELLS:
+                raise BudgetExceededError(
+                    f"chain regions reached {regions}, over the budget of {MAX_CELLS}"
+                )
+            chi = (ctx.offsets[i] + c for i, j in enumerate(alloc) for c in known[i, j])
+            candidates[tuple(chi)] = total
+            continue
+        targets = aug_set(structure, alloc)
+        slot = next((s for t in targets for s in enumerate(t) if s not in known), None)
+        if slot is not None:
+            i, j = slot
             stack.extend(
-                (child, point, target, totals[target])
-                for target, child, point in argmin_regions(steps, region, witness)
+                (child, point, alloc, total, {**known, slot: sup})
+                for sup, child, point in argmin_regions(ctx.rows[i][j], region, witness)
             )
+            continue
+        totals = {}
+        for target in targets:
+            rows = (ctx.row_of[i][known[i, j]] for i, j in enumerate(target))
+            totals[target] = tuple(map(sum, zip(*rows)))
+        stack.extend(
+            (child, point, target, totals[target], known)
+            for target, child, point in argmin_regions(totals.items(), region, witness)
+        )
     return candidates.keys(), candidates, regions
 
 
@@ -936,7 +896,7 @@ def solve_block(rp: ReducedProblem) -> tuple[AbstractSet[tuple[int, ...]], RpSol
     the distinct top sets on the diagonal path, so one candidate per
     region; 1 on dp; the witnesses on cover, one per distinct sign
     condition of the comparison surfaces; and the chain regions (the leaves
-    of the chain tree, summed over the support regions) on extended.  The
+    of the chain tree) on extended.  The
     generators are looked up on every call, so replacing one, or route(),
     by attribute takes effect.
     """

@@ -17,7 +17,7 @@ from blocksel.model import Instance, ReducedProblem
 from blocksel.oracle import brute_force, brute_force_levels
 from blocksel.solver import (
     _context,
-    _support_regions,
+    _extended_candidates,
     aug_set,
     solve,
     solve_detailed,
@@ -336,10 +336,11 @@ def coverage_problems():
 
 
 def test_criterion_7_cell_closure_coverage():
+    # The lifted walk's candidates hold an optimum at every lambda: the
+    # smallest residual among them equals the pinned-lambda optimum.
     with criterion(7):
         rng = random.Random(707)
         for rp in coverage_problems():
-            regions = _support_regions(_context(rp))
             pieces = []
             r0 = 0
             for blk in rp.blocks:
@@ -350,35 +351,31 @@ def test_criterion_7_cell_closure_coverage():
                 )
                 pieces.append((blk, b_piece, lam_pieces))
                 r0 += blk.rows
-            form_cache: dict = {}
+            starts = [0, *itertools.accumulate(blk.cols for blk in rp.blocks)]
             level = min(rp.sigma_p, rp.n_total)
+            candidates, _, _ = _extended_candidates(_context(rp), level)
+            forms = []
+            for chi in candidates:
+                forms.append([
+                    reference_forms.residual_quadratic(
+                        blk,
+                        b_piece,
+                        lam_pieces,
+                        tuple(c - starts[i] for c in chi if starts[i] <= c < starts[i + 1]),
+                    )
+                    for i, (blk, b_piece, lam_pieces) in enumerate(pieces)
+                ])
             for _ in range(250):
                 lam = tuple(
                     Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                     for _ in range(rp.k_prime)
                 )
-                point = ext(lam)
                 expected, _ = fixed_lambda_opt(rp, lam)
-                hit = False
-                for constraints, _, selections in regions:
-                    if any(row_value(r, point) < 0 for r in constraints):
-                        continue
-                    hit = True
-                    rows_vals = []
-                    for i, (blk, b_piece, lam_pieces) in enumerate(pieces):
-                        row = []
-                        for j, sup in enumerate(selections[i]):
-                            form = form_cache.get((i, sup))
-                            if form is None:
-                                form = reference_forms.residual_quadratic(
-                                    blk, b_piece, lam_pieces, sup
-                                )
-                                form_cache[(i, sup)] = form
-                            row.append(reference_forms.eval_form(form, lam))
-                        rows_vals.append(tuple(row))
-                    _, value = dp_solve(ValTable(tuple(rows_vals)), level)
-                    assert value == expected
-                assert hit, "ext(lambda) missed every region closure"
+                best = min(
+                    sum(reference_forms.eval_form(form, lam) for form in per_block)
+                    for per_block in forms
+                )
+                assert best == expected
 
 
 def test_criterion_8_budget_monotonicity_and_full_relaxation():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import blocksel.arrangement as arrangement
 import blocksel.solver as solver
 import reference_cover
 import reference_forms
@@ -16,7 +17,8 @@ import reference_extended
 from reference_separable import diag_greedy, fixed_lambda_opt
 from blocksel.cli import dump_instance, generate_instance, load_instance
 from blocksel.cover import conic_cover_points, primitive
-from blocksel.linalg import extended_dim, least_squares, quadratic_minimum
+from blocksel.linalg import least_squares, quadratic_minimum
+from blocksel.lp import strict_sign_witness
 from blocksel.model import (
     BudgetExceededError,
     Instance,
@@ -32,7 +34,7 @@ from blocksel.solver import (
     solve_block,
     solve_detailed,
 )
-from reference_arrangement import form_add, linearize
+from reference_arrangement import form_add
 from reference_cover import conic_from_form
 from reference_forms import QuadraticForm, residual_quadratic
 
@@ -294,46 +296,6 @@ def test_block_without_lambda_matches_dp():
     assert sol.objective == value
 
 
-def test_support_tables_single_column_block():
-    rp = ReducedProblem(
-        blocks=Instance.build([[[1]]]).blocks,
-        b=(Fraction(2),),
-        lambda_cols=((Fraction(1),),),
-        tags=(0,),
-        sigma_p=1,
-    )
-    regions = solver._support_regions(solver._context(rp))
-    assert len(regions) == 1
-    assert regions[0][2] == (((), (0,)),)
-
-
-def test_support_tables_pick_argmin_at_witness():
-    blk_rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    rp = ReducedProblem(
-        blocks=Instance.build([blk_rows]).blocks,
-        b=(Fraction(1), Fraction(3)),
-        lambda_cols=((Fraction(1), Fraction(-1)),),
-        tags=(0,),
-        sigma_p=1,
-    )
-    regions = solver._support_regions(solver._context(rp))
-    assert len(regions) >= 2
-    blk = rp.blocks[0]
-    forms = {
-        sup: residual_quadratic(
-            blk, rp.b, (rp.lambda_cols[0],), sup
-        )
-        for sup in ((0,), (1,))
-    }
-    for _, witness, selections in regions:
-        values = {
-            sup: linearize(form).eval(witness)
-            for sup, form in forms.items()
-        }
-        winner = selections[0][1]
-        assert values[winner] == min(values.values())
-
-
 def test_solve_matches_brute_force_on_small_instances():
     rng = random.Random(21)
     for trial in range(12):
@@ -375,8 +337,8 @@ def test_budget_error_names_the_subproblem(monkeypatch):
     with pytest.raises(BudgetExceededError) as excinfo:
         solve(inst)
     assert "coupling columns [1, 2, 3]" in str(excinfo.value)
-    # A 3x3 block at three free parameters: its slots split the support
-    # regions past the budget before any chain is walked.
+    # A 3x3 block at three free parameters: its chain regions pass the
+    # budget.
     inst = Instance.build(
         [[[1, 2, 0], [0, 1, 3], [2, 0, 1]], [[1], [2]]],
         coupling=[[1, 0, 2, 1, -1], [0, 1, 1, -2, 1]],
@@ -389,7 +351,7 @@ def test_budget_error_names_the_subproblem(monkeypatch):
         solve(inst)
     message = str(excinfo.value)
     assert "subproblem with coupling columns [1, 2]" in message
-    assert "support regions reached 9" in message
+    assert "chain regions reached 6" in message
 
 
 def test_objective_monotone_and_exhaustive_at_full_budget():
@@ -818,21 +780,24 @@ def test_level_walk_meets_only_lines_that_share_a_coordinate(monkeypatch):
             assert not walked and calls[0][1] <= len(carried)
 
 
-def test_support_regions_within_the_hyperplane_arrangement_bound():
-    # N distinct hyperplanes cut D-space into at most sum_{i<=D} C(N, i)
-    # regions (Buck 1943), and support regions are unions of those cells.
+def test_chain_regions_and_lps_within_the_walk_counts(monkeypatch):
+    # The lifted walk splits a slot only where a chain step reads it, so
+    # level 0 is one region without a program.
+    lps = 0
+
+    def counting(rows):
+        nonlocal lps
+        lps += 1
+        return strict_sign_witness(rows)
+
+    monkeypatch.setattr(arrangement, "strict_sign_witness", counting)
     rp = random_extended_rp(random.Random(2), 3, 9, shapes=[(2, 2), (3, 3)])
     ctx = solver._context(rp)
-    planes = set()
-    for per_size in ctx.rows:
-        for slot in per_size:
-            for (_, r1), (_, r2) in itertools.combinations(slot, 2):
-                diff = tuple(u - v for u, v in zip(r1, r2))
-                if any(diff[1:]):
-                    planes.add(primitive(diff))
-    n, dim = len(planes), extended_dim(rp.k_prime)
-    regions = solver._support_regions(ctx)
-    assert 1 < len(regions) <= sum(math.comb(n, i) for i in range(dim + 1))
+    for level, most_regions, most_lps in [(0, 1, 0), (1, 12, 11), (2, 108, 107), (3, 288, 323)]:
+        lps = 0
+        _, _, regions = solver._extended_candidates(ctx, level)
+        assert 1 <= regions <= most_regions
+        assert lps <= most_lps
 
 
 def test_cover_witnesses_have_distinct_sign_vectors():
